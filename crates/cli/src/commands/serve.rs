@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use scuba::durability::{
-    crc32, run_supervised, HealthSnapshot, SuperviseConfig, SuperviseObserver,
+    run_supervised, Crc32, HealthSnapshot, SuperviseConfig, SuperviseObserver,
 };
 use scuba::ControlGauges;
 use scuba_motion::{ControlOp, EntityAttrs, LocationUpdate, QueryAttrs, QueryId, QuerySpec};
@@ -215,12 +215,18 @@ impl<S: UpdateSource> UpdateSource for ControlledSource<S> {
 /// the operator), as stable little-endian bytes — a compact identity for
 /// cross-run comparison without shipping the full result list.
 fn result_crc(report: &EvaluationReport) -> u32 {
-    let mut bytes = Vec::with_capacity(report.results.len() * 16);
-    for m in &report.results {
-        bytes.extend_from_slice(&m.query.0.to_le_bytes());
-        bytes.extend_from_slice(&m.object.0.to_le_bytes());
+    // Streamed through a fixed stack buffer: no per-evaluation allocation.
+    const PAIRS_PER_CHUNK: usize = 256;
+    let mut crc = Crc32::new();
+    let mut buf = [0u8; 16 * PAIRS_PER_CHUNK];
+    for pairs in report.results.chunks(PAIRS_PER_CHUNK) {
+        for (m, out) in pairs.iter().zip(buf.chunks_exact_mut(16)) {
+            out[..8].copy_from_slice(&m.query.0.to_le_bytes());
+            out[8..].copy_from_slice(&m.object.0.to_le_bytes());
+        }
+        crc.update(&buf[..16 * pairs.len()]);
     }
-    crc32(&bytes)
+    crc.finish()
 }
 
 /// Streams evaluation events to the ndjson log and health lines to the
@@ -416,4 +422,35 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scuba::durability::crc32;
+    use scuba_motion::ObjectId;
+    use scuba_stream::QueryMatch;
+
+    /// The streamed event CRC equals `crc32` over the materialised pair
+    /// bytes at every length around the chunk boundary.
+    #[test]
+    fn streamed_result_crc_matches_one_shot() {
+        for n in [0usize, 1, 255, 256, 257, 512, 1000] {
+            let results: Vec<QueryMatch> = (0..n as u64)
+                .map(|i| {
+                    QueryMatch::new(QueryId(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)), ObjectId(!i))
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            for m in &results {
+                bytes.extend_from_slice(&m.query.0.to_le_bytes());
+                bytes.extend_from_slice(&m.object.0.to_le_bytes());
+            }
+            let report = EvaluationReport {
+                results,
+                ..EvaluationReport::default()
+            };
+            assert_eq!(result_crc(&report), crc32(&bytes), "n = {n}");
+        }
+    }
 }

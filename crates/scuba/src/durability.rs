@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::BytesMut;
+use bytes::{BufMut as _, BytesMut};
 
 use scuba_motion::{
     control, wire, ControlOp, EntityRef, LocationUpdate, ObjectAttrs, ObjectClass, ObjectId,
@@ -55,13 +55,14 @@ use crate::snapshot::{ClusterSnapshot, EngineSnapshot, MemberSnapshot, SnapshotE
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected) — hand-rolled so the durable format has no
-// dependency beyond the standard library.
+// dependency beyond the standard library. Slicing-by-8: eight tables fold
+// eight input bytes per step; the values are those of the byte-wise loop.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -74,22 +75,79 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    // tables[t][i] is the CRC of byte `i` followed by `t` zero bytes.
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+/// Incremental IEEE CRC32: feeding the pieces of a byte string through
+/// [`Crc32::update`] in order gives [`crc32`] of the whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// The state before any input.
+    pub fn new() -> Self {
+        Crc32(0xffff_ffff)
     }
-    c
+
+    /// Folds `data` in.
+    pub fn update(&mut self, data: &[u8]) {
+        let (t, mut c) = (&CRC_TABLES, self.0);
+        let mut chunks = data.chunks_exact(8);
+        for ch in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+            c = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][ch[4] as usize]
+                ^ t[2][ch[5] as usize]
+                ^ t[1][ch[6] as usize]
+                ^ t[0][ch[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xffff_ffff
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
 }
 
 /// IEEE CRC32 (the `cksum`/zlib polynomial, reflected) over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_update(0xffff_ffff, data) ^ 0xffff_ffff
+    checksum(&[data])
+}
+
+/// CRC32 of the concatenation of `parts`.
+fn checksum(parts: &[&[u8]]) -> u32 {
+    let mut crc = Crc32::new();
+    for part in parts {
+        crc.update(part);
+    }
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -606,22 +664,24 @@ pub struct CheckpointState {
 /// length, CRC32 of the payload, then the payload (stripe count followed by
 /// each stripe's binary snapshot, followed by the query registry).
 pub fn encode_checkpoint(tick: Time, stripes: &[EngineSnapshot], registry: &QueryRegistry) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, stripes.len() as u64);
-    for s in stripes {
-        encode_snapshot(&mut payload, s);
-    }
-    encode_registry(&mut payload, registry);
-    let mut out = Vec::with_capacity(CKPT_HEADER + payload.len());
+    // One buffer: header first with length and checksum left blank, the
+    // payload encoded in place behind it, then the two fields patched.
+    let mut out = Vec::new();
     out.extend_from_slice(CKPT_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_u64(&mut out, tick);
-    put_u64(&mut out, payload.len() as u64);
+    out.resize(CKPT_HEADER, 0);
+    put_u64(&mut out, stripes.len() as u64);
+    for s in stripes {
+        encode_snapshot(&mut out, s);
+    }
+    encode_registry(&mut out, registry);
+    let payload_len = (out.len() - CKPT_HEADER) as u64;
+    out[16..24].copy_from_slice(&payload_len.to_le_bytes());
     // The checksum covers tick + declared length + payload, so a flipped
     // bit anywhere past the version field is caught, not just in the body.
-    let crc = crc32_update(crc32_update(0xffff_ffff, &out[8..24]), &payload) ^ 0xffff_ffff;
-    put_u32(&mut out, crc);
-    out.extend_from_slice(&payload);
+    let crc = checksum(&[&out[8..24], &out[CKPT_HEADER..]]);
+    out[24..CKPT_HEADER].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -652,7 +712,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointState, SnapshotError>
     let payload = bytes
         .get(CKPT_HEADER..CKPT_HEADER + payload_len)
         .ok_or(SnapshotError::Truncated)?;
-    let computed = crc32_update(crc32_update(0xffff_ffff, &bytes[8..24]), payload) ^ 0xffff_ffff;
+    let computed = checksum(&[&bytes[8..24], payload]);
     if computed != stored {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
@@ -775,6 +835,8 @@ pub struct JournalWriter {
     frames: u64,
     bytes: u64,
     sync: bool,
+    /// The frame under construction, reused across appends.
+    frame: BytesMut,
 }
 
 impl JournalWriter {
@@ -799,6 +861,7 @@ impl JournalWriter {
             frames: 0,
             bytes: JRNL_HEADER as u64,
             sync,
+            frame: BytesMut::new(),
         })
     }
 
@@ -823,26 +886,27 @@ impl JournalWriter {
         updates: &[LocationUpdate],
         controls: &[ControlOp],
     ) -> Result<u64, DurabilityError> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, tick);
-        put_u32(&mut payload, updates.len() as u32);
-        let mut wire_buf = BytesMut::new();
+        // Encoded straight into the reused frame buffer: the 8-byte
+        // header (payload length, CRC32) is reserved up front and patched
+        // once the payload behind it is complete.
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.put_slice(&[0; 8]);
+        frame.put_u64_le(tick);
+        frame.put_u32_le(updates.len() as u32);
         for u in updates {
-            wire::encode_into(u, &mut wire_buf);
+            wire::encode_into(u, frame);
         }
-        payload.extend_from_slice(&wire_buf);
-        put_u32(&mut payload, controls.len() as u32);
-        let mut ctrl_buf = BytesMut::new();
+        frame.put_u32_le(controls.len() as u32);
         for op in controls {
-            control::encode_into(op, &mut ctrl_buf);
+            control::encode_into(op, frame);
         }
-        payload.extend_from_slice(&ctrl_buf);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let len = (frame.len() - 8) as u32;
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
         self.file
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| io_err(&self.path, e))?;
         if self.sync {
             self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
@@ -1875,6 +1939,112 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time definition of the reflected IEEE CRC: shares no
+    /// table with the slicing kernel it checks.
+    fn crc32_update_bitwise(mut c: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bitwise_reference() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let pool: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for case in 0..96 {
+            // Every length below 24 once (all tail lengths around the
+            // 8-byte step), then random ones up to 4 KiB.
+            let len = if case < 24 {
+                case
+            } else {
+                next() as usize % 4097
+            };
+            for align in 0..8 {
+                let data = &pool[align..align + len];
+                let expected = crc32_update_bitwise(0xffff_ffff, data) ^ 0xffff_ffff;
+                assert_eq!(crc32(data), expected, "len {len} align {align}");
+                // Chained over an arbitrary split into up to four pieces.
+                let mut cuts = [0, 0, 0, len];
+                for c in &mut cuts[..3] {
+                    *c = next() as usize % (len + 1);
+                }
+                cuts.sort_unstable();
+                let (mut crc, mut from) = (Crc32::new(), 0);
+                for to in cuts {
+                    crc.update(&data[from..to]);
+                    from = to;
+                }
+                assert_eq!(
+                    crc.finish(),
+                    expected,
+                    "len {len} align {align} cuts {cuts:?}"
+                );
+            }
+        }
+    }
+
+    /// `append_frame` encodes in place into one reused buffer; the bytes
+    /// on disk must be those of the layout built piecewise.
+    #[test]
+    fn journal_frame_bytes_match_piecewise_layout() {
+        let dir = tmp_dir("frame-bytes");
+        let mut w = JournalWriter::create(&dir, 3, false).unwrap();
+        let controls = [
+            ControlOp::Register(update(7, 4)),
+            ControlOp::Deregister(QueryId(9)),
+        ];
+        let batches: [(Vec<LocationUpdate>, &[ControlOp]); 3] = [
+            ((0..5).map(|i| update(i, 4)).collect(), &controls),
+            (Vec::new(), &[]),
+            ((0..2).map(|i| update(i, 6)).collect(), &controls[1..]),
+        ];
+        let mut expected = Vec::new();
+        expected.extend_from_slice(JRNL_MAGIC);
+        put_u32(&mut expected, FORMAT_VERSION);
+        put_u64(&mut expected, 3);
+        for (i, (updates, controls)) in batches.iter().enumerate() {
+            let tick = 4 + i as Time;
+            let written = w.append_frame(tick, updates, controls).unwrap();
+            let mut payload = Vec::new();
+            put_u64(&mut payload, tick);
+            put_u32(&mut payload, updates.len() as u32);
+            for u in updates {
+                payload.extend_from_slice(&wire::encode(u));
+            }
+            put_u32(&mut payload, controls.len() as u32);
+            let mut ops = BytesMut::new();
+            for op in *controls {
+                control::encode_into(op, &mut ops);
+            }
+            payload.extend_from_slice(&ops);
+            assert_eq!(written as usize, 8 + payload.len());
+            put_u32(&mut expected, payload.len() as u32);
+            put_u32(
+                &mut expected,
+                crc32_update_bitwise(0xffff_ffff, &payload) ^ 0xffff_ffff,
+            );
+            expected.extend_from_slice(&payload);
+        }
+        assert_eq!(w.bytes() as usize, expected.len());
+        assert_eq!(fs::read(w.path()).unwrap(), expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn snapshot_codec_roundtrips_nondefault_params() {
         let mut snapshot = busy_snapshot();
@@ -2440,7 +2610,7 @@ mod tests {
         put_u32(&mut old, FORMAT_VERSION);
         put_u64(&mut old, 6);
         put_u64(&mut old, payload.len() as u64);
-        let crc = crc32_update(crc32_update(0xffff_ffff, &old[8..24]), &payload) ^ 0xffff_ffff;
+        let crc = checksum(&[&old[8..24], &payload]);
         put_u32(&mut old, crc);
         old.extend_from_slice(&payload);
         let state = decode_checkpoint(&old).unwrap();

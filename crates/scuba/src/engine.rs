@@ -744,7 +744,8 @@ mod tests {
     fn stationary_workload_hits_join_cache() {
         let mut op = ScubaOperator::new(ScubaParams::default(), Rect::square(1000.0));
         // Stationary convoy (zero speed, distant destination): nothing
-        // mutates between evaluations, so epoch 2 replays epoch 1's pairs.
+        // mutates between evaluations, so epoch 2 finds its pairs clean
+        // since epoch 1 and admits them, and epoch 3 replays them.
         for i in 0..5u64 {
             op.process_update(&LocationUpdate::object(
                 ObjectId(i),
@@ -766,9 +767,11 @@ mod tests {
             },
         ));
         let first = op.evaluate(2);
-        let warm = op.evaluate(4);
-        assert_eq!(first.results, warm.results);
+        assert!(op.join_cache().is_empty());
+        op.evaluate(4);
         assert!(!op.join_cache().is_empty());
+        let warm = op.evaluate(6);
+        assert_eq!(first.results, warm.results);
         let within = warm.phases.get(crate::join::STAGE_JOIN_WITHIN).unwrap();
         assert!(within.cache_hits > 0, "clean pairs replay from the cache");
         assert_eq!(within.cache_misses, 0);

@@ -23,10 +23,14 @@
 //!    bit-identical too. Cache misses materialise members once per epoch
 //!    into a flat SoA arena and run the exact join, partitioned across
 //!    scoped worker threads (work-stealing over an atomic cursor) when
-//!    [`JoinContext::parallelism`] > 1;
-//! 4. **result merge** — sort + dedup of the worker outputs, which makes
-//!    the result set independent of thread count, of pair order and of the
-//!    replayed/computed split.
+//!    [`JoinContext::parallelism`] > 1. A computed pair is *admitted* to
+//!    the cache only when both clusters were already clean across the
+//!    previous round — the one observable sign that it can replay — so a
+//!    stream in which every cluster moves every Δ stores nothing and the
+//!    empty cache costs two epoch-mark loads per pair;
+//! 4. **result merge** — radix sort + dedup of the worker outputs, which
+//!    makes the result set independent of thread count, of pair order and
+//!    of the replayed/computed split.
 //!
 //! The per-tick path is hash-free: pairs are slot pairs, the cache is a
 //! per-left-slot sorted row table, and the arena index is a dense stamped
@@ -71,6 +75,7 @@ use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
 use crate::index::{DiscoveryScratch, SpatialIndex};
 use crate::kernel::{self, pack_pair, KernelKind, PairTile};
+use crate::radix;
 use crate::shedding::SheddingMode;
 use crate::store::{ClusterSlot, ClusterStore, EpochTracker};
 use crate::tables::QueriesTable;
@@ -158,6 +163,14 @@ pub struct JoinContext<'a> {
 /// that case the materialised member state is bit-identical to last
 /// round's, so the replay is bit-identical to recomputation.
 ///
+/// Admission is gated: a computed pair is stored only if both clusters
+/// have been clean since the *previous* round's clock. A pair that mutated
+/// within the last round will almost surely mutate again before the next,
+/// and copying its matches would buy nothing (the ledger read a hit ratio
+/// of 0.0 on every workload whose entities all report every Δ). The price
+/// is one round of latency: a pair that stops moving is computed twice —
+/// once dirty, once clean and admitted — and replays from the third round.
+///
 /// Entries whose pair does not survive a round (separated regions, pruned,
 /// or a dissolved cluster) are swept at the end of that round, so the
 /// cache never retains entries for clusters that no longer co-occur —
@@ -170,6 +183,8 @@ pub struct JoinCache {
     rows: Vec<Vec<(u32, CacheEntry)>>,
     live: usize,
     round: u64,
+    /// Epoch-clock value the previous round ran at (the admission gate).
+    prev_clock: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -205,57 +220,28 @@ impl JoinCache {
         self.live = 0;
     }
 
-    /// Grows the row table to cover left slots `0..n`.
-    fn ensure_slots(&mut self, n: usize) {
-        if self.rows.len() < n {
-            self.rows.resize_with(n, Vec::new);
-        }
-    }
-
-    /// The entry for `(left, right)`, if cached.
-    fn get(&self, left: ClusterSlot, right: ClusterSlot) -> Option<&CacheEntry> {
-        let row = self.rows.get(left.index())?;
-        let i = row.binary_search_by_key(&right.0, |e| e.0).ok()?;
-        Some(&row[i].1)
-    }
-
     /// Mutable access to the entry for `(left, right)`, if cached.
-    fn get_mut(&mut self, left: ClusterSlot, right: ClusterSlot) -> Option<&mut CacheEntry> {
+    fn entry_mut(&mut self, left: ClusterSlot, right: ClusterSlot) -> Option<&mut CacheEntry> {
+        if self.live == 0 {
+            return None;
+        }
         let row = self.rows.get_mut(left.index())?;
         let i = row.binary_search_by_key(&right.0, |e| e.0).ok()?;
         Some(&mut row[i].1)
     }
 
-    /// Stores (or refreshes) the entry for `(left, right)`.
-    fn upsert(
-        &mut self,
-        left: ClusterSlot,
-        right: ClusterSlot,
-        matches: &[QueryMatch],
-        computed_at: u64,
-        round: u64,
-    ) {
+    /// Stores the entry for `(left, right)`. A pair already cached is
+    /// either replayed (never recomputed) or stale — dirty since the
+    /// previous round, hence not admitted — so this normally inserts.
+    fn admit(&mut self, left: ClusterSlot, right: ClusterSlot, entry: CacheEntry) {
+        if self.rows.len() <= left.index() {
+            self.rows.resize_with(left.index() + 1, Vec::new);
+        }
         let row = &mut self.rows[left.index()];
         match row.binary_search_by_key(&right.0, |e| e.0) {
-            Ok(i) => {
-                let e = &mut row[i].1;
-                e.matches.clear();
-                e.matches.extend_from_slice(matches);
-                e.computed_at = computed_at;
-                e.last_used = round;
-            }
+            Ok(i) => row[i].1 = entry,
             Err(i) => {
-                row.insert(
-                    i,
-                    (
-                        right.0,
-                        CacheEntry {
-                            matches: matches.to_vec(),
-                            computed_at,
-                            last_used: round,
-                        },
-                    ),
-                );
+                row.insert(i, (right.0, entry));
                 self.live += 1;
             }
         }
@@ -272,6 +258,9 @@ impl JoinCache {
     /// membership `touch`, but the purge also drops the cached rows
     /// mentioning the dead query so they cannot outlive it in memory.)
     pub fn purge_slot(&mut self, slot: ClusterSlot) -> usize {
+        if self.live == 0 {
+            return 0;
+        }
         let mut removed = 0;
         if let Some(row) = self.rows.get_mut(slot.index()) {
             removed += row.len();
@@ -292,6 +281,9 @@ impl JoinCache {
 
     /// Drops every entry not used in `round`, returning how many fell.
     fn sweep(&mut self, round: u64) -> usize {
+        if self.live == 0 {
+            return 0;
+        }
         let mut removed = 0;
         for row in &mut self.rows {
             let before = row.len();
@@ -329,6 +321,9 @@ pub struct JoinScratch {
     /// Stage-1 buffer: packed candidate pair keys, sorted + deduped in
     /// place each round.
     pairs: Vec<u64>,
+    /// Radix scatter buffers of stage 1 (pair keys) and stage 4 (matches).
+    pairs_tmp: Vec<u64>,
+    merge_tmp: Vec<QueryMatch>,
     /// Stage-2 output: pairs surviving join-between.
     tasks: Vec<(ClusterSlot, ClusterSlot)>,
     /// Stage-3 input: surviving pairs without a valid cache entry.
@@ -351,7 +346,7 @@ impl JoinScratch {
     }
 
     /// Bytes of heap currently reserved across every scratch buffer —
-    /// pair keys, task lists, the kernel tile, discovery buffers, the
+    /// pair keys, radix scatter buffers, task lists, the kernel tile, discovery buffers, the
     /// materialisation arena and all worker blocks.
     ///
     /// The steady-state contract is that this value stops changing once
@@ -381,7 +376,8 @@ impl JoinScratch {
                     + w.records.capacity() * size_of::<PairRec>()
             })
             .sum();
-        self.pairs.capacity() * size_of::<u64>()
+        (self.pairs.capacity() + self.pairs_tmp.capacity()) * size_of::<u64>()
+            + self.merge_tmp.capacity() * size_of::<QueryMatch>()
             + (self.tasks.capacity() + self.miss_tasks.capacity())
                 * size_of::<(ClusterSlot, ClusterSlot)>()
             + self.tile.capacity_bytes()
@@ -606,37 +602,25 @@ impl<'a> JoinContext<'a> {
         );
 
         // Stage 3 — join-within: replay clean pairs from the cache, run
-        // the exact member join (Algorithm 3) over the misses.
+        // the exact member join (Algorithm 3) over the misses. A stale
+        // entry (its inputs mutated) is left untouched here and falls in
+        // this round's sweep.
         cache.round += 1;
         let round = cache.round;
-        let clock = epochs.map(EpochTracker::clock);
-        if epochs.is_some() {
-            cache.ensure_slots(self.store.capacity());
-        }
         scratch.miss_tasks.clear();
         for &(left, right) in &scratch.tasks {
-            let valid = epochs.is_some_and(|ep| {
-                cache.get(left, right).is_some_and(|e| {
+            if let Some(ep) = epochs {
+                if let Some(entry) = cache.entry_mut(left, right).filter(|e| {
                     ep.clean_since(left, e.computed_at) && ep.clean_since(right, e.computed_at)
-                })
-            });
-            if valid {
-                let entry = cache
-                    .get_mut(left, right)
-                    .expect("validity implies presence");
-                entry.last_used = round;
-                out.results.extend_from_slice(&entry.matches);
-                out.cache_hits += 1;
-            } else {
-                if epochs.is_some() {
-                    if cache.get(left, right).is_some() {
-                        // A stale entry: its inputs mutated.
-                        out.cache_invalidations += 1;
-                    }
-                    out.cache_misses += 1;
+                }) {
+                    entry.last_used = round;
+                    out.results.extend_from_slice(&entry.matches);
+                    out.cache_hits += 1;
+                    continue;
                 }
-                scratch.miss_tasks.push((left, right));
+                out.cache_misses += 1;
             }
+            scratch.miss_tasks.push((left, right));
         }
 
         // Materialise every cluster a miss needs, exactly once, serially,
@@ -658,7 +642,7 @@ impl<'a> JoinContext<'a> {
             self.join_misses(miss_tasks, arena, workers)
         };
 
-        // Fold the workers: counters, raw matches, and cache refreshes.
+        // Fold the workers: counters, raw matches, and cache admissions.
         let mut within_lane_slots = 0u64;
         let mut within_lanes_used = 0u64;
         for ws in scratch.workers.iter().take(used) {
@@ -666,20 +650,28 @@ impl<'a> JoinContext<'a> {
             out.prefilter_tests += ws.reach_tests;
             within_lane_slots += ws.lane_slots;
             within_lanes_used += ws.lanes_used;
-            if epochs.is_some() {
-                let clock = clock.expect("clock captured with epochs");
+            // Admission gate: store a computed pair only if neither
+            // cluster mutated since the previous round's clock.
+            if let (Some(ep), Some(gate)) = (epochs, cache.prev_clock) {
                 for rec in &ws.records {
-                    let matches = &ws.results[rec.start as usize..rec.end as usize];
-                    cache.upsert(rec.left, rec.right, matches, clock, round);
+                    if ep.clean_since(rec.left, gate) && ep.clean_since(rec.right, gate) {
+                        let entry = CacheEntry {
+                            matches: ws.results[rec.start as usize..rec.end as usize].to_vec(),
+                            computed_at: ep.clock(),
+                            last_used: round,
+                        };
+                        cache.admit(rec.left, rec.right, entry);
+                    }
                 }
             }
             out.results.extend_from_slice(&ws.results);
         }
 
-        // Sweep entries whose pair did not survive this round: the pair
+        // Sweep entries not used this round: the pair went stale,
         // separated, was pruned, or one of its clusters dissolved.
-        if epochs.is_some() {
+        if let Some(ep) = epochs {
             out.cache_invalidations += cache.sweep(round) as u64;
+            cache.prev_clock = Some(ep.clock());
         }
 
         let raw = out.results.len() as u64;
@@ -692,11 +684,10 @@ impl<'a> JoinContext<'a> {
                 .with_lanes(within_lane_slots, within_lanes_used),
         );
 
-        // Stage 4 — result merge: sort + dedup, which also erases any
-        // worker-interleaving (and the replayed/computed split) of the raw
-        // matches.
-        out.results.sort_unstable();
-        out.results.dedup();
+        // Stage 4 — result merge: radix sort + dedup, which also erases
+        // any worker-interleaving (and the replayed/computed split) of the
+        // raw matches.
+        radix::sort_dedup(&mut out.results, &mut scratch.merge_tmp);
         out.stages.push(
             StageStats::join(STAGE_RESULT_MERGE)
                 .with_wall(sw.lap())
@@ -708,11 +699,14 @@ impl<'a> JoinContext<'a> {
     /// Stage 1: walks the index candidate cell by candidate cell (base
     /// cells for the uniform grid, leaves for refined cells of the adaptive
     /// grid), packing each co-resident slot pair (self-pairs included) into
-    /// a `u64` key, then sorts + dedups the reused key buffer in place.
+    /// a `u64` key, then radix-sorts + dedups the reused key buffer.
     /// Returns `(entries_walked, candidates)`.
     fn discover_pairs(&self, scratch: &mut JoinScratch) -> (u64, u64) {
         let JoinScratch {
-            pairs, discovery, ..
+            pairs,
+            pairs_tmp,
+            discovery,
+            ..
         } = &mut *scratch;
         pairs.clear();
         let mut entries_walked = 0u64;
@@ -727,8 +721,7 @@ impl<'a> JoinContext<'a> {
                     }
                 }
             });
-        pairs.sort_unstable();
-        pairs.dedup();
+        radix::sort_dedup(pairs, pairs_tmp);
         (entries_walked, candidates)
     }
 
@@ -1451,17 +1444,28 @@ mod tests {
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
 
+        // Round 1: no previous round to vouch for any cluster — computed,
+        // nothing admitted.
         let cold = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert!(cold.cache_hits == 0 && cold.cache_misses > 0);
         assert!(!cold.results.is_empty());
-        assert!(!cache.is_empty());
+        assert!(cache.is_empty());
 
-        // Nothing mutated between rounds: every surviving pair replays.
+        // Round 2: every cluster was clean across round 1 — computed
+        // again and admitted.
+        let admitted = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        assert_eq!(admitted.results, cold.results);
+        assert_eq!(admitted.cache_hits, 0);
+        assert_eq!(admitted.cache_misses, cold.cache_misses);
+        assert_eq!(cache.len() as u64, cold.cache_misses);
+
+        // Round 3 on: every surviving pair replays.
         let warm = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert_eq!(warm.results, cold.results);
         assert_eq!(warm.cache_misses, 0);
         assert_eq!(warm.cache_hits, cold.cache_misses);
         assert_eq!(warm.comparisons, 0, "no member work on a clean epoch");
+        assert_eq!(warm.cache_invalidations, 0);
         // And a from-scratch run still agrees.
         assert_eq!(ctx(&e).run().results, warm.results);
     }
@@ -1478,14 +1482,27 @@ mod tests {
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
         let cold = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        let cached = cache.len();
 
-        // Refresh one object: exactly its cluster's pairs recompute.
+        // Refresh one object: exactly its cluster's pairs recompute, and —
+        // dirty since the previous round — are not admitted again.
         e.process_update(&obj(0, 61.0, 500.0, 30.0, CN_EAST));
         let warm = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert!(warm.cache_hits > 0, "untouched pairs replay");
         assert!(warm.cache_misses > 0, "touched pair recomputes");
         assert!(warm.cache_misses < cold.cache_misses);
+        assert_eq!(warm.cache_invalidations, warm.cache_misses);
+        assert_eq!(cache.len() as u64, cached as u64 - warm.cache_misses);
         assert_eq!(warm.results, ctx(&e).run().results);
+
+        // Left alone for a round, the pair earns its way back in.
+        let again = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        assert_eq!(again.cache_misses, warm.cache_misses);
+        assert_eq!(cache.len(), cached);
+        let settled = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        assert_eq!(settled.cache_misses, 0);
+        assert_eq!(settled.results, warm.results);
     }
 
     #[test]
@@ -1500,7 +1517,9 @@ mod tests {
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
         ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         let cached = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        assert!(cached.cache_hits > 0);
         let plain = ctx(&e).run();
         assert_eq!(cached.results, plain.results);
         assert_eq!(plain.cache_hits, 0);
@@ -1518,6 +1537,10 @@ mod tests {
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
         let mut max_len = 0usize;
+        // A parked bystander pair (zero speed, reported once): the only
+        // pair that is ever clean across a round, hence ever admitted.
+        e.process_update(&obj(50, 100.0, 100.0, 0.0, CN_EAST));
+        e.process_update(&qry(50, 102.0, 101.0, 0.0, CN_WEST, 40.0));
         for round in 0..30u64 {
             // Two co-located convoys that re-form each round after the
             // maintenance pass dissolves whoever reached its destination.
@@ -1541,5 +1564,66 @@ mod tests {
             e.post_join_maintenance(round);
         }
         assert!(max_len > 0, "the cache did see entries");
+    }
+
+    /// The radix scatter buffers are scratch like the rest: counted by
+    /// `capacity_bytes`, grown during warm-up, never after.
+    #[test]
+    fn radix_buffers_are_counted_and_stop_growing() {
+        // One cell and one wide query over 400 objects: enough candidate
+        // keys and raw matches for both sorts to take the radix path.
+        let params = ScubaParams::default().with_grid_cells(1);
+        let mut e = ClusterEngine::new(params, Rect::square(1000.0));
+        for i in 0..400u64 {
+            let (x, y) = (20.0 + (i % 20) as f64 * 48.0, 20.0 + (i / 20) as f64 * 48.0);
+            e.process_update(&obj(i, x, y, 30.0, CN_EAST));
+        }
+        e.process_update(&qry(1, 500.0, 500.0, 30.0, CN_WEST, 2000.0));
+        let mut cache = JoinCache::new();
+        let mut scratch = JoinScratch::new();
+        let first = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+        assert_eq!(first.results.len(), 400);
+        assert!(scratch.pairs_tmp.capacity() >= scratch.pairs.len());
+        assert!(scratch.merge_tmp.capacity() >= 400);
+        let settled = scratch.capacity_bytes();
+        assert!(
+            settled >= scratch.pairs_tmp.capacity() * 8 + scratch.merge_tmp.capacity() * 16,
+            "the scatter buffers are part of the reported footprint"
+        );
+        for _ in 0..3 {
+            let again = ctx(&e).run(); // fresh scratch: same answer
+            let out = ctx(&e).run_cached(None, &mut cache, &mut scratch);
+            assert_eq!(out.results, again.results);
+            assert_eq!(scratch.capacity_bytes(), settled);
+        }
+    }
+
+    /// The admission gate on the paper's §6.1 stream shape: every entity
+    /// reports every round, so every cluster is dirty every round and the
+    /// cache never stores a pair — yet answers match a from-scratch run.
+    #[test]
+    fn moving_stream_never_populates_the_cache() {
+        let params = ScubaParams::default().with_grid_cells(8);
+        let mut e = ClusterEngine::new(params, Rect::square(1000.0));
+        let mut cache = JoinCache::new();
+        let mut scratch = JoinScratch::new();
+        for round in 0..12u64 {
+            for i in 0..8u64 {
+                let x = 100.0 * i as f64 + 60.0 + round as f64;
+                let mut o = obj(i, x, 500.0, 30.0, CN_EAST);
+                o.time = round;
+                e.process_update(&o);
+                let mut q = qry(i, x + 2.0, 502.0, 30.0, CN_WEST, 60.0);
+                q.time = round;
+                e.process_update(&q);
+            }
+            let out = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
+            assert_eq!(cache.len(), 0, "round {round}");
+            assert_eq!(out.cache_hits, 0);
+            assert!(out.cache_misses > 0);
+            assert_eq!(out.cache_invalidations, 0);
+            assert_eq!(out.results, ctx(&e).run().results);
+            e.post_join_maintenance(round);
+        }
     }
 }

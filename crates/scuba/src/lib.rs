@@ -106,6 +106,7 @@ pub mod ops;
 pub mod overload;
 pub mod params;
 pub mod qindex;
+pub(crate) mod radix;
 pub mod registry;
 pub mod shard;
 pub mod shedding;

@@ -289,6 +289,8 @@ pub struct ShardedScubaOperator {
     registry: QueryRegistry,
     /// Reusable per-shard ordered apply queues.
     routes: Vec<Vec<ShardOp>>,
+    /// Radix scatter buffer of the stripe merge.
+    merge_tmp: Vec<QueryMatch>,
     evaluations: u64,
     /// Router counters accumulated since the last evaluation.
     route_updates: u64,
@@ -358,6 +360,7 @@ impl ShardedScubaOperator {
             owner: FxHashMap::default(),
             registry: QueryRegistry::new(),
             routes: (0..k).map(|_| Vec::new()).collect(),
+            merge_tmp: Vec::new(),
             evaluations: 0,
             route_updates: 0,
             route_handoffs: 0,
@@ -828,8 +831,7 @@ impl ShardedScubaOperator {
         self.last_ghosts_sent = sent;
         self.last_ghosts_received = received;
         let before = results.len() as u64;
-        results.sort_unstable();
-        results.dedup();
+        crate::radix::sort_dedup(&mut results, &mut self.merge_tmp);
         phases.push(
             StageStats::join(STAGE_SHARD_MERGE)
                 .with_wall(sw.elapsed())

@@ -1,7 +1,10 @@
 //! Edge-case tests for [`scuba::JoinCache`] invalidation.
 //!
 //! The cache's contract is simple — a pair replays iff **both** clusters
-//! are clean since the entry was computed — but the mutations that dirty a
+//! are clean since the entry was computed, and an entry is only admitted
+//! once both clusters have been clean across a whole round (so a pair is
+//! computed twice before its first replay: [`warmed`] runs that admitting
+//! round) — but the mutations that dirty a
 //! cluster arrive from many directions: explicit dissolution, load-shedding
 //! escalation, staleness eviction, snapshot restoration. Each test here
 //! drives [`scuba::clustering::ClusterEngine`] (or the full operator)
@@ -75,6 +78,13 @@ fn joined(engine: &ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScrat
     out
 }
 
+/// One quiet round that replays nothing yet: pairs computed while dirty in
+/// the round before are computed once more, found clean, and admitted.
+fn warmed(engine: &ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScratch) {
+    let admitting = joined(engine, cache, scratch);
+    assert!(admitting.cache_misses > 0 && !cache.is_empty());
+}
+
 /// A cluster dissolved between evaluations must neither replay from the
 /// cache nor leave its entry behind: its members are homeless, its matches
 /// vanish, and the orphaned entry is swept (counted as an invalidation).
@@ -89,7 +99,9 @@ fn dissolve_mid_epoch_invalidates_cached_pair() {
     assert!(!cold.results.is_empty(), "both convoys produce matches");
     assert_eq!(cold.cache_hits, 0, "first epoch is all misses");
     assert!(cold.cache_misses >= 2, "one pair per convoy computed");
+    assert!(cache.is_empty(), "nothing is admitted on first sight");
 
+    warmed(&engine, &mut cache, &mut scratch);
     let warm = joined(&engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2, "silent epoch replays every pair");
@@ -164,6 +176,7 @@ fn shedding_escalation_dirties_cached_pairs() {
 
     let cold = joined(&engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
+    warmed(&engine, &mut cache, &mut scratch);
     let warm = joined(&engine, &mut cache, &mut scratch);
     assert!(warm.cache_hits >= 1, "unshed convoy replays");
 
@@ -179,7 +192,8 @@ fn shedding_escalation_dirties_cached_pairs() {
     assert!(partial.cache_misses >= 1);
     assert!(partial.cache_invalidations >= 1);
 
-    // A quiet epoch under partial shedding is clean again.
+    // Quiet epochs under partial shedding are clean again.
+    warmed(&engine, &mut cache, &mut scratch);
     let partial_warm = joined(&engine, &mut cache, &mut scratch);
     assert!(
         partial_warm.cache_hits >= 1,
@@ -211,6 +225,7 @@ fn evict_stale_drops_cached_pairs_cluster() {
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
     let cold = joined(&engine, &mut cache, &mut scratch);
+    warmed(&engine, &mut cache, &mut scratch);
     let warm = joined(&engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2);
@@ -232,8 +247,10 @@ fn evict_stale_drops_cached_pairs_cluster() {
         "the dissolved pair's entry is dropped"
     );
     // Convoy 1 was refreshed (fresh timestamps dirty its cluster), so it
-    // recomputes this epoch and is replayable again on the next.
+    // recomputes this epoch, is admitted on the next quiet one and
+    // replays from the one after.
     assert!(after.cache_misses >= 1);
+    warmed(&engine, &mut cache, &mut scratch);
     let settled = joined(&engine, &mut cache, &mut scratch);
     assert!(settled.cache_hits >= 1, "the survivor warms back up");
 }
@@ -251,6 +268,7 @@ fn remove_entity_invalidates_cached_pair() {
 
     let cold = joined(&engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
+    warmed(&engine, &mut cache, &mut scratch);
     let warm = joined(&engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2, "both convoys replay when quiet");
@@ -287,6 +305,7 @@ fn remove_entity_invalidates_cached_pair() {
         engine.cluster(cid).is_some(),
         "cluster survives the removal"
     );
+    warmed(&engine, &mut cache, &mut scratch);
     let settled = joined(&engine, &mut cache, &mut scratch);
     assert_eq!(settled.results, after.results);
     assert!(settled.cache_hits >= 2, "everything replays when quiet");
@@ -327,6 +346,7 @@ fn deregister_mid_tick_shrinks_cluster_and_purges_rows() {
     op.process_batch(&batch);
     let cold = op.evaluate(2);
     assert!(cold.results.iter().any(|m| m.query == QueryId(2)));
+    op.evaluate(3); // the admitting round
     let warm = op.evaluate(4);
     assert!(
         warm.phases.get(STAGE_JOIN_WITHIN).unwrap().cache_hits > 0,
@@ -491,6 +511,7 @@ fn snapshot_restore_resets_cache() {
         },
     ));
     op.evaluate(2);
+    op.evaluate(3); // the admitting round
     let warm = op.evaluate(4);
     assert!(
         warm.phases.get(STAGE_JOIN_WITHIN).unwrap().cache_hits > 0,
@@ -519,6 +540,7 @@ fn snapshot_restore_resets_cache() {
     );
     assert!(cold_within.cache_misses > 0);
 
+    restored_op.evaluate(7); // the admitting round
     let rewarm = restored_op.evaluate(8);
     assert!(
         rewarm.phases.get(STAGE_JOIN_WITHIN).unwrap().cache_hits > 0,
@@ -625,6 +647,7 @@ fn escalation_with_removal_and_eviction_invalidates_cleanly() {
 
     let cold = joined(&engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
+    warmed(&engine, &mut cache, &mut scratch);
     let warm = joined(&engine, &mut cache, &mut scratch);
     assert!(warm.cache_hits >= 2, "both convoys replay when quiet");
 
@@ -662,6 +685,7 @@ fn escalation_with_removal_and_eviction_invalidates_cleanly() {
     );
 
     // Quiet again: the shed, shrunken state is itself cacheable.
+    warmed(&engine, &mut cache, &mut scratch);
     let settled = joined(&engine, &mut cache, &mut scratch);
     assert_eq!(settled.results, after.results);
     assert!(settled.cache_hits >= 1, "the survivor warms back up");

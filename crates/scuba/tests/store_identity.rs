@@ -192,13 +192,16 @@ fn snapshot_roundtrip_across_slot_reuse() {
     );
 
     // A fresh cache over the restored engine behaves coherently: all
-    // misses cold, all hits warm, identical results throughout.
+    // misses cold and on the admitting round after it, all hits from the
+    // third, identical results throughout.
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
     let reference = joined(&restored, 1, None);
     let cold = joined(&restored, 1, Some((&mut cache, &mut scratch)));
     assert_eq!(cold.results, reference.results);
     assert_eq!(cold.cache_hits, 0, "nothing replays against a fresh cache");
     assert!(cold.cache_misses > 0);
+    let admitting = joined(&restored, 1, Some((&mut cache, &mut scratch)));
+    assert_eq!(admitting.cache_misses, cold.cache_misses);
     let warm = joined(&restored, 1, Some((&mut cache, &mut scratch)));
     assert_eq!(warm.results, reference.results);
     assert_eq!(warm.cache_misses, 0, "quiet epoch replays everything");
@@ -216,6 +219,7 @@ fn slot_reuse_never_replays_previous_occupants_entries() {
     }
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
     joined(&engine, 1, Some((&mut cache, &mut scratch)));
+    joined(&engine, 1, Some((&mut cache, &mut scratch))); // the admitting round
     let warm = joined(&engine, 1, Some((&mut cache, &mut scratch)));
     assert!(warm.cache_hits >= 2, "quiet epoch replays both convoys");
 
