@@ -44,12 +44,6 @@ pub struct ExperimentScale {
     /// join-within work changes (`--no-join-cache` measures the from-scratch
     /// cost).
     pub join_cache: bool,
-    /// Spatial shards for SCUBA's batch ingestion. Default 0 (follow
-    /// `parallelism`); results are identical at any setting.
-    pub ingest_shards: usize,
-    /// Whether SCUBA ingests each tick as one batch. Default `true`;
-    /// `--no-batch-ingest` forces the sequential per-update loop.
-    pub batch_ingest: bool,
 }
 
 impl Default for ExperimentScale {
@@ -67,8 +61,6 @@ impl Default for ExperimentScale {
             seeds: 1,
             parallelism: 1,
             join_cache: true,
-            ingest_shards: 0,
-            batch_ingest: true,
         }
     }
 }
@@ -105,7 +97,7 @@ impl ExperimentScale {
     /// Parses command-line overrides:
     /// `--objects N --queries N --skew N --grid N --delta N --duration N`
     /// `--range S --seed N --scale F --reps N --seeds N --parallelism N`
-    /// `--no-join-cache --ingest-shards N --no-batch-ingest`.
+    /// `--no-join-cache`.
     ///
     /// Unknown flags are returned for the caller to interpret.
     pub fn from_args(args: &[String]) -> Result<(Self, Vec<String>), String> {
@@ -166,14 +158,6 @@ impl ExperimentScale {
                 }
                 "--no-join-cache" => {
                     scale.join_cache = false;
-                    i += 1;
-                }
-                "--ingest-shards" => {
-                    scale.ingest_shards = parse(take_value(flag)?, flag)?;
-                    i += 2;
-                }
-                "--no-batch-ingest" => {
-                    scale.batch_ingest = false;
                     i += 1;
                 }
                 "--scale" => {
@@ -265,16 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_ingest_flags() {
-        let s = ExperimentScale::default();
-        assert_eq!(s.ingest_shards, 0, "shards follow parallelism by default");
-        assert!(s.batch_ingest);
-        let (s, rest) =
-            ExperimentScale::from_args(&args(&["--ingest-shards", "4", "--no-batch-ingest"]))
-                .unwrap();
-        assert_eq!(s.ingest_shards, 4);
-        assert!(!s.batch_ingest);
-        assert!(rest.is_empty());
+    fn retired_ingest_flags_are_unknown_options() {
+        // Not consumed here, so every bin's leftover check rejects them.
+        for flags in [&["--ingest-shards", "4"][..], &["--no-batch-ingest"]] {
+            let (_, rest) = ExperimentScale::from_args(&args(flags)).unwrap();
+            assert_eq!(rest, args(flags));
+            let err =
+                crate::HarnessArgs::parse_from(&args(flags), "BENCH_x.json", (100, 10, 2), &[1])
+                    .unwrap_err();
+            assert_eq!(err, format!("unknown option '{}'", flags[0]));
+        }
     }
 
     #[test]

@@ -156,14 +156,12 @@ pub fn run_point_hashed(scale: &ExperimentScale) -> OperatorRun {
 }
 
 /// SCUBA params consistent with a scale (grid + Δ + parallelism + join
-/// cache + ingest sharding from the scale, paper thresholds otherwise).
+/// cache from the scale, paper thresholds otherwise).
 pub fn scuba_params(scale: &ExperimentScale) -> ScubaParams {
     let mut params = ScubaParams::default()
         .with_grid_cells(scale.grid_cells)
         .with_parallelism(scale.parallelism)
-        .with_join_cache(scale.join_cache)
-        .with_ingest_shards(scale.ingest_shards)
-        .with_batch_ingest(scale.batch_ingest);
+        .with_join_cache(scale.join_cache);
     params.delta = scale.delta;
     params
 }

@@ -185,17 +185,9 @@ impl SimConfig {
                     config.params.parallelism = parse(value(flag)?, flag)?;
                     i += 2;
                 }
-                "--ingest-shards" => {
-                    config.params.ingest_shards = parse(value(flag)?, flag)?;
-                    i += 2;
-                }
                 "--shards" => {
                     config.params.shards = parse(value(flag)?, flag)?;
                     i += 2;
-                }
-                "--no-batch-ingest" => {
-                    config.params.batch_ingest = false;
-                    i += 1;
                 }
                 "--validate" => {
                     config.params.validation =
@@ -386,15 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn ingest_flags_set_params() {
-        let (c, _) = SimConfig::from_args(&[]).unwrap();
-        assert_eq!(c.params.ingest_shards, 0, "shards follow parallelism");
-        assert!(c.params.batch_ingest, "batch ingestion is on by default");
-        let (c, _) = SimConfig::from_args(&args(&["--ingest-shards", "8"])).unwrap();
-        assert_eq!(c.params.ingest_shards, 8);
-        let (c, _) = SimConfig::from_args(&args(&["--no-batch-ingest"])).unwrap();
-        assert!(!c.params.batch_ingest);
-        assert_eq!(c.params.effective_ingest_shards(), 1);
+    fn retired_ingest_flags_are_unknown_options() {
+        // `main` prints the error and exits with status 2.
+        for flags in [&["--ingest-shards", "4"][..], &["--no-batch-ingest"]] {
+            let err = SimConfig::from_args(&args(flags)).unwrap_err();
+            assert_eq!(err, format!("unknown option '{}'", flags[0]));
+        }
     }
 
     #[test]
@@ -405,20 +394,10 @@ mod tests {
         assert_eq!(c.params.shards, 4);
         let err = SimConfig::from_args(&args(&["--shards", "0"])).unwrap_err();
         assert!(err.contains("shards"), "{err}");
-        // Orthogonal knobs: executor shards × per-shard join workers ×
-        // ingest stripes inside each store all compose.
-        let (c, _) = SimConfig::from_args(&args(&[
-            "--shards",
-            "2",
-            "--parallelism",
-            "3",
-            "--ingest-shards",
-            "4",
-        ]))
-        .unwrap();
+        // Orthogonal knobs: executor shards × per-shard join workers.
+        let (c, _) = SimConfig::from_args(&args(&["--shards", "2", "--parallelism", "3"])).unwrap();
         assert_eq!(c.params.shards, 2);
         assert_eq!(c.params.parallelism, 3);
-        assert_eq!(c.params.ingest_shards, 4);
     }
 
     #[test]

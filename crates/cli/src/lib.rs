@@ -104,11 +104,10 @@ OPTIONS (all commands):
     --seed <N>           workload seed
     --theta-d <F>        clustering distance threshold
     --theta-s <F>        clustering speed threshold
-    --parallelism <N>    worker threads for join-within and batch ingestion
-    --ingest-shards <N>  spatial shards for batch ingestion (0 = parallelism)
+    --parallelism <N>    join-within workers (same results at any value)
     --shards <N>         stripe-owned executor shards (1 = single store;
-                         composes with --parallelism inside each shard)
-    --no-batch-ingest    ingest update-by-update instead of per-tick batches
+                         the way to ingest in parallel; composes with
+                         --parallelism inside each shard)
     --no-join-cache      disable the epoch-coherent join cache (same results)
     --validate <POLICY>  ingestion hardening: off|reject|clamp|abort
     --deadline-us <N>    per-evaluation deadline budget in µs; misses

@@ -102,9 +102,8 @@ impl ClusterEngine {
 
     /// The spatial index playing the ClusterGrid role, behind the
     /// [`SpatialIndex`] trait. All consumers — step-1 probes, join
-    /// pair-discovery, ingest routing, kNN, benches — go through this
-    /// surface, so the uniform and adaptive implementations are
-    /// interchangeable.
+    /// pair-discovery, kNN, benches — go through this surface, so the
+    /// uniform and adaptive implementations are interchangeable.
     pub fn grid(&self) -> &dyn SpatialIndex {
         self.grid.as_dyn()
     }
@@ -305,9 +304,7 @@ impl ClusterEngine {
         match chosen {
             Some(slot) => self.absorb_into(update, slot),
             // Steps 2 / 5: found a new single-member cluster.
-            None => {
-                self.found_cluster(update);
-            }
+            None => self.found_cluster(update),
         }
     }
 
@@ -370,72 +367,9 @@ impl ClusterEngine {
         self.store.touch(slot);
     }
 
-    /// Replays one planned update from the sharded batch-ingestion path
-    /// (see [`crate::ingest`]): the decision — refresh / evict / absorb
-    /// target / found — was precomputed by a shard planner, so this is
-    /// [`ClusterEngine::process_update`] with the probe skipped. Applied
-    /// sequentially in canonical batch order, it produces bit-identical
-    /// state. Returns the new cluster's slot when the action founds one.
-    pub(crate) fn apply_planned(
-        &mut self,
-        update: &LocationUpdate,
-        action: crate::ingest::ResolvedAction,
-    ) -> Option<ClusterSlot> {
-        use crate::ingest::ResolvedAction;
-        self.updates_processed += 1;
-        self.upsert_attrs(update);
-        match action {
-            ResolvedAction::Refresh => {
-                let slot = self
-                    .home
-                    .cluster_of(update.entity)
-                    .expect("planned refresh has a home cluster");
-                debug_assert!(
-                    self.store.get(slot).is_some_and(|c| c.can_absorb(
-                        update,
-                        self.params.theta_d,
-                        self.params.theta_s,
-                        self.params.cnloc_tolerance,
-                    )),
-                    "shard planner diverged: refresh target no longer fits"
-                );
-                self.refresh_member(update, slot);
-                None
-            }
-            ResolvedAction::Join { evicted, target } => {
-                debug_assert_eq!(
-                    self.home.cluster_of(update.entity),
-                    evicted,
-                    "shard planner diverged on the home cluster"
-                );
-                if let Some(slot) = evicted {
-                    self.evict(update, slot);
-                }
-                match target {
-                    Some(slot) => {
-                        debug_assert!(
-                            self.store.get(slot).is_some_and(|c| c.can_absorb(
-                                update,
-                                self.params.theta_d,
-                                self.params.theta_s,
-                                self.params.cnloc_tolerance,
-                            )),
-                            "shard planner diverged: absorb target no longer fits"
-                        );
-                        self.absorb_into(update, slot);
-                        None
-                    }
-                    None => Some(self.found_cluster(update)),
-                }
-            }
-        }
-    }
-
     /// Whether the update's position should be shed under the configured
     /// policy, judged by its distance to the candidate cluster's centroid.
-    /// `pub(crate)` so the shard planners of [`crate::ingest`] replay the
-    /// exact decision on their copy-on-write clusters.
-    pub(crate) fn shed_decision(
+    fn shed_decision(
         params: &ScubaParams,
         cluster: &MovingCluster,
         update: &LocationUpdate,
@@ -465,7 +399,7 @@ impl ClusterEngine {
         }
     }
 
-    fn found_cluster(&mut self, update: &LocationUpdate) -> ClusterSlot {
+    fn found_cluster(&mut self, update: &LocationUpdate) {
         let cid = ClusterId(self.next_cid);
         self.next_cid += 1;
         // A founder sits exactly at the centroid (r = 0), so any active
@@ -481,7 +415,6 @@ impl ClusterEngine {
         self.grid.insert(slot, &region);
         self.home.assign(update.entity, slot);
         self.stats.clusters_formed += 1;
-        slot
     }
 
     /// Dissolves a cluster by id: members lose their membership and will

@@ -293,8 +293,10 @@ fn encode_params(out: &mut Vec<u8>, p: &ScubaParams) {
     put_opt_u64(out, p.entity_ttl);
     put_u64(out, p.parallelism as u64);
     put_bool(out, p.join_cache);
-    put_u64(out, p.ingest_shards as u64);
-    put_bool(out, p.batch_ingest);
+    // Two slots of knobs that no longer exist keep their default values,
+    // so the layout (and `FORMAT_VERSION`) is unchanged.
+    put_u64(out, 0); // was ingest_shards
+    put_bool(out, true); // was batch_ingest
     put_u8(
         out,
         match p.validation {
@@ -338,8 +340,9 @@ fn decode_params(r: &mut Reader<'_>) -> Result<ScubaParams, SnapshotError> {
     let entity_ttl = r.opt_u64()?;
     let parallelism = r.u64()? as usize;
     let join_cache = r.bool()?;
-    let ingest_shards = r.u64()? as usize;
-    let batch_ingest = r.bool()?;
+    // The two retired slots: whatever an older writer put there is skipped.
+    r.u64()?;
+    r.bool()?;
     let validation = match r.u8()? {
         0 => ValidationPolicy::Off,
         1 => ValidationPolicy::Reject,
@@ -378,8 +381,6 @@ fn decode_params(r: &mut Reader<'_>) -> Result<ScubaParams, SnapshotError> {
         entity_ttl,
         parallelism,
         join_cache,
-        ingest_shards,
-        batch_ingest,
         validation,
         deadline_us,
         index,
@@ -2616,6 +2617,34 @@ mod tests {
         let state = decode_checkpoint(&old).unwrap();
         assert_eq!(state.stripes, stripes);
         assert_eq!(state.registry, QueryRegistry::default());
+    }
+
+    #[test]
+    fn retired_param_slots_decode_to_the_same_engine() {
+        // A run with the since-deleted batch sharder configured wrote
+        // 8 / false into the two retired params slots; its checkpoint
+        // must resume as the same engine as one holding 0 / true.
+        let stripes = vec![busy_snapshot()];
+        let new = encode_checkpoint(6, &stripes, &QueryRegistry::new());
+        // Default params put 50 bytes ahead of the slots: Θ_D, Θ_S, grid
+        // (8+8+4), Δ, tolerance (8+8), four one-byte tags/flags, an absent
+        // TTL (1), parallelism (8), join_cache (1). The stripe count (8)
+        // precedes the first snapshot.
+        let at = CKPT_HEADER + 8 + 50;
+        assert_eq!(new[at..at + 9], [0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        let mut old = new.clone();
+        old[at] = 8;
+        old[at + 8] = 0;
+        let crc = checksum(&[&old[8..24], &old[CKPT_HEADER..]]);
+        old[24..CKPT_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let (old, new) = (
+            decode_checkpoint(&old).unwrap(),
+            decode_checkpoint(&new).unwrap(),
+        );
+        assert_eq!(old, new);
+        let engine =
+            |s: &CheckpointState| EngineSnapshot::capture(&s.stripes[0].restore().unwrap());
+        assert_eq!(engine(&old), engine(&new));
     }
 
     #[test]

@@ -20,26 +20,12 @@ use scuba_stream::{
 };
 
 use crate::clustering::{ClusterEngine, ClusteringStats};
-use crate::ingest::{IngestReport, IngestScratch};
 use crate::join::{JoinCache, JoinContext, JoinScratch};
 use crate::overload::{OverloadConfig, OverloadController, OverloadCounters};
 use crate::params::ScubaParams;
 use crate::registry::{ControlGauges, QueryRegistry};
 use crate::shedding::AdaptiveShedder;
 
-/// Stage name: batch-ingest routing/classification (maintenance bucket).
-/// `items_in` = batch size, `items_out` = interior updates planned on
-/// shard workers, `tests` = boundary updates.
-pub const STAGE_INGEST_ROUTE: &str = "ingest-route";
-/// Stage name: parallel shard planning (maintenance bucket). `items_in` =
-/// updates routed to shards, `items_out` = those whose plan survived
-/// (`items_in − items_out` were demoted), `tests` = shard imbalance
-/// (fullest stripe minus emptiest).
-pub const STAGE_INGEST_SHARD: &str = "ingest-shard";
-/// Stage name: sequential apply/fixup of a batch (maintenance bucket).
-/// `items_in` = batch size, `items_out` = boundary updates processed the
-/// slow way, `tests` = demotions.
-pub const STAGE_INGEST_FIXUP: &str = "ingest-fixup";
 /// Stage name: pre-join radius tightening (maintenance bucket).
 pub const STAGE_PRE_JOIN_TIGHTEN: &str = "pre-join-tighten";
 /// Stage name: continuous kNN evaluation alongside the range join.
@@ -93,11 +79,6 @@ pub struct ScubaOperator {
     /// Reusable joining-phase buffers; steady-state epochs allocate
     /// nothing.
     scratch: JoinScratch,
-    /// Reusable sharded batch-ingestion buffers (see [`crate::ingest`]).
-    ingest_scratch: IngestScratch,
-    /// Ingest stage stats accumulated since the last evaluation; prepended
-    /// to the next report's phase breakdown.
-    pending_ingest: PhaseBreakdown,
     /// Hardened ingestion front-end, active when
     /// [`ScubaParams::validation`] is not [`ValidationPolicy::Off`].
     validator: Option<UpdateValidator>,
@@ -161,8 +142,6 @@ impl ScubaOperator {
             adaptive: None,
             cache: JoinCache::new(),
             scratch: JoinScratch::new(),
-            ingest_scratch: IngestScratch::default(),
-            pending_ingest: PhaseBreakdown::new(),
             validator,
             vstats_mark: ValidationStats::default(),
             overload,
@@ -338,49 +317,12 @@ impl ScubaOperator {
         }
     }
 
-    /// Ingests already-validated updates, through the sharded batch path
-    /// when configured. Validation happens strictly before sharding, so
-    /// sharded ingestion stays bit-identical to the sequential walk under
-    /// every policy.
+    /// Ingests already-validated updates in arrival order.
     fn ingest_accepted(&mut self, updates: &[LocationUpdate]) {
         self.observe_queries(updates);
-        let shards = self.engine.params().effective_ingest_shards();
-        if shards <= 1 || updates.len() <= 1 {
-            for update in updates {
-                self.engine.process_update(update);
-            }
-            return;
+        for update in updates {
+            self.engine.process_update(update);
         }
-        let report = crate::ingest::ingest_batch(
-            &mut self.engine,
-            updates,
-            shards,
-            &mut self.ingest_scratch,
-        );
-        self.record_ingest(&report);
-    }
-
-    /// Accumulates one batch's ingest counters into the stats prepended to
-    /// the next evaluation report.
-    fn record_ingest(&mut self, r: &IngestReport) {
-        self.pending_ingest.push(
-            StageStats::maintenance(STAGE_INGEST_ROUTE)
-                .with_wall(r.route_time)
-                .with_items(r.total, r.interior)
-                .with_tests(r.boundary),
-        );
-        self.pending_ingest.push(
-            StageStats::maintenance(STAGE_INGEST_SHARD)
-                .with_wall(r.shard_time)
-                .with_items(r.interior + r.demoted, r.interior)
-                .with_tests(r.shard_imbalance),
-        );
-        self.pending_ingest.push(
-            StageStats::maintenance(STAGE_INGEST_FIXUP)
-                .with_wall(r.fixup_time)
-                .with_items(r.total, r.boundary)
-                .with_tests(r.demoted),
-        );
     }
 }
 
@@ -456,9 +398,8 @@ impl ContinuousOperator for ScubaOperator {
     fn evaluate(&mut self, now: Time) -> EvaluationReport {
         self.evaluations += 1;
         let sw_tick = Stopwatch::start();
-        // Ingest stages accumulated since the last evaluation lead the
-        // report, mirroring their position in the pipeline — and the
-        // validation front-end leads the ingest stages.
+        // The validation front-end leads the report, mirroring its
+        // position in the pipeline.
         let mut phases = PhaseBreakdown::new();
         if let Some(v) = &self.validator {
             let s = v.stats();
@@ -469,7 +410,6 @@ impl ContinuousOperator for ScubaOperator {
                     .with_tests(s.rejected_total() - m.rejected_total()),
             );
         }
-        phases.absorb(&std::mem::take(&mut self.pending_ingest));
         let clusters_before = self.engine.cluster_count() as u64;
 
         // Tail of phase 1: tighten cluster radii so the join-between filter
@@ -861,34 +801,41 @@ mod tests {
     }
 
     #[test]
-    fn validation_applies_before_sharded_ingest() {
-        // A malformed update inside a large batch must be filtered under
-        // both the sequential and the sharded path, leaving identical
-        // engine states.
-        let run = |shards: usize| {
-            let params = ScubaParams::default()
-                .with_validation(crate::ValidationPolicy::Reject)
-                .with_ingest_shards(shards);
+    fn batch_validation_filters_like_the_per_update_path() {
+        // A malformed update inside `process_batch` must be filtered
+        // exactly as under per-update `process_update`.
+        let run = |batched: bool| {
+            let params = ScubaParams::default().with_validation(crate::ValidationPolicy::Reject);
             let mut op = ScubaOperator::new(params, Rect::square(1000.0));
             let mut batch: Vec<LocationUpdate> = (0..40u64)
                 .map(|i| {
-                    obj(
-                        i,
-                        50.0 + (i * 23 % 900) as f64,
-                        50.0 + (i * 41 % 900) as f64,
-                    )
+                    let (x, y) = (50.0 + (i * 23 % 300) as f64, 50.0 + (i * 41 % 300) as f64);
+                    if i % 4 == 0 {
+                        qry(i, x, y, 120.0)
+                    } else {
+                        obj(i, x, y)
+                    }
                 })
                 .collect();
-            batch.push(obj(100, f64::NAN, 2.0));
+            batch.insert(17, obj(100, f64::NAN, 2.0));
             batch.push(obj(101, -999.0, 2.0));
-            op.process_batch(&batch);
+            if batched {
+                op.process_batch(&batch);
+            } else {
+                for u in &batch {
+                    op.process_update(u);
+                }
+            }
             op.engine().check_invariants();
             (
                 op.evaluate(2).results,
                 op.validator().unwrap().stats().rejected_total(),
             )
         };
-        assert_eq!(run(1), run(4));
+        let batched = run(true);
+        assert!(!batched.0.is_empty(), "the surviving updates still match");
+        assert_eq!(batched.1, 2, "both malformed updates are rejected");
+        assert_eq!(batched, run(false));
     }
 
     #[test]

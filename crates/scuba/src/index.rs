@@ -4,7 +4,7 @@
 //! degrades under hotspot skew: a few downtown cells accumulate hundreds of
 //! clusters while suburb cells sit empty, so the join's per-cell candidate
 //! generation is wildly unbalanced. [`SpatialIndex`] abstracts the contract
-//! every consumer (clustering, join pair-discovery, sharded ingest routing,
+//! every consumer (clustering, join pair-discovery, stripe routing,
 //! snapshot restore, k-NN) actually relies on, with two implementations:
 //!
 //! * [`ClusterGrid`] — the paper's uniform grid, unchanged;
@@ -118,7 +118,7 @@ impl DiscoveryScratch {
 /// products *cover* every joinable pair — duplicates are collapsed by the
 /// caller's packed-pair dedup.
 pub trait SpatialIndex: std::fmt::Debug + Sync {
-    /// The base partitioning geometry (also the ingest stripe classifier).
+    /// The base partitioning geometry (also the stripe router's classifier).
     fn spec(&self) -> &GridSpec;
 
     /// Registers a cluster region, replacing any previous registration.
@@ -238,9 +238,9 @@ const MAX_DEPTH: u32 = 4;
 /// The uniform [`ClusterGrid`] plus per-cell quadtree refinement.
 ///
 /// Base-level behaviour (registration, probes, cell lists) delegates to the
-/// embedded uniform grid unchanged — byte-identical state, so snapshots,
-/// sharded-ingest overlays and the clustering probe order carry over
-/// verbatim. Refinement is a per-base-cell list of leaf rectangles rebuilt
+/// embedded uniform grid unchanged — byte-identical state, so snapshots
+/// and the clustering probe order carry over verbatim. Refinement is a
+/// per-base-cell list of leaf rectangles rebuilt
 /// by [`AdaptiveGrid::rebalance`] (called once per Δ): a cell at or above
 /// `split_threshold` occupants splits quadtree-style while leaves stay
 /// crowded, a refined cell at or below `merge_threshold` collapses back,

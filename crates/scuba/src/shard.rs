@@ -2,15 +2,13 @@
 //! boundary-ghost handoff (ROADMAP item 1; DESIGN §4.8).
 //!
 //! The coverage area is split into K contiguous **column stripes** of the
-//! ClusterGrid — the same stripe geometry the sharded batch-ingestion
-//! planner uses ([`crate::ingest`]) — and each stripe is owned by one
-//! worker holding a full [`ClusterEngine`]: its own `ClusterStore`, its
-//! own spatial index, its own epoch clock and [`JoinCache`]. A router
-//! classifies every location update by the stripe of its reported
-//! position and hands it to the owner; when an entity's new position
-//! crosses a stripe border, the router emits a remove on the old owner
-//! before the update lands on the new one, so every entity lives on
-//! exactly one shard at all times.
+//! ClusterGrid, and each stripe is owned by one worker holding a full
+//! [`ClusterEngine`]: its own `ClusterStore`, its own spatial index, its
+//! own epoch clock and [`JoinCache`]. A router classifies every location
+//! update by the stripe of its reported position and hands it to the
+//! owner; when an entity's new position crosses a stripe border, the
+//! router emits a remove on the old owner before the update lands on the
+//! new one, so every entity lives on exactly one shard at all times.
 //!
 //! Per evaluation (every Δ) the workers run the regular three-phase SCUBA
 //! pipeline locally, with one extra step between the local join and
@@ -275,7 +273,7 @@ pub struct ShardedScubaOperator {
     shards: Vec<ShardState>,
     /// Routing spec: same area/granularity as every shard's grid.
     spec: GridSpec,
-    /// Grid column → owning stripe (the ingest-planner stripe map).
+    /// Grid column → owning stripe.
     col_shard: Vec<u16>,
     /// Stripe x-intervals for halo tests. Border stripes extend to ±∞,
     /// matching [`GridSpec::cell_of`]'s clamping of outside points.
@@ -312,7 +310,7 @@ pub struct ShardedScubaOperator {
 impl ShardedScubaOperator {
     /// Creates an executor with `params.shards` stripe-owned engines over
     /// `area`. The shard count is clamped to the grid's column count (a
-    /// stripe is at least one column), exactly like ingest sharding.
+    /// stripe is at least one column).
     pub fn new(params: ScubaParams, area: Rect) -> Self {
         let spec = GridSpec::new(area, params.grid_cells);
         let cols = spec.cells_per_side() as usize;
@@ -323,7 +321,7 @@ impl ShardedScubaOperator {
         let mut stripe_hi = Vec::with_capacity(k);
         for s in 0..k {
             // Contiguous column stripes: shard s covers columns
-            // [s·n/K, (s+1)·n/K) — the crate::ingest stripe map.
+            // [s·n/K, (s+1)·n/K).
             let start = s * cols / k;
             let end = (s + 1) * cols / k;
             for col in &mut col_shard[start..end] {

@@ -262,6 +262,53 @@ proptest! {
         }
     }
 
+    /// `parallelism` sets join-within workers and nothing else: ticks
+    /// delivered in any within-tick order (what a reordering transport
+    /// produces) leave the same answers *and* the same engine state at
+    /// parallelism {1, 2, 4}.
+    #[test]
+    fn parallelism_does_not_change_engine_state_on_shuffled_ticks(
+        batches in prop::collection::vec(arb_updates(40), 1..4),
+        seed in any::<u64>(),
+    ) {
+        use scuba::EngineSnapshot;
+        use scuba_stream::{FaultInjector, FaultPlan};
+        // The injector Fisher–Yates-shuffles every tick it delivers.
+        let mut transport = FaultInjector::new(FaultPlan {
+            seed,
+            reorder_prob: 1.0,
+            ..FaultPlan::default()
+        });
+        let batches: Vec<_> = batches.into_iter().map(|b| transport.apply_tick(b)).collect();
+        let mut ops: Vec<ScubaOperator> = [1usize, 2, 4]
+            .iter()
+            .map(|&p| ScubaOperator::new(ScubaParams::default().with_parallelism(p), area()))
+            .collect();
+        for (tick, batch) in batches.iter().enumerate() {
+            let now = (tick as u64 + 1) * 2;
+            let mut reference = None;
+            for op in &mut ops {
+                op.process_batch(batch);
+                let results = op.evaluate(now).results;
+                // The worker count itself is part of a snapshot's params.
+                let state = EngineSnapshot {
+                    params: ScubaParams::default(),
+                    ..EngineSnapshot::capture(op.engine())
+                };
+                match &reference {
+                    None => reference = Some((results, state)),
+                    Some(expected) => prop_assert_eq!(
+                        &(results, state),
+                        expected,
+                        "tick {}: parallelism {} diverged",
+                        tick,
+                        op.engine().params().parallelism
+                    ),
+                }
+            }
+        }
+    }
+
     /// The adaptive split/merge grid is answer-invisible: at every tick it
     /// produces exactly the uniform grid's results across parallelism
     /// {1, 2, 4} × join cache {on, off}. Refinement redirects candidate

@@ -397,7 +397,8 @@ pub trait ContinuousOperator {
     /// The default implementation simply loops over
     /// [`process_update`](Self::process_update), so operators with no batch
     /// path behave exactly as before. Operators that can exploit a whole
-    /// tick's worth of updates (e.g. sharded parallel ingestion) override
+    /// tick's worth of updates (e.g. screen the batch first, or route it to
+    /// stripes) override
     /// this; such overrides must leave the operator in the same state the
     /// per-update loop would have produced.
     fn process_batch(&mut self, updates: &[LocationUpdate]) {
