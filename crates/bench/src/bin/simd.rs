@@ -215,6 +215,9 @@ fn populated(scale: &ExperimentScale, updates: &[LocationUpdate]) -> ScubaOperat
         op.process_update(u);
     }
     op.evaluate(params.delta);
+    // Post-join maintenance relocated the clusters; the harvest below reads
+    // the region index directly.
+    op.sync_index();
     op
 }
 

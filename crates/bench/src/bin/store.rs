@@ -200,6 +200,9 @@ fn sweep(scale: &ExperimentScale) -> SweepOut {
     let (mut op, _, _) = populated(scale, false);
     let delta = op.engine().params().delta;
     op.evaluate(delta);
+    // Post-join maintenance dissolved and relocated clusters; the harvest
+    // below reads the region index directly.
+    op.sync_index();
     let pairs = candidate_pairs(&op);
     let store = op.engine().store();
 

@@ -25,7 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use scuba_motion::{EntityRef, LocationUpdate};
-use scuba_spatial::{Circle, FxHashMap, Point, Polar, Time, Vector};
+use scuba_spatial::{Circle, Point, Polar, Time, Vector};
 
 /// Identifier of a moving cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -72,7 +72,6 @@ pub struct MovingCluster {
     cn_loc: Point,
     ave_speed: f64,
     members: Vec<Member>,
-    member_index: FxHashMap<EntityRef, u32>,
     object_count: usize,
     query_count: usize,
     total_drift: Vector,
@@ -98,7 +97,6 @@ impl MovingCluster {
             cn_loc: founder.cn_loc,
             ave_speed: founder.speed,
             members: Vec::with_capacity(4),
-            member_index: FxHashMap::default(),
             object_count: 0,
             query_count: 0,
             total_drift: Vector::ZERO,
@@ -209,17 +207,23 @@ impl MovingCluster {
         &self.members
     }
 
-    /// Whether `entity` is a member.
-    #[inline]
-    pub fn contains(&self, entity: EntityRef) -> bool {
-        self.member_index.contains_key(&entity)
+    /// The position of `entity` in [`MovingCluster::members`]. A linear
+    /// scan: the cluster keeps no per-entity index — the engine's
+    /// [`crate::tables::ClusterHome`] directory carries every member's
+    /// position, and the remaining callers (kNN, tests) are cold.
+    pub fn position(&self, entity: EntityRef) -> Option<usize> {
+        self.members.iter().position(|m| m.entity == entity)
     }
 
-    /// The member record for `entity`.
+    /// Whether `entity` is a member (linear scan).
+    #[inline]
+    pub fn contains(&self, entity: EntityRef) -> bool {
+        self.position(entity).is_some()
+    }
+
+    /// The member record for `entity` (linear scan).
     pub fn member(&self, entity: EntityRef) -> Option<&Member> {
-        self.member_index
-            .get(&entity)
-            .map(|&i| &self.members[i as usize])
+        self.position(entity).map(|i| &self.members[i])
     }
 
     /// Materialises a member's absolute position by applying the lazy
@@ -290,12 +294,11 @@ impl MovingCluster {
     /// `shed` discards the new member's relative position (load shedding at
     /// admission, §5).
     ///
-    /// # Panics
-    ///
-    /// Panics if the entity is already a member (callers route updates from
-    /// existing members through [`MovingCluster::update_member`]).
+    /// The entity must not already be a member (callers route updates from
+    /// existing members through [`MovingCluster::update_member_at`]);
+    /// debug builds assert it.
     pub fn absorb(&mut self, update: &LocationUpdate, shed: bool) {
-        assert!(
+        debug_assert!(
             !self.contains(update.entity),
             "entity {} is already a member of cluster {:?}",
             update.entity,
@@ -326,18 +329,18 @@ impl MovingCluster {
         self.push_member(update.entity, update.speed, rel, update.time);
     }
 
-    /// Refreshes an existing member from a new update: recaptures its
-    /// relative position (or sheds it), updates its speed contribution to
-    /// the average, and grows the radius if the member moved outward.
-    ///
-    /// Returns `false` when the entity is not a member.
-    pub fn update_member(&mut self, update: &LocationUpdate, shed: bool) -> bool {
-        let Some(&idx) = self.member_index.get(&update.entity) else {
-            return false;
-        };
+    /// Refreshes the member at position `idx` from a new update of the same
+    /// entity: recaptures its relative position (or sheds it), updates its
+    /// speed contribution to the average, and grows the radius if the
+    /// member moved outward.
+    pub fn update_member_at(&mut self, idx: usize, update: &LocationUpdate, shed: bool) {
+        debug_assert_eq!(
+            self.members[idx].entity, update.entity,
+            "member position does not hold the updating entity"
+        );
         self.note_query_radius(update);
         let n = self.members.len() as f64;
-        let member = &mut self.members[idx as usize];
+        let member = &mut self.members[idx];
         self.ave_speed += (update.speed - member.speed) / n;
         member.speed = update.speed;
         member.last_seen = update.time;
@@ -351,21 +354,20 @@ impl MovingCluster {
                 self.radius = dist;
             }
         }
-        true
     }
 
-    /// Removes a member ("objects and queries can enter or leave a moving
-    /// cluster at any time", §3.1), adjusting counts and average speed. The
-    /// radius is left unchanged — a conservative over-approximation.
+    /// Removes the member at position `idx` ("objects and queries can enter
+    /// or leave a moving cluster at any time", §3.1), adjusting counts and
+    /// average speed. The radius is left unchanged — a conservative
+    /// over-approximation.
     ///
-    /// Returns the removed member, or `None` if the entity was not one.
-    pub fn remove_member(&mut self, entity: EntityRef) -> Option<Member> {
-        let idx = self.member_index.remove(&entity)? as usize;
+    /// Returns the removed member and, when the swap-remove moved the last
+    /// member into position `idx`, that member's entity — whoever tracks
+    /// member positions must re-point it.
+    pub fn remove_member_at(&mut self, idx: usize) -> (Member, Option<EntityRef>) {
         let member = self.members.swap_remove(idx);
-        if let Some(moved) = self.members.get(idx) {
-            self.member_index.insert(moved.entity, idx as u32);
-        }
-        match entity {
+        let moved = self.members.get(idx).map(|m| m.entity);
+        match member.entity {
             EntityRef::Object(_) => self.object_count -= 1,
             EntityRef::Query(_) => self.query_count -= 1,
         }
@@ -375,7 +377,7 @@ impl MovingCluster {
         } else {
             self.ave_speed = 0.0;
         }
-        Some(member)
+        (member, moved)
     }
 
     /// Rigidly translates the cluster along its velocity vector for `dt`
@@ -454,15 +456,13 @@ impl MovingCluster {
     pub fn estimated_bytes(&self) -> usize {
         let fixed = std::mem::size_of::<MovingCluster>();
         let per_member = std::mem::size_of::<Member>();
-        let index = self.member_index.len()
-            * (std::mem::size_of::<EntityRef>() + std::mem::size_of::<u32>() + 8);
         // `rel` is stored inline in Member for speed; the estimate models a
         // deployment where positional state lives out of line, so a shed
         // member saves its polar coordinates *and* its drift mark — only
         // the id and speed (needed for the cluster averages) remain.
         let shed_savings = self.members.iter().filter(|m| m.is_shed()).count()
             * (std::mem::size_of::<Polar>() + std::mem::size_of::<Vector>());
-        fixed + self.members.capacity() * per_member + index - shed_savings
+        fixed + self.members.capacity() * per_member - shed_savings
     }
 
     /// The accumulated transformation vector (snapshot support).
@@ -471,8 +471,8 @@ impl MovingCluster {
         self.total_drift
     }
 
-    /// Reconstructs a cluster from raw snapshot parts, rebuilding the
-    /// member index and kind counts. Counterpart of reading the public
+    /// Reconstructs a cluster from raw snapshot parts, rebuilding the kind
+    /// counts. Counterpart of reading the public
     /// accessors plus [`MovingCluster::members`]; used by
     /// [`crate::snapshot`] to restore checkpointed engines.
     #[allow(clippy::too_many_arguments)]
@@ -487,11 +487,9 @@ impl MovingCluster {
         total_drift: Vector,
         members: Vec<Member>,
     ) -> Self {
-        let mut member_index = FxHashMap::default();
         let mut object_count = 0;
         let mut query_count = 0;
-        for (i, m) in members.iter().enumerate() {
-            member_index.insert(m.entity, i as u32);
+        for m in &members {
             match m.entity {
                 EntityRef::Object(_) => object_count += 1,
                 EntityRef::Query(_) => query_count += 1,
@@ -504,7 +502,6 @@ impl MovingCluster {
             cn_loc,
             ave_speed,
             members,
-            member_index,
             object_count,
             query_count,
             total_drift,
@@ -545,7 +542,6 @@ impl MovingCluster {
             EntityRef::Object(_) => self.object_count += 1,
             EntityRef::Query(_) => self.query_count += 1,
         }
-        self.member_index.insert(entity, self.members.len() as u32);
         self.members.push(Member {
             entity,
             speed,
@@ -579,6 +575,18 @@ mod tests {
     }
 
     const CN: Point = Point { x: 1000.0, y: 0.0 };
+
+    /// Entity-keyed conveniences over the positional member API (the
+    /// engine resolves positions through its directory instead).
+    fn update_member(c: &mut MovingCluster, u: &LocationUpdate, shed: bool) {
+        let idx = c.position(u.entity).expect("entity is a member");
+        c.update_member_at(idx, u, shed);
+    }
+
+    fn remove_member(c: &mut MovingCluster, entity: EntityRef) -> Member {
+        let idx = c.position(entity).expect("entity is a member");
+        c.remove_member_at(idx).0
+    }
 
     fn founder() -> MovingCluster {
         MovingCluster::found(
@@ -725,7 +733,7 @@ mod tests {
         assert!((exp - (10.0 + 1000.0 / 30.0)).abs() < 1e-9);
 
         let mut stalled = founder();
-        stalled.remove_member(EntityRef::Object(ObjectId(1)));
+        remove_member(&mut stalled, EntityRef::Object(ObjectId(1)));
         assert_eq!(stalled.ave_speed(), 0.0);
         assert_eq!(stalled.expiration_time(0), None);
     }
@@ -742,7 +750,11 @@ mod tests {
     fn update_member_refreshes_position_and_speed() {
         let mut c = founder();
         c.absorb(&obj_update(2, Point::new(60.0, 0.0), 40.0, CN), false);
-        assert!(c.update_member(&obj_update(2, Point::new(80.0, 0.0), 50.0, CN), false));
+        update_member(
+            &mut c,
+            &obj_update(2, Point::new(80.0, 0.0), 50.0, CN),
+            false,
+        );
         let m = c.member(EntityRef::Object(ObjectId(2))).unwrap();
         assert!(
             c.member_position(m)
@@ -753,8 +765,6 @@ mod tests {
         assert_eq!(m.speed, 50.0);
         // ave = (30 + 50) / 2
         assert!((c.ave_speed() - 40.0).abs() < 1e-9);
-        // Unknown entity.
-        assert!(!c.update_member(&obj_update(99, Point::ORIGIN, 1.0, CN), false));
     }
 
     #[test]
@@ -764,7 +774,7 @@ mod tests {
         c.absorb(&qry_update(3, Point::new(30.0, 0.0), 35.0, CN), false);
         assert!((c.ave_speed() - 35.0).abs() < 1e-9);
 
-        let removed = c.remove_member(EntityRef::Object(ObjectId(2))).unwrap();
+        let removed = remove_member(&mut c, EntityRef::Object(ObjectId(2)));
         assert_eq!(removed.speed, 40.0);
         assert_eq!(c.len(), 2);
         assert_eq!(c.object_count(), 1);
@@ -780,19 +790,36 @@ mod tests {
                 < 1e-9
         );
 
-        assert!(c.remove_member(EntityRef::Object(ObjectId(2))).is_none());
+        assert!(!c.contains(EntityRef::Object(ObjectId(2))));
+    }
+
+    #[test]
+    fn remove_member_at_reports_the_member_it_moved() {
+        let mut c = founder();
+        c.absorb(&obj_update(2, Point::new(60.0, 0.0), 40.0, CN), false);
+        c.absorb(&qry_update(3, Point::new(30.0, 0.0), 35.0, CN), false);
+        // Removing the middle member swaps the last one into its place.
+        let (gone, moved) = c.remove_member_at(1);
+        assert_eq!(gone.entity, EntityRef::Object(ObjectId(2)));
+        assert_eq!(moved, Some(EntityRef::Query(QueryId(3))));
+        assert_eq!(c.position(EntityRef::Query(QueryId(3))), Some(1));
+        // Removing the last member moves nobody.
+        let (gone, moved) = c.remove_member_at(1);
+        assert_eq!(gone.entity, EntityRef::Query(QueryId(3)));
+        assert_eq!(moved, None);
     }
 
     #[test]
     fn remove_last_member_empties_cluster() {
         let mut c = founder();
-        c.remove_member(EntityRef::Object(ObjectId(1))).unwrap();
+        remove_member(&mut c, EntityRef::Object(ObjectId(1)));
         assert!(c.is_empty());
         assert_eq!(c.ave_speed(), 0.0);
         assert_eq!(c.object_count(), 0);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "already a member")]
     fn double_absorb_panics() {
         let mut c = founder();
@@ -840,7 +867,11 @@ mod tests {
     fn update_member_can_shed() {
         let mut c = founder();
         c.absorb(&obj_update(2, Point::new(10.0, 0.0), 30.0, CN), false);
-        assert!(c.update_member(&obj_update(2, Point::new(12.0, 0.0), 30.0, CN), true));
+        update_member(
+            &mut c,
+            &obj_update(2, Point::new(12.0, 0.0), 30.0, CN),
+            true,
+        );
         assert!(c.member(EntityRef::Object(ObjectId(2))).unwrap().is_shed());
     }
 
@@ -857,9 +888,9 @@ mod tests {
             let u = obj_update(id, Point::new(x, y), 30.0, CN);
             if c.contains(EntityRef::Object(ObjectId(id))) {
                 if round % 3 == 0 {
-                    c.remove_member(EntityRef::Object(ObjectId(id)));
+                    remove_member(&mut c, EntityRef::Object(ObjectId(id)));
                 } else {
-                    c.update_member(&u, false);
+                    update_member(&mut c, &u, false);
                 }
             } else if u.loc.distance(&c.centroid()) <= 100.0 {
                 c.absorb(&u, false);
@@ -899,7 +930,7 @@ mod tests {
                 continue;
             };
             if c.member_position(m).unwrap().x > 40.0 {
-                c.remove_member(EntityRef::Object(ObjectId(i)));
+                remove_member(&mut c, EntityRef::Object(ObjectId(i)));
             }
         }
         let before = c.radius();

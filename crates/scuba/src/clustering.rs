@@ -3,12 +3,19 @@
 //! SCUBA adapts a Leader–Follower style incremental clusterer: each arriving
 //! location update makes a local, one-at-a-time decision —
 //!
-//! 1. probe the ClusterGrid at the update's position for candidate clusters;
+//! 1. probe for candidate clusters near the update's position;
 //! 2. no candidates ⇒ found a new single-member cluster (radius 0);
 //! 3. otherwise check each candidate for: same destination connection node,
 //!    centroid within Θ_D, speed within Θ_S of the cluster average;
-//! 4. the first candidate passing all three absorbs the entity;
+//! 4. among the candidates passing all three, the one with the nearest
+//!    centroid absorbs the entity (ties broken by [`ClusterId`]);
 //! 5. no candidate passes ⇒ found a new single-member cluster.
+//!
+//! Step 4 is canonical on purpose: the choice depends only on the clusters
+//! that exist and their durable ids, never on the order in which an index
+//! happens to list them. That is what makes engine state a function of the
+//! update history alone — a resumed engine, whose slots were reassigned by
+//! [`ClusterEngine::restore`], keeps clustering exactly like the live one.
 //!
 //! On top of the paper's five steps this module handles the membership
 //! churn the paper describes in prose: an entity whose new update no longer
@@ -16,24 +23,145 @@
 //! empty) and is re-clustered from step 1; an entity that still fits simply
 //! refreshes its relative position.
 //!
+//! # Two indexes, two readers
+//!
+//! The paper's ClusterGrid does two jobs; here they are two structures:
+//!
+//! * the step-1 probe needs *centroids* ("is there a cluster whose centroid
+//!   lies within Θ_D?"). The engine-private `CentroidIndex` files every
+//!   live cluster under the one cell holding its centroid and is kept
+//!   current per update — a found, an absorb, a relocation or a dissolve
+//!   moves at most one entry;
+//! * the join and kNN need *regions* ("which clusters' effective regions
+//!   share a cell?"). That is the [`SpatialIndex`] behind
+//!   [`ClusterEngine::grid`]. Nothing reads it during ingest, so ingest only
+//!   marks the slots whose region changed and [`ClusterEngine::sync_index`]
+//!   re-registers them once per Δ, right before the joining phase.
+//!
 //! Cluster storage is the generational [`ClusterStore`]: every hot path
-//! addresses clusters by dense [`ClusterSlot`] handles (the grid, the home
-//! map, the join kernel), while [`ClusterId`] remains the durable public
-//! identity. All maintenance loops iterate in slot order, which is
-//! deterministic for a given update history.
+//! addresses clusters by dense [`ClusterSlot`] handles (both indexes, the
+//! entity directory, the join kernel), while [`ClusterId`] remains the
+//! durable public identity. Maintenance loops iterate in slot order; each
+//! cluster's maintenance is independent of the others, so the order does
+//! not show in the state.
 
-use scuba_motion::{EntityAttrs, LocationUpdate};
-use scuba_spatial::{Circle, GridSpec, Rect, Time};
+use scuba_motion::{EntityAttrs, EntityRef, LocationUpdate};
+use scuba_spatial::{Circle, GridSpec, Point, Rect, Time};
 
 use crate::cluster::{ClusterId, MovingCluster};
 use crate::index::{AnyIndex, SpatialIndex};
-use crate::params::ScubaParams;
+use crate::params::{ProbeScope, ScubaParams};
 use crate::store::{ClusterSlot, ClusterStore};
 use crate::tables::{ClusterHome, ObjectsTable, QueriesTable};
 
 // Re-exported here for backwards compatibility: the tracker used to live in
 // this module before it became a dense per-slot table in [`crate::store`].
 pub use crate::store::EpochTracker;
+
+/// "No slot" / "no cell" in the [`CentroidIndex`]'s `u32` links.
+const NIL: u32 = u32::MAX;
+
+/// The step-1 probe structure: every live cluster sits in exactly one cell,
+/// the one containing its centroid (border-clamped like every
+/// [`GridSpec`] lookup). A cell's clusters form a singly linked list
+/// threaded through per-slot `next` links — four bytes per cell instead of
+/// a `Vec` header, which matters on the paper's 100×100 grid where most
+/// cells hold no centroid. Lists are unordered: the caller picks the
+/// nearest passing centroid, so list order cannot influence clustering.
+#[derive(Debug)]
+struct CentroidIndex {
+    spec: GridSpec,
+    /// First slot of each cell's list, [`NIL`] for an empty cell.
+    head: Vec<u32>,
+    /// The slot following each slot in its cell's list, [`NIL`] at the end.
+    next: Vec<u32>,
+    /// Linear cell index per slot, [`NIL`] for slots not held.
+    cell_of: Vec<u32>,
+}
+
+impl CentroidIndex {
+    fn new(spec: GridSpec) -> Self {
+        CentroidIndex {
+            spec,
+            head: vec![NIL; spec.cell_count()],
+            next: Vec::new(),
+            cell_of: Vec::new(),
+        }
+    }
+
+    /// Files `slot` under the cell of `centroid`, moving it if it was held
+    /// elsewhere.
+    fn place(&mut self, slot: ClusterSlot, centroid: &Point) {
+        let cell = self.spec.linear(self.spec.cell_of(centroid)) as u32;
+        if slot.index() >= self.cell_of.len() {
+            self.cell_of.resize(slot.index() + 1, NIL);
+            self.next.resize(slot.index() + 1, NIL);
+        }
+        if self.cell_of[slot.index()] == cell {
+            return;
+        }
+        self.remove(slot);
+        self.next[slot.index()] = std::mem::replace(&mut self.head[cell as usize], slot.0);
+        self.cell_of[slot.index()] = cell;
+    }
+
+    /// Drops `slot` from its cell (a no-op when it is not held).
+    fn remove(&mut self, slot: ClusterSlot) {
+        let Some(&cell) = self.cell_of.get(slot.index()) else {
+            return;
+        };
+        if cell == NIL {
+            return;
+        }
+        let after = self.next[slot.index()];
+        if self.head[cell as usize] == slot.0 {
+            self.head[cell as usize] = after;
+        } else {
+            // A cell holds a handful of centroids at most: walk to the
+            // predecessor.
+            let mut prev = self.head[cell as usize] as usize;
+            while self.next[prev] != slot.0 {
+                prev = self.next[prev] as usize;
+            }
+            self.next[prev] = after;
+        }
+        self.cell_of[slot.index()] = NIL;
+    }
+
+    /// The slots filed under the cell with linear index `cell`.
+    fn cell(&self, cell: usize) -> impl Iterator<Item = ClusterSlot> + '_ {
+        let link = |s: u32| (s != NIL).then_some(s);
+        std::iter::successors(link(self.head[cell]), move |&s| link(self.next[s as usize]))
+            .map(ClusterSlot)
+    }
+
+    /// The cells (by linear index) that can hold a centroid within
+    /// `theta_d` of `loc`: every cell the Θ_D bounding box touches (at most
+    /// 3×3 when cells are at least Θ_D wide). Border clamping is monotone
+    /// per axis, so a centroid within Θ_D of `loc` — inside the area or
+    /// not — always falls in that cell range. Under
+    /// [`ProbeScope::OwnCell`], only `loc`'s own cell.
+    fn probe_cells(
+        &self,
+        scope: ProbeScope,
+        loc: Point,
+        theta_d: f64,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let reach = match scope {
+            ProbeScope::ThetaDisk => theta_d,
+            ProbeScope::OwnCell => 0.0,
+        };
+        let bbox = Circle::new(loc, reach).bounding_rect();
+        self.spec
+            .cells_overlapping_rect(&bbox)
+            .map(move |idx| self.spec.linear(idx))
+    }
+
+    fn estimated_bytes(&self) -> usize {
+        (self.head.capacity() + self.next.capacity() + self.cell_of.capacity())
+            * std::mem::size_of::<u32>()
+    }
+}
 
 /// Counters describing clustering activity, for tests and experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,11 +180,16 @@ pub struct ClusteringStats {
     pub positions_shed: u64,
 }
 
-/// The clustering state machine: store + home + grid + tables.
+/// The clustering state machine: store + entity directory + the two
+/// indexes + attribute tables.
 #[derive(Debug)]
 pub struct ClusterEngine {
     params: ScubaParams,
+    /// Region index (join pair discovery, kNN); current as of the last
+    /// [`ClusterEngine::sync_index`].
     grid: AnyIndex,
+    /// Centroid index (step-1 probe); always current.
+    centroids: CentroidIndex,
     store: ClusterStore,
     home: ClusterHome,
     objects: ObjectsTable,
@@ -64,8 +197,12 @@ pub struct ClusterEngine {
     next_cid: u64,
     stats: ClusteringStats,
     updates_processed: u64,
-    /// Reusable buffer for grid probes (hot path, once per update).
-    probe_scratch: Vec<ClusterSlot>,
+    /// Per-slot flag: the slot's registration in `grid` is out of date
+    /// (region changed, cluster dissolved, or slot re-founded) and is
+    /// redone by the next [`ClusterEngine::sync_index`].
+    dirty: Vec<bool>,
+    /// Number of flags set in `dirty`.
+    dirty_count: usize,
 }
 
 impl ClusterEngine {
@@ -74,14 +211,16 @@ impl ClusterEngine {
         params
             .validate()
             .unwrap_or_else(|e| panic!("invalid SCUBA params: {e}"));
+        let spec = GridSpec::new(area, params.grid_cells);
         ClusterEngine {
             params,
             grid: AnyIndex::new(
                 params.index,
-                GridSpec::new(area, params.grid_cells),
+                spec,
                 params.split_threshold,
                 params.merge_threshold,
             ),
+            centroids: CentroidIndex::new(spec),
             store: ClusterStore::new(),
             home: ClusterHome::new(),
             objects: ObjectsTable::new(),
@@ -89,7 +228,8 @@ impl ClusterEngine {
             next_cid: 0,
             stats: ClusteringStats::default(),
             updates_processed: 0,
-            probe_scratch: Vec::new(),
+            dirty: Vec::new(),
+            dirty_count: 0,
         }
     }
 
@@ -100,12 +240,24 @@ impl ClusterEngine {
         &self.params
     }
 
-    /// The spatial index playing the ClusterGrid role, behind the
-    /// [`SpatialIndex`] trait. All consumers — step-1 probes, join
-    /// pair-discovery, kNN, benches — go through this surface, so the
-    /// uniform and adaptive implementations are interchangeable.
+    /// The region index playing the ClusterGrid role, behind the
+    /// [`SpatialIndex`] trait, so the uniform and adaptive implementations
+    /// are interchangeable for its readers (join pair-discovery, kNN,
+    /// benches).
+    ///
+    /// **Current as of the last [`ClusterEngine::sync_index`]**: ingest and
+    /// maintenance only mark the slots whose region changed. Readers that
+    /// are not downstream of [`crate::engine::ScubaOperator`]'s evaluate
+    /// sequence call `sync_index()` first; [`ClusterEngine::index_is_current`]
+    /// tells whether anything is pending.
     pub fn grid(&self) -> &dyn SpatialIndex {
         self.grid.as_dyn()
+    }
+
+    /// Whether [`ClusterEngine::grid`] reflects every cluster's current
+    /// effective region (no re-registration is pending).
+    pub fn index_is_current(&self) -> bool {
+        self.dirty_count == 0
     }
 
     /// The concrete index dispatcher (bench/diagnostic introspection —
@@ -114,11 +266,50 @@ impl ClusterEngine {
         &self.grid
     }
 
+    /// Brings the region index up to date: every slot marked since the
+    /// previous sync is re-registered with its cluster's current effective
+    /// region, or unregistered when the slot is vacant (a slot dissolved and
+    /// re-founded in between is simply re-registered). Slots are visited in
+    /// ascending order. [`crate::engine::ScubaOperator`] calls this once per
+    /// Δ, after the optional radius tightening and before
+    /// [`ClusterEngine::rebalance_index`] and the joining phase.
+    pub fn sync_index(&mut self) {
+        if self.dirty_count == 0 {
+            return;
+        }
+        for (i, flag) in self.dirty.iter_mut().enumerate() {
+            if !std::mem::take(flag) {
+                continue;
+            }
+            let slot = ClusterSlot(i as u32);
+            match self.store.get(slot) {
+                Some(cluster) => {
+                    self.grid.insert(slot, &cluster.effective_region());
+                }
+                None => {
+                    self.grid.remove(slot);
+                }
+            }
+        }
+        self.dirty_count = 0;
+    }
+
+    /// Notes that `slot`'s registration in the region index is out of date.
+    fn mark_dirty(&mut self, slot: ClusterSlot) {
+        if slot.index() >= self.dirty.len() {
+            self.dirty.resize(slot.index() + 1, false);
+        }
+        if !std::mem::replace(&mut self.dirty[slot.index()], true) {
+            self.dirty_count += 1;
+        }
+    }
+
     /// Runs one incremental re-balance pass of the index (a no-op for the
     /// uniform grid). [`crate::engine::ScubaOperator`] calls this once per
-    /// Δ, before the joining phase, so refinement decisions depend only on
-    /// the registered regions at a fixed point of the pipeline — never on
-    /// mid-tick transients — which keeps the adaptive grid deterministic.
+    /// Δ, right after [`ClusterEngine::sync_index`] and before the joining
+    /// phase, so refinement decisions depend only on the registered regions
+    /// at a fixed point of the pipeline — never on mid-tick transients —
+    /// which keeps the adaptive grid deterministic.
     pub fn rebalance_index(&mut self) {
         self.grid.rebalance();
     }
@@ -150,7 +341,7 @@ impl ClusterEngine {
         self.store.slot_of(cid)
     }
 
-    /// The entity → cluster-slot map.
+    /// The entity directory: entity → (cluster slot, member position).
     pub fn home(&self) -> &ClusterHome {
         &self.home
     }
@@ -197,8 +388,9 @@ impl ClusterEngine {
 
     /// Restores an engine from previously captured state: parameters,
     /// area, cluster set (with members), attribute tables and the id
-    /// counter. The store (with fresh slots and generations), grid and home
-    /// map are rebuilt. Used by [`crate::snapshot`].
+    /// counter. The store (with fresh slots and generations), both indexes
+    /// and the entity directory are rebuilt; the region index comes back
+    /// current. Used by [`crate::snapshot`].
     pub fn restore(
         params: ScubaParams,
         area: Rect,
@@ -224,14 +416,17 @@ impl ClusterEngine {
             if engine.store.slot_of(cluster.cid).is_some() {
                 return Err("duplicate cluster id in snapshot".into());
             }
-            let region = cluster.effective_region();
-            let members: Vec<scuba_motion::EntityRef> =
-                cluster.members().iter().map(|m| m.entity).collect();
             let slot = engine.store.insert(cluster);
-            engine.grid.insert(slot, &region);
-            for entity in members {
-                if engine.home.assign(entity, slot).is_some() {
-                    return Err(format!("entity {entity} appears in two clusters"));
+            let cluster = engine.store.get(slot).expect("just inserted");
+            engine.grid.insert(slot, &cluster.effective_region());
+            engine.centroids.place(slot, &cluster.centroid());
+            for (idx, member) in cluster.members().iter().enumerate() {
+                if engine
+                    .home
+                    .assign(member.entity, slot, idx as u32)
+                    .is_some()
+                {
+                    return Err(format!("entity {} appears in two clusters", member.entity));
                 }
             }
         }
@@ -245,64 +440,65 @@ impl ClusterEngine {
     pub fn process_update(&mut self, update: &LocationUpdate) {
         self.updates_processed += 1;
         self.upsert_attrs(update);
+        let ScubaParams {
+            theta_d,
+            theta_s,
+            cnloc_tolerance,
+            probe_scope,
+            ..
+        } = self.params;
+        let fits = |c: &MovingCluster| c.can_absorb(update, theta_d, theta_s, cnloc_tolerance);
 
         // An entity already in a cluster either refreshes in place or
         // leaves before re-clustering.
-        if let Some(slot) = self.home.cluster_of(update.entity) {
-            debug_assert!(
-                self.store
-                    .get(slot)
-                    .is_some_and(|c| c.contains(update.entity)),
-                "home points at a slot not holding the entity"
+        if let Some((slot, idx)) = self.home.entry_of(update.entity) {
+            let cluster = self
+                .store
+                .get(slot)
+                .expect("directory points at a live slot");
+            debug_assert_eq!(
+                cluster.members()[idx as usize].entity,
+                update.entity,
+                "directory points at another member"
             );
-            let still_fits = self.store.get(slot).is_some_and(|c| {
-                c.can_absorb(
-                    update,
-                    self.params.theta_d,
-                    self.params.theta_s,
-                    self.params.cnloc_tolerance,
-                )
-            });
-            if still_fits {
-                self.refresh_member(update, slot);
+            if fits(cluster) {
+                self.refresh_member(update, slot, idx as usize);
                 return;
             }
-            self.evict(update, slot);
+            self.leave(update.entity);
+            self.stats.evictions += 1;
         }
 
-        // Step 1: probe the grid for candidates near the update. Probing
-        // the Θ_D disk (not just the update's own cell) keeps clustering
-        // behaviour independent of the grid granularity — with fine grids a
-        // cell is much smaller than Θ_D and an own-cell probe would miss
-        // most joinable clusters (cf. Fig. 9a, where SCUBA's cost barely
-        // changes across grid sizes).
-        let mut candidates = std::mem::take(&mut self.probe_scratch);
-        match self.params.probe_scope {
-            crate::params::ProbeScope::ThetaDisk => {
-                let probe = scuba_spatial::Circle::new(update.loc, self.params.theta_d);
-                self.grid.clusters_within_into(&probe, &mut candidates);
-            }
-            crate::params::ProbeScope::OwnCell => {
-                candidates.clear();
-                candidates.extend_from_slice(self.grid.clusters_near(&update.loc));
+        // Steps 1, 3, 4: probe the centroid index around the update and let
+        // the nearest passing centroid absorb it, ties by cluster id.
+        // Probing the Θ_D box (not just the update's own cell) keeps
+        // clustering behaviour independent of the grid granularity — with
+        // fine grids a cell is much smaller than Θ_D and an own-cell probe
+        // would miss most joinable clusters (cf. Fig. 9a, where SCUBA's
+        // cost barely changes across grid sizes).
+        let mut best: Option<((f64, ClusterId), ClusterSlot)> = None;
+        for cell in self.centroids.probe_cells(probe_scope, update.loc, theta_d) {
+            for slot in self.centroids.cell(cell) {
+                let cluster = self
+                    .store
+                    .get(slot)
+                    .expect("the centroid index holds live slots only");
+                if !fits(cluster) {
+                    continue;
+                }
+                let key = (update.loc.distance_sq(&cluster.centroid()), cluster.cid);
+                let nearer = match best {
+                    Some((nearest, _)) => key < nearest,
+                    None => true,
+                };
+                if nearer {
+                    best = Some((key, slot));
+                }
             }
         }
-        // Steps 3–4: the first candidate satisfying all conditions absorbs.
-        let chosen = candidates.iter().copied().find(|slot| {
-            self.store.get(*slot).is_some_and(|c| {
-                c.can_absorb(
-                    update,
-                    self.params.theta_d,
-                    self.params.theta_s,
-                    self.params.cnloc_tolerance,
-                )
-            })
-        });
 
-        self.probe_scratch = candidates;
-
-        match chosen {
-            Some(slot) => self.absorb_into(update, slot),
+        match best {
+            Some((_, slot)) => self.absorb_into(update, slot),
             // Steps 2 / 5: found a new single-member cluster.
             None => self.found_cluster(update),
         }
@@ -324,28 +520,25 @@ impl ClusterEngine {
         }
     }
 
-    /// Refreshes `update.entity` in place inside its (still fitting) home
-    /// cluster at `slot`.
-    fn refresh_member(&mut self, update: &LocationUpdate, slot: ClusterSlot) {
+    /// Refreshes `update.entity` — member number `idx` of its (still
+    /// fitting) home cluster at `slot` — in place.
+    fn refresh_member(&mut self, update: &LocationUpdate, slot: ClusterSlot, idx: usize) {
         let params = &self.params;
-        let (shed, region_before, region) = self.store.update(slot, |cluster| {
+        let (shed, region_changed) = self.store.update(slot, |cluster| {
             let shed = Self::shed_decision(params, cluster, update);
             let before = cluster.effective_region();
-            cluster.update_member(update, shed);
-            (shed, before, cluster.effective_region())
+            cluster.update_member_at(idx, update, shed);
+            (shed, cluster.effective_region() != before)
         });
         if shed {
             self.stats.positions_shed += 1;
         }
         self.stats.refreshes += 1;
         self.store.touch(slot);
-        // Re-register whenever the effective region changed at all — a
-        // grown reach extends the covered cell set, and a moved centroid
-        // would relocate it outright. (`ClusterGrid::insert` already
-        // no-ops when the cell set is unchanged, so the common
-        // refresh-in-place stays cheap.)
-        if region != region_before {
-            self.grid.insert(slot, &region);
+        // A refresh never moves the centroid, but a grown reach extends the
+        // cell set the region covers.
+        if region_changed {
+            self.mark_dirty(slot);
         }
     }
 
@@ -353,16 +546,17 @@ impl ClusterEngine {
     /// Leader–Follower walk, after the probe chose the candidate).
     fn absorb_into(&mut self, update: &LocationUpdate, slot: ClusterSlot) {
         let params = &self.params;
-        let (shed, region) = self.store.update(slot, |cluster| {
+        let (shed, centroid, idx) = self.store.update(slot, |cluster| {
             let shed = Self::shed_decision(params, cluster, update);
             cluster.absorb(update, shed);
-            (shed, cluster.effective_region())
+            (shed, cluster.centroid(), cluster.len() - 1)
         });
         if shed {
             self.stats.positions_shed += 1;
         }
-        self.grid.insert(slot, &region);
-        self.home.assign(update.entity, slot);
+        self.centroids.place(slot, &centroid);
+        self.mark_dirty(slot);
+        self.home.assign(update.entity, slot, idx as u32);
         self.stats.absorptions += 1;
         self.store.touch(slot);
     }
@@ -381,22 +575,26 @@ impl ClusterEngine {
         params.shedding.sheds_at(r, params.theta_d)
     }
 
-    fn evict(&mut self, update: &LocationUpdate, slot: ClusterSlot) {
-        self.home.unassign(update.entity);
-        let emptied = if self.store.contains(slot) {
-            let emptied = self.store.update(slot, |cluster| {
-                cluster.remove_member(update.entity);
-                cluster.is_empty()
-            });
-            self.store.touch(slot);
-            emptied
-        } else {
-            false
+    /// Takes `entity` out of its cluster (if it has one): drops its
+    /// directory entry, re-points the member the swap-remove moved into its
+    /// place, and dissolves the cluster if it emptied. Returns whether the
+    /// entity was clustered.
+    fn leave(&mut self, entity: EntityRef) -> bool {
+        let Some((slot, idx)) = self.home.unassign(entity) else {
+            return false;
         };
-        self.stats.evictions += 1;
+        let (emptied, moved) = self.store.update(slot, |cluster| {
+            let (_, moved) = cluster.remove_member_at(idx as usize);
+            (cluster.is_empty(), moved)
+        });
+        if let Some(moved) = moved {
+            self.home.set_index(moved, idx);
+        }
+        self.store.touch(slot);
         if emptied {
             self.dissolve_slot(slot);
         }
+        true
     }
 
     fn found_cluster(&mut self, update: &LocationUpdate) {
@@ -410,10 +608,10 @@ impl ClusterEngine {
         if shed {
             self.stats.positions_shed += 1;
         }
-        let region = cluster.effective_region();
         let slot = self.store.insert(cluster);
-        self.grid.insert(slot, &region);
-        self.home.assign(update.entity, slot);
+        self.centroids.place(slot, &update.loc);
+        self.mark_dirty(slot);
+        self.home.assign(update.entity, slot, 0);
         self.stats.clusters_formed += 1;
     }
 
@@ -431,7 +629,8 @@ impl ClusterEngine {
         for member in cluster.members() {
             self.home.unassign(member.entity);
         }
-        self.grid.remove(slot);
+        self.centroids.remove(slot);
+        self.mark_dirty(slot);
         self.stats.dissolutions += 1;
     }
 
@@ -439,28 +638,13 @@ impl ClusterEngine {
     /// attribute-table registration. This is how a continuous query is
     /// cancelled or a retired object deregistered. Returns `true` when the
     /// entity was known in any structure.
-    pub fn remove_entity(&mut self, entity: scuba_motion::EntityRef) -> bool {
-        let mut known = match entity {
-            scuba_motion::EntityRef::Object(id) => self.objects.remove(id).is_some(),
-            scuba_motion::EntityRef::Query(id) => self.queries.remove(id).is_some(),
+    pub fn remove_entity(&mut self, entity: EntityRef) -> bool {
+        let registered = match entity {
+            EntityRef::Object(id) => self.objects.remove(id).is_some(),
+            EntityRef::Query(id) => self.queries.remove(id).is_some(),
         };
-        if let Some(slot) = self.home.unassign(entity) {
-            known = true;
-            let emptied = if self.store.contains(slot) {
-                let emptied = self.store.update(slot, |cluster| {
-                    cluster.remove_member(entity);
-                    cluster.is_empty()
-                });
-                self.store.touch(slot);
-                emptied
-            } else {
-                false
-            };
-            if emptied {
-                self.dissolve_slot(slot);
-            }
-        }
-        known
+        let clustered = self.leave(entity);
+        registered || clustered
     }
 
     /// Evicts members that have not reported for more than `ttl` time units
@@ -469,7 +653,7 @@ impl ClusterEngine {
     /// are removed too — a silent entity is gone, not merely mispositioned.
     pub fn evict_stale(&mut self, now: Time, ttl: u64) -> usize {
         let cutoff = now.saturating_sub(ttl);
-        let mut stale: Vec<scuba_motion::EntityRef> = Vec::new();
+        let mut stale: Vec<EntityRef> = Vec::new();
         for cluster in self.store.values() {
             for member in cluster.members() {
                 if member.last_seen < cutoff {
@@ -513,10 +697,11 @@ impl ClusterEngine {
         shed
     }
 
-    /// Pre-join tightening: restores exact cluster radii (and grid
-    /// registrations) before the joining phase, undoing the conservative
-    /// slack the per-update absorption bound accumulated over the interval.
-    /// Part of the cluster pre-join maintenance phase (Fig. 6).
+    /// Pre-join tightening: restores exact cluster radii before the joining
+    /// phase, undoing the conservative slack the per-update absorption
+    /// bound accumulated over the interval. Part of the cluster pre-join
+    /// maintenance phase (Fig. 6); the shrunken regions reach the region
+    /// index with the [`ClusterEngine::sync_index`] that follows.
     pub fn pre_join_tighten(&mut self) {
         let shed_floor = self
             .params
@@ -524,32 +709,29 @@ impl ClusterEngine {
             .nucleus_radius(self.params.theta_d)
             .unwrap_or(0.0)
             .min(self.params.theta_d);
-        let mut reregister: Vec<(ClusterSlot, Circle)> = Vec::new();
         for i in 0..self.store.capacity() {
             let slot = ClusterSlot(i as u32);
             if !self.store.contains(slot) {
                 continue;
             }
-            let tightened = self.store.update(slot, |cluster| {
+            let shrank = self.store.update(slot, |cluster| {
                 let before = cluster.radius();
                 cluster.tighten(shed_floor);
-                (cluster.radius() < before).then(|| cluster.effective_region())
+                cluster.radius() < before
             });
-            if let Some(region) = tightened {
-                reregister.push((slot, region));
+            if shrank {
+                self.mark_dirty(slot);
+                self.store.touch(slot);
             }
-        }
-        for (slot, region) in reregister {
-            self.grid.insert(slot, &region);
-            self.store.touch(slot);
         }
     }
 
     // ---- post-join maintenance (Algorithm 1 step 23) ------------------------
 
     /// Post-join cluster maintenance: dissolve clusters that would pass
-    /// their destination node during the next interval, advance the rest
-    /// along their velocity vectors and re-register them in the grid.
+    /// their destination node during the next interval and advance the rest
+    /// along their velocity vectors. The centroid index follows at once;
+    /// the region index at the next [`ClusterEngine::sync_index`].
     ///
     /// `now` is the evaluation time; the relocation spans the engine's Δ.
     pub fn post_join_maintenance(&mut self, now: Time) -> ClusteringStats {
@@ -557,41 +739,30 @@ impl ClusterEngine {
             self.evict_stale(now, ttl);
         }
         let dt = self.params.delta as f64;
-        enum Fate {
-            Dissolve,
-            Moved(Circle),
-            Still,
-        }
-        let mut to_dissolve: Vec<ClusterSlot> = Vec::new();
-        let mut relocated: Vec<(ClusterSlot, Circle)> = Vec::new();
         for i in 0..self.store.capacity() {
             let slot = ClusterSlot(i as u32);
             if !self.store.contains(slot) {
                 continue;
             }
+            // `None`: dissolve; `Some(moved)`: survived, centroid moved or not.
             let fate = self.store.update(slot, |cluster| {
                 if cluster.is_empty() || cluster.passes_destination_within(dt) {
-                    Fate::Dissolve
-                } else if cluster.advance(dt) {
-                    Fate::Moved(cluster.effective_region())
+                    None
                 } else {
-                    Fate::Still
+                    Some(cluster.advance(dt).then(|| cluster.centroid()))
                 }
             });
             match fate {
-                Fate::Dissolve => to_dissolve.push(slot),
+                None => self.dissolve_slot(slot),
                 // Only clusters whose centroid actually moved dirty the
                 // epoch tracker — stationary clusters stay cache-clean.
-                Fate::Moved(region) => relocated.push((slot, region)),
-                Fate::Still => {}
+                Some(Some(centroid)) => {
+                    self.centroids.place(slot, &centroid);
+                    self.mark_dirty(slot);
+                    self.store.touch(slot);
+                }
+                Some(None) => {}
             }
-        }
-        for slot in to_dissolve {
-            self.dissolve_slot(slot);
-        }
-        for (slot, region) in relocated {
-            self.grid.insert(slot, &region);
-            self.store.touch(slot);
         }
         self.stats
     }
@@ -600,12 +771,17 @@ impl ClusterEngine {
     pub fn estimated_bytes(&self) -> usize {
         self.store.estimated_bytes()
             + self.grid.estimated_bytes()
+            + self.centroids.estimated_bytes()
+            + self.dirty.capacity()
             + self.home.estimated_bytes()
             + self.objects.estimated_bytes()
             + self.queries.estimated_bytes()
     }
 
-    /// Debug invariant check used by tests: home, store and grid agree.
+    /// Debug invariant check used by tests: the store, the entity
+    /// directory and both indexes agree. The region index is compared only
+    /// when it is current ([`ClusterEngine::index_is_current`]); between
+    /// syncs it is allowed to lag.
     pub fn check_invariants(&self) {
         self.store.check_coherent();
         for (slot, cluster) in self.store.iter() {
@@ -619,11 +795,11 @@ impl ClusterEngine {
                 cluster.len(),
                 "member kind counts disagree"
             );
-            for member in cluster.members() {
+            for (idx, member) in cluster.members().iter().enumerate() {
                 assert_eq!(
-                    self.home.cluster_of(member.entity),
-                    Some(slot),
-                    "home disagrees for {}",
+                    self.home.entry_of(member.entity),
+                    Some((slot, idx as u32)),
+                    "directory disagrees for {}",
                     member.entity
                 );
                 if let Some(pos) = cluster.member_position(member) {
@@ -639,15 +815,49 @@ impl ClusterEngine {
             }
         }
         let member_total: usize = self.store.values().map(MovingCluster::len).sum();
-        assert_eq!(member_total, self.home.len(), "home size mismatch");
-        // The grid must reflect every cluster's *current* effective region
-        // — a stale registration would make the step-1 probe (and the
-        // joining phase) miss or mis-route clusters.
+        assert_eq!(member_total, self.home.len(), "directory size mismatch");
+
+        // The centroid index holds every live slot in exactly the cell of
+        // its centroid, and nothing else — a misplaced or stale entry would
+        // make the step-1 probe miss a joinable cluster or hit a vacant slot.
+        let spec = self.centroids.spec;
+        let placed: usize = (0..spec.cell_count())
+            .map(|cell| self.centroids.cell(cell).count())
+            .sum();
+        assert_eq!(placed, self.store.len(), "centroid index size mismatch");
         for (slot, cluster) in self.store.iter() {
+            let cell = spec.linear(spec.cell_of(&cluster.centroid()));
+            assert_eq!(
+                self.centroids.cell_of.get(slot.index()),
+                Some(&(cell as u32)),
+                "centroid index misplaces {:?}",
+                cluster.cid
+            );
+            assert!(
+                self.centroids.cell(cell).any(|s| s == slot),
+                "centroid cell {cell} does not list {:?}",
+                cluster.cid
+            );
+        }
+
+        if !self.index_is_current() {
+            return;
+        }
+        // Once synced, the region index registers every live slot under
+        // exactly the cells its current effective region overlaps, and no
+        // vacant slot anywhere — a stale registration would make the
+        // joining phase miss or mis-route clusters.
+        assert_eq!(
+            self.grid.cluster_count(),
+            self.store.len(),
+            "region index registers a vacant slot"
+        );
+        for (slot, cluster) in self.store.iter() {
+            let region = cluster.effective_region();
             let expected: Vec<u32> = self
                 .grid
                 .spec()
-                .cells_overlapping_circle(&cluster.effective_region())
+                .cells_overlapping_circle(&region)
                 .map(|idx| self.grid.spec().linear(idx) as u32)
                 .collect();
             assert_eq!(
@@ -860,12 +1070,19 @@ mod tests {
         let mut e = engine();
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.post_join_maintenance(2);
+        assert!(
+            !e.index_is_current(),
+            "relocation leaves the region index pending"
+        );
+        e.sync_index();
+        assert!(e.index_is_current());
         let (slot, c) = e.store().iter().next().unwrap();
         let centroid = c.centroid();
         assert!(
             e.grid().clusters_near(&centroid).contains(&slot),
             "grid not updated after relocation"
         );
+        e.check_invariants();
     }
 
     #[test]
@@ -927,6 +1144,8 @@ mod tests {
                     e.process_update(&qry(i, x, y, speed, cn));
                 }
             }
+            e.check_invariants();
+            e.sync_index();
             e.check_invariants();
             e.post_join_maintenance(round * 2);
             e.check_invariants();
@@ -1004,13 +1223,15 @@ mod tests {
     }
 
     /// Regression: a refresh that grows the effective region must
-    /// re-register the cluster in every newly covered grid cell, so later
-    /// probes from those cells can still find it.
+    /// re-register the cluster in every newly covered grid cell (at the
+    /// next sync), so the join walks it from those cells too.
     #[test]
     fn refresh_growing_region_reregisters_grid_cells() {
         let mut e = engine();
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         let slot = e.store().slots().next().unwrap();
+        e.sync_index();
+        assert!(e.index_is_current());
         let cells_at_founding = e.grid().cells_of(slot).unwrap().len();
 
         // The founder reports again from 80 units away: still within Θ_D
@@ -1020,13 +1241,16 @@ mod tests {
         far.time = 1;
         e.process_update(&far);
         assert_eq!(e.stats().refreshes, 1, "took the refresh fast path");
+        assert!(!e.index_is_current(), "the grown region is pending");
+        e.sync_index();
+        assert!(e.index_is_current());
 
         let cells_after = e.grid().cells_of(slot).unwrap();
         assert!(
             cells_after.len() > cells_at_founding,
             "grown region must cover more cells"
         );
-        // The grid must answer probes from the newly covered area.
+        // The grid must list the cluster in the newly covered area.
         let spec = e.grid().spec();
         let far_cell = spec.linear(spec.cell_of(&Point::new(575.0, 500.0))) as u32;
         assert!(
@@ -1043,6 +1267,8 @@ mod tests {
         let mut e = engine();
         e.process_update(&qry(1, 500.0, 500.0, 30.0, CN_EAST));
         let slot = e.store().slots().next().unwrap();
+        e.sync_index();
+        assert!(e.index_is_current());
         let cells_at_founding = e.grid().cells_of(slot).unwrap().len();
 
         // Same position, much wider range: radius stays 0 but
@@ -1060,11 +1286,163 @@ mod tests {
         wide.time = 1;
         e.process_update(&wide);
         assert_eq!(e.stats().refreshes, 1, "took the refresh fast path");
+        e.sync_index();
+        assert!(e.index_is_current());
 
         assert!(
             e.grid().cells_of(slot).unwrap().len() > cells_at_founding,
             "wider query range must cover more cells"
         );
         e.check_invariants();
+    }
+
+    /// Step 4 is canonical: of two clusters that both pass, the nearer
+    /// centroid absorbs — whichever was founded (and listed) first.
+    #[test]
+    fn nearest_passing_centroid_absorbs() {
+        for near_first in [true, false] {
+            let mut e = engine();
+            let (near, far) = (
+                obj(1, 540.0, 500.0, 30.0, CN_EAST),
+                obj(2, 400.0, 500.0, 30.0, CN_EAST),
+            );
+            if near_first {
+                e.process_update(&near);
+                e.process_update(&far);
+            } else {
+                e.process_update(&far);
+                e.process_update(&near);
+            }
+            assert_eq!(e.cluster_count(), 2, "140 apart: two clusters");
+            // 40 from one centroid, 100 from the other: both within Θ_D.
+            e.process_update(&obj(3, 500.0, 500.0, 30.0, CN_EAST));
+            let home = |id| e.home().cluster_of(ObjectId(id).into());
+            assert_eq!(home(3), home(1), "joined the nearer cluster");
+            assert_ne!(home(3), home(2));
+            e.check_invariants();
+        }
+    }
+
+    /// Equidistant candidates: the smaller durable cluster id wins, not the
+    /// smaller slot — here the older id sits in the *higher* slot.
+    #[test]
+    fn equidistant_candidates_tie_break_by_cluster_id() {
+        let mut e = engine();
+        e.process_update(&obj(1, 900.0, 100.0, 30.0, CN_WEST)); // cid 0, slot 0
+        e.process_update(&obj(2, 440.0, 500.0, 30.0, CN_EAST)); // cid 1, slot 1
+                                                                // Entity 1 turns around: cluster 0 dissolves and slot 0 is
+                                                                // re-founded as cid 2, 120 (> Θ_D) east of cluster 1.
+        e.process_update(&obj(1, 560.0, 500.0, 30.0, CN_EAST));
+        let older = e.home().cluster_of(ObjectId(2).into()).unwrap();
+        let newer = e.home().cluster_of(ObjectId(1).into()).unwrap();
+        assert!(newer < older, "the younger cluster reuses the lower slot");
+        assert!(e.cluster_at(older).unwrap().cid < e.cluster_at(newer).unwrap().cid);
+        // Exactly 60 from both centroids.
+        e.process_update(&obj(3, 500.0, 500.0, 30.0, CN_EAST));
+        assert_eq!(e.home().cluster_of(ObjectId(3).into()), Some(older));
+        e.check_invariants();
+    }
+
+    /// Evicting a middle member swap-removes it; the directory must follow
+    /// the member that moved into its place, or that member's next refresh
+    /// would land on the wrong record.
+    #[test]
+    fn directory_follows_swap_remove() {
+        let mut e = engine();
+        e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
+        e.process_update(&obj(2, 505.0, 500.0, 30.0, CN_EAST));
+        e.process_update(&obj(3, 510.0, 500.0, 32.0, CN_EAST));
+        let slot = e.home().cluster_of(ObjectId(3).into()).unwrap();
+        assert_eq!(e.home().entry_of(ObjectId(3).into()), Some((slot, 2)));
+        // The middle member turns around and leaves.
+        e.process_update(&obj(2, 505.0, 500.0, 30.0, CN_WEST));
+        assert_eq!(e.stats().evictions, 1);
+        assert_eq!(e.home().entry_of(ObjectId(3).into()), Some((slot, 1)));
+        e.check_invariants();
+        // Refreshing the moved member updates *its* record.
+        let mut again = obj(3, 512.0, 500.0, 36.0, CN_EAST);
+        again.time = 1;
+        e.process_update(&again);
+        assert_eq!(e.stats().refreshes, 1);
+        let cluster = e.cluster_at(slot).unwrap();
+        let member = cluster.member(ObjectId(3).into()).unwrap();
+        assert_eq!((member.speed, member.last_seen), (36.0, 1));
+        assert_eq!(cluster.member(ObjectId(1).into()).unwrap().speed, 30.0);
+        e.check_invariants();
+    }
+
+    /// A slot dissolved and re-founded between two syncs is simply
+    /// re-registered with its new occupant's region.
+    #[test]
+    fn slot_reused_before_a_sync_is_reregistered() {
+        let mut e = engine();
+        e.process_update(&obj(1, 100.0, 100.0, 30.0, CN_EAST));
+        e.sync_index();
+        let slot = e.store().slots().next().unwrap();
+        let old_cells = e.grid().cells_of(slot).unwrap().to_vec();
+        // Dissolve + re-found in the same slot, far away, with no sync in
+        // between; a second cluster dissolves for good.
+        e.process_update(&obj(2, 300.0, 300.0, 30.0, CN_EAST));
+        e.process_update(&obj(1, 800.0, 800.0, 30.0, CN_WEST));
+        assert!(e.remove_entity(ObjectId(2).into()));
+        assert_eq!(e.store().slots().collect::<Vec<_>>(), vec![slot]);
+        assert!(!e.index_is_current());
+        assert_eq!(
+            e.grid().cells_of(slot),
+            Some(old_cells.as_slice()),
+            "lazy until the sync"
+        );
+        e.sync_index();
+        assert!(e.index_is_current());
+        assert_ne!(e.grid().cells_of(slot), Some(old_cells.as_slice()));
+        assert_eq!(
+            e.grid().cluster_count(),
+            1,
+            "the vacant slot is unregistered"
+        );
+        e.check_invariants();
+    }
+
+    #[test]
+    fn centroid_index_places_moves_and_unlinks() {
+        let spec = GridSpec::new(Rect::square(100.0), 10);
+        let mut idx = CentroidIndex::new(spec);
+        let cell = |x, y| spec.linear(spec.cell_of(&Point::new(x, y)));
+        let held = |idx: &CentroidIndex, cell| {
+            let mut slots: Vec<u32> = idx.cell(cell).map(|s| s.0).collect();
+            slots.sort_unstable();
+            slots
+        };
+        for i in 0..4 {
+            idx.place(ClusterSlot(i), &Point::new(55.0, 55.0));
+        }
+        assert_eq!(held(&idx, cell(55.0, 55.0)), [0, 1, 2, 3]);
+        // Unlink from the middle, the head and the tail of the list.
+        idx.remove(ClusterSlot(1));
+        idx.place(ClusterSlot(3), &Point::new(5.0, 5.0));
+        idx.remove(ClusterSlot(0));
+        idx.remove(ClusterSlot(9)); // never placed: a no-op
+        assert_eq!(held(&idx, cell(55.0, 55.0)), [2]);
+        assert_eq!(held(&idx, cell(5.0, 5.0)), [3]);
+        // Re-placing within the same cell changes nothing.
+        idx.place(ClusterSlot(2), &Point::new(59.0, 51.0));
+        assert_eq!(held(&idx, cell(55.0, 55.0)), [2]);
+
+        // The Θ_D box reaches the neighbouring cell; the own-cell probe
+        // does not. An out-of-area centroid is filed under the border cell.
+        idx.place(ClusterSlot(5), &Point::new(-20.0, 48.0));
+        let probe = |scope, x, y| {
+            let mut slots: Vec<u32> = idx
+                .probe_cells(scope, Point::new(x, y), 8.0)
+                .flat_map(|cell| idx.cell(cell))
+                .map(|s| s.0)
+                .collect();
+            slots.sort_unstable();
+            slots
+        };
+        assert_eq!(probe(ProbeScope::ThetaDisk, 45.0, 55.0), [2]);
+        assert_eq!(probe(ProbeScope::OwnCell, 45.0, 55.0), [0u32; 0]);
+        assert_eq!(probe(ProbeScope::OwnCell, 52.0, 52.0), [2]);
+        assert_eq!(probe(ProbeScope::ThetaDisk, -15.0, 45.0), [5]);
     }
 }

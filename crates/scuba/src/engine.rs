@@ -41,10 +41,12 @@ pub const STAGE_VALIDATE: &str = "validate";
 /// = the observed tick cost in µs, `items_out` = the deadline budget in
 /// µs, `tests` = 1 on a deadline miss, 0 on a clean tick.
 pub const STAGE_OVERLOAD: &str = "overload-control";
-/// Stage name: incremental spatial-index re-balance (maintenance bucket;
-/// a no-op stage for the uniform grid). Runs once per Δ between radius
-/// tightening and the joining phase, so the adaptive grid's split/merge
-/// decisions see the exact post-tighten regions.
+/// Stage name: region-index upkeep (maintenance bucket). Runs once per Δ
+/// between radius tightening and the joining phase: first the once-per-Δ
+/// [`ClusterEngine::sync_index`] — every region that changed since the
+/// previous evaluation is re-registered here, not during ingest — then the
+/// adaptive grid's incremental re-balance (a no-op for the uniform grid),
+/// whose split/merge decisions thus see the exact post-tighten regions.
 pub const STAGE_GRID_REBALANCE: &str = "grid-rebalance";
 
 /// The operator name for a parameter set; shared by both constructors so
@@ -191,6 +193,14 @@ impl ScubaOperator {
     /// extensions and by diagnostics).
     pub fn engine(&self) -> &ClusterEngine {
         &self.engine
+    }
+
+    /// Brings the engine's region index up to date outside an evaluation,
+    /// for diagnostics and benches that read `engine().grid()` between
+    /// evaluations ([`ClusterEngine::sync_index`]; `evaluate` does this
+    /// itself before the joining phase).
+    pub fn sync_index(&mut self) {
+        self.engine.sync_index();
     }
 
     /// Bytes currently reserved by the reusable joining-phase buffers.
@@ -424,10 +434,12 @@ impl ContinuousOperator for ScubaOperator {
                 .with_items(clusters_before, clusters_before),
         );
 
-        // Incremental index re-balance: split hot cells / merge cooled ones
-        // at a fixed point of the pipeline (adaptive grid only; the uniform
+        // Bring the region index up to date (nothing read it since the last
+        // join), then re-balance it: split hot cells / merge cooled ones at
+        // a fixed point of the pipeline (adaptive grid only; the uniform
         // grid no-ops). Only per-Δ, so no tick pays a full rebuild storm.
         let sw = Stopwatch::start();
+        self.engine.sync_index();
         self.engine.rebalance_index();
         phases.push(
             StageStats::maintenance(STAGE_GRID_REBALANCE)

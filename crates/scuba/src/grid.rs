@@ -17,10 +17,17 @@
 //! reused, the registration table is a plain `Vec<Vec<u32>>` indexed by
 //! slot with a parallel liveness bitmap (a registered cluster may overlap
 //! *zero* cells — post-join relocation can carry it past the grid bounds
-//! before it dissolves), and the probe's visited set is a round-stamped
-//! [`StampSlab`].
+//! before it dissolves).
+//!
+//! The grid is the *region* index: its readers are the join's
+//! pair-discovery walk and kNN, both of which treat a cell list as a set
+//! (candidate pairs are sorted and deduplicated downstream). The order of
+//! slots within a cell therefore carries no meaning, and removal is a
+//! `swap_remove`. Clustering does not read this grid at all — its step-1
+//! probe runs on the engine's private centroid index (see
+//! [`crate::clustering`]).
 
-use scuba_spatial::{CellIdx, Circle, GridSpec, Point, StampSlab};
+use scuba_spatial::{CellIdx, Circle, GridSpec, Point};
 
 use crate::store::ClusterSlot;
 
@@ -45,11 +52,10 @@ pub struct ClusterGrid {
     registered: usize,
     /// Re-registrations answered without enumerating cells (fast paths).
     fast_path_hits: u64,
-    /// Round-stamped visited table for [`ClusterGrid::clusters_within_into`]:
-    /// a cluster is a duplicate within one probe iff its stamp equals the
-    /// current probe round. Replaces a per-probe `contains` scan / set
-    /// allocation with an O(1) indexed stamp check that never clears.
-    probe_stamps: StampSlab,
+    /// Reused buffer [`ClusterGrid::insert`] enumerates the new cell list
+    /// into before comparing it with (and copying it over) the slot's
+    /// registration, so steady-state re-registration allocates nothing.
+    cell_scratch: Vec<u32>,
 }
 
 impl ClusterGrid {
@@ -63,7 +69,7 @@ impl ClusterGrid {
             regions: Vec::new(),
             registered: 0,
             fast_path_hits: 0,
-            probe_stamps: StampSlab::new(),
+            cell_scratch: Vec::new(),
         }
     }
 
@@ -126,16 +132,20 @@ impl ClusterGrid {
                 }
             }
         }
-        let new_cells: Vec<u32> = self
-            .spec
-            .cells_overlapping_circle(region)
-            .map(|idx| self.spec.linear(idx) as u32)
-            .collect();
+        let mut new_cells = std::mem::take(&mut self.cell_scratch);
+        new_cells.clear();
+        new_cells.extend(
+            self.spec
+                .cells_overlapping_circle(region)
+                .map(|idx| self.spec.linear(idx) as u32),
+        );
+        let n = new_cells.len();
+        self.regions[slot.index()] = *region;
+        if self.live[slot.index()] && self.registrations[slot.index()] == new_cells {
+            self.cell_scratch = new_cells;
+            return n;
+        }
         if self.live[slot.index()] {
-            if self.registrations[slot.index()] == new_cells {
-                self.regions[slot.index()] = *region;
-                return new_cells.len();
-            }
             self.unregister(slot);
         } else {
             self.live[slot.index()] = true;
@@ -144,9 +154,10 @@ impl ClusterGrid {
         for &linear in &new_cells {
             self.cells[linear as usize].push(slot);
         }
-        let n = new_cells.len();
-        self.registrations[slot.index()] = new_cells;
-        self.regions[slot.index()] = *region;
+        let registration = &mut self.registrations[slot.index()];
+        registration.clear();
+        registration.extend_from_slice(&new_cells);
+        self.cell_scratch = new_cells;
         n
     }
 
@@ -170,11 +181,8 @@ impl ClusterGrid {
         for &linear in &cells {
             let cell = &mut self.cells[linear as usize];
             if let Some(pos) = cell.iter().position(|&c| c == slot) {
-                // Order-preserving: the Leader–Follower probe absorbs
-                // into the *first* passing candidate, so cell order is
-                // semantically significant and removals must not
-                // shuffle the survivors.
-                cell.remove(pos);
+                // Cell lists are sets to every reader (module docs).
+                cell.swap_remove(pos);
             }
         }
         self.registrations[slot.index()] = cells;
@@ -216,10 +224,8 @@ impl ClusterGrid {
         &self.cells[linear as usize]
     }
 
-    /// The clusters overlapping the cell that contains `p` — the §3.2
-    /// step-1 probe ("use moving object's position to probe the spatial
-    /// grid index ClusterGrid to find the moving clusters in the proximity
-    /// of the current location").
+    /// The clusters whose registered regions overlap the cell that
+    /// contains `p` (kNN's covering-cluster lookup).
     #[inline]
     pub fn clusters_near(&self, p: &Point) -> &[ClusterSlot] {
         let idx = self.spec.cell_of(p);
@@ -230,26 +236,6 @@ impl ClusterGrid {
     #[inline]
     pub fn cell(&self, idx: CellIdx) -> &[ClusterSlot] {
         &self.cells[self.spec.linear(idx)]
-    }
-
-    /// Collects (deduplicated, in deterministic cell order) the clusters
-    /// registered in any cell overlapping `probe` into `out`.
-    ///
-    /// This is the step-1 probe used with `probe = Circle(loc, Θ_D)`:
-    /// candidate clusters must have their centroid within Θ_D of the
-    /// update, and a cluster's registration always covers its centroid, so
-    /// probing the Θ_D disk cannot miss a joinable cluster regardless of
-    /// how fine the grid is.
-    pub fn clusters_within_into(&mut self, probe: &Circle, out: &mut Vec<ClusterSlot>) {
-        out.clear();
-        self.probe_stamps.new_round();
-        for idx in self.spec.cells_overlapping_circle(probe) {
-            for &slot in &self.cells[self.spec.linear(idx)] {
-                if self.probe_stamps.mark(slot.0) {
-                    out.push(slot);
-                }
-            }
-        }
     }
 
     /// Iterates over non-empty cells and their cluster lists — the outer
@@ -288,7 +274,7 @@ impl ClusterGrid {
                 .map(|v| v.capacity() * 4)
                 .sum::<usize>();
         let regions = self.regions.capacity() * std::mem::size_of::<Circle>();
-        cells + regs + regions + self.probe_stamps.estimated_bytes()
+        cells + regs + regions + self.cell_scratch.capacity() * 4
     }
 
     /// Internal consistency check for tests: every registration points at a
@@ -441,27 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_preserves_cell_order() {
-        let mut g = grid(4);
-        for i in 0..6 {
-            g.insert(ClusterSlot(i), &Circle::new(Point::new(10.0, 10.0), 0.5));
-        }
-        g.remove(ClusterSlot(1));
-        g.remove(ClusterSlot(4));
-        assert_eq!(
-            g.clusters_near(&Point::new(10.0, 10.0)),
-            &[
-                ClusterSlot(0),
-                ClusterSlot(2),
-                ClusterSlot(3),
-                ClusterSlot(5)
-            ],
-            "survivors keep their relative (insertion) order"
-        );
-        g.check_consistent();
-    }
-
-    #[test]
     fn cells_of_and_cell_linear_agree() {
         let mut g = grid(10);
         g.insert(ClusterSlot(7), &Circle::new(Point::new(50.0, 50.0), 8.0));
@@ -513,12 +478,11 @@ mod tests {
 
     /// Regression: a relocation whose covered cell set is unchanged (the
     /// moved bounding box stays inside the same single interior cell) early
-    /// outs on the covered-rect check without re-pushing — re-pushing would
-    /// shuffle cell-list order, which the Leader–Follower probe depends on.
+    /// outs on the covered-rect check and leaves the cell list untouched.
     #[test]
     fn moved_region_with_unchanged_covered_rect_takes_fast_path() {
         let mut g = grid(10);
-        // Several slots in the same cell establish a list order to preserve.
+        // Several slots share the cell; the fast path must not touch its list.
         for i in 0..4 {
             g.insert(
                 ClusterSlot(i),
@@ -534,7 +498,7 @@ mod tests {
         assert_eq!(
             g.clusters_near(&Point::new(55.0, 55.0)),
             order_before.as_slice(),
-            "fast path must not reorder the cell list"
+            "fast path must not touch the cell list"
         );
         assert_eq!(g.region_of(ClusterSlot(1)), Some(&moved));
         // The stored region updated: re-inserting the moved circle again

@@ -4,8 +4,8 @@
 //! degrades under hotspot skew: a few downtown cells accumulate hundreds of
 //! clusters while suburb cells sit empty, so the join's per-cell candidate
 //! generation is wildly unbalanced. [`SpatialIndex`] abstracts the contract
-//! every consumer (clustering, join pair-discovery, stripe routing,
-//! snapshot restore, k-NN) actually relies on, with two implementations:
+//! every consumer (join pair-discovery, stripe routing, snapshot restore,
+//! k-NN) actually relies on, with two implementations:
 //!
 //! * [`ClusterGrid`] — the paper's uniform grid, unchanged;
 //! * [`AdaptiveGrid`] — the uniform grid plus per-cell quadtree refinement:
@@ -14,15 +14,17 @@
 //!
 //! # Bit-identity contract
 //!
-//! Both implementations must produce **identical query results** for every
-//! workload (the property suite and the `grid` bench assert this at
-//! runtime). The adaptive grid achieves it by construction:
+//! Both implementations must produce **identical query results** and leave
+//! **identical cluster state** for every workload (the property suite and
+//! the `grid` bench assert this at runtime). Cluster state is identical
+//! trivially: clustering never reads this index — its step-1 probe runs on
+//! the engine's private centroid index and picks the nearest passing
+//! centroid (ties by `ClusterId`), so the index kind cannot influence which
+//! cluster absorbs an entity. Results are identical by construction:
 //!
-//! * all *base-level* state — registrations, liveness, cell lists and their
-//!   order — is the unmodified [`ClusterGrid`]. Probes
-//!   ([`SpatialIndex::clusters_near`], [`SpatialIndex::clusters_within_into`])
-//!   delegate to base cell lists, so the Leader–Follower absorb order of
-//!   the clustering phase is byte-identical;
+//! * all *base-level* state — registrations, liveness, cell membership — is
+//!   the unmodified [`ClusterGrid`], and [`SpatialIndex::clusters_near`]
+//!   delegates to base cell lists;
 //! * refinement only affects [`SpatialIndex::for_each_candidate_cell`], the
 //!   join's pair-discovery walk. A refined cell's leaves exactly tile the
 //!   cell, and a slot is assigned to every leaf its registered circle
@@ -110,13 +112,17 @@ impl DiscoveryScratch {
 /// is copied into scoped worker threads; `Debug` because the contexts that
 /// embed it derive `Debug`.
 ///
-/// Cell lists are dense [`ClusterSlot`]-keyed vectors whose *order* is
-/// semantically significant (the Leader–Follower probe absorbs into the
-/// first passing candidate), registrations track liveness independently of
-/// cell membership (a live slot may cover zero cells when its region leaves
-/// the area), and candidate enumeration yields lists whose pairwise
-/// products *cover* every joinable pair — duplicates are collapsed by the
-/// caller's packed-pair dedup.
+/// Cell lists are dense [`ClusterSlot`]-keyed vectors that every reader
+/// treats as *sets* — their order carries no meaning and removal may
+/// reorder them. Registrations track liveness independently of cell
+/// membership (a live slot may cover zero cells when its region leaves the
+/// area), and candidate enumeration yields lists whose pairwise products
+/// *cover* every joinable pair — duplicates are collapsed by the caller's
+/// packed-pair dedup.
+///
+/// The engine brings the index up to date once per Δ
+/// ([`crate::clustering::ClusterEngine::sync_index`]), not once per update:
+/// between syncs it describes the regions as of the previous sync.
 pub trait SpatialIndex: std::fmt::Debug + Sync {
     /// The base partitioning geometry (also the stripe router's classifier).
     fn spec(&self) -> &GridSpec;
@@ -143,13 +149,8 @@ pub trait SpatialIndex: std::fmt::Debug + Sync {
     /// The clusters registered in a base cell given by linear index.
     fn cell_linear(&self, linear: u32) -> &[ClusterSlot];
 
-    /// The clusters overlapping the base cell that contains `p` (§3.2
-    /// step-1 probe).
+    /// The clusters whose regions overlap the base cell that contains `p`.
     fn clusters_near(&self, p: &Point) -> &[ClusterSlot];
-
-    /// Collects (deduplicated, in deterministic cell order) the clusters
-    /// registered in any base cell overlapping `probe` into `out`.
-    fn clusters_within_into(&mut self, probe: &Circle, out: &mut Vec<ClusterSlot>);
 
     /// Visits every candidate cell list for join pair discovery
     /// (Algorithm 1, step 8). Lists may overlap; together their pairwise
@@ -211,10 +212,6 @@ impl SpatialIndex for ClusterGrid {
         ClusterGrid::clusters_near(self, p)
     }
 
-    fn clusters_within_into(&mut self, probe: &Circle, out: &mut Vec<ClusterSlot>) {
-        ClusterGrid::clusters_within_into(self, probe, out)
-    }
-
     fn for_each_candidate_cell(&self, visit: &mut dyn FnMut(&[ClusterSlot])) {
         for (_, cell) in self.iter_nonempty() {
             visit(cell);
@@ -238,8 +235,7 @@ const MAX_DEPTH: u32 = 4;
 /// The uniform [`ClusterGrid`] plus per-cell quadtree refinement.
 ///
 /// Base-level behaviour (registration, probes, cell lists) delegates to the
-/// embedded uniform grid unchanged — byte-identical state, so snapshots
-/// and the clustering probe order carry over verbatim. Refinement is a
+/// embedded uniform grid unchanged. Refinement is a
 /// per-base-cell list of leaf rectangles rebuilt
 /// by [`AdaptiveGrid::rebalance`] (called once per Δ): a cell at or above
 /// `split_threshold` occupants splits quadtree-style while leaves stay
@@ -406,14 +402,9 @@ impl SpatialIndex for AdaptiveGrid {
         self.base.clusters_near(p)
     }
 
-    fn clusters_within_into(&mut self, probe: &Circle, out: &mut Vec<ClusterSlot>) {
-        self.base.clusters_within_into(probe, out)
-    }
-
     /// Unrefined non-empty cells are visited as-is (identical to the
     /// uniform grid); refined cells are visited once per leaf, with the
-    /// leaf's membership materialised from the base list in base-list
-    /// order (so within any one list, relative order matches uniform).
+    /// leaf's membership materialised from the base list.
     fn for_each_candidate_cell(&self, visit: &mut dyn FnMut(&[ClusterSlot])) {
         self.for_each_candidate_cell_with(&mut DiscoveryScratch::default(), visit);
     }
@@ -603,10 +594,6 @@ impl SpatialIndex for AnyIndex {
         self.as_dyn().clusters_near(p)
     }
 
-    fn clusters_within_into(&mut self, probe: &Circle, out: &mut Vec<ClusterSlot>) {
-        self.as_dyn_mut().clusters_within_into(probe, out)
-    }
-
     fn for_each_candidate_cell(&self, visit: &mut dyn FnMut(&[ClusterSlot])) {
         self.as_dyn().for_each_candidate_cell(visit)
     }
@@ -695,6 +682,14 @@ mod tests {
             .collect()
     }
 
+    /// Every slot registered in a base cell overlapping `probe`.
+    fn probe(idx: &dyn SpatialIndex, probe: &Circle) -> Vec<ClusterSlot> {
+        let spec = *idx.spec();
+        spec.cells_overlapping_circle(probe)
+            .flat_map(|cell| idx.cell_linear(spec.linear(cell) as u32).to_vec())
+            .collect()
+    }
+
     /// Every unordered candidate pair (including self-pairs) an index
     /// yields, deduplicated.
     fn candidate_pairs(idx: &dyn SpatialIndex) -> Vec<(u32, u32)> {
@@ -734,22 +729,21 @@ mod tests {
 
         // Probe completeness vs brute force: every in-area circle is found
         // by a probe overlapping it.
-        let mut found = Vec::new();
         for probe_i in 0..24u64 {
-            let probe = Circle::new(
+            let region = Circle::new(
                 Point::new(
                     AREA * unit(1000 + probe_i * 2),
                     AREA * unit(2000 + probe_i * 2),
                 ),
                 2.0 + 8.0 * unit(3000 + probe_i),
             );
-            idx.clusters_within_into(&probe, &mut found);
+            let found = probe(idx, &region);
             for &(slot, c) in &circles {
                 let inside = idx.spec().area().contains_rect(&c.bounding_rect());
-                if inside && c.overlaps(&probe) {
+                if inside && c.overlaps(&region) {
                     assert!(
                         found.contains(&slot),
-                        "probe {probe:?} missed overlapping {slot:?} at {c:?}"
+                        "probe {region:?} missed overlapping {slot:?} at {c:?}"
                     );
                 }
             }
@@ -790,9 +784,8 @@ mod tests {
         for &linear in idx.cells_of(victim).expect("re-registered") {
             assert!(idx.cell_linear(linear).contains(&victim));
         }
-        idx.clusters_within_into(&old_region, &mut found);
         assert!(
-            !found.contains(&victim),
+            !probe(idx, &old_region).contains(&victim),
             "reused slot still answers at its old region"
         );
 

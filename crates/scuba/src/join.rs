@@ -1147,6 +1147,7 @@ mod tests {
     }
 
     fn ctx(engine: &ClusterEngine) -> JoinContext<'_> {
+        assert!(engine.index_is_current(), "sync_index() before joining");
         JoinContext {
             store: engine.store(),
             grid: engine.grid(),
@@ -1164,6 +1165,7 @@ mod tests {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 505.0, 500.0, 30.0, CN_EAST, 20.0)); // covers ±10
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(out.results, vec![QueryMatch::new(QueryId(1), ObjectId(1))]);
         assert!(out.comparisons >= 1);
@@ -1174,6 +1176,7 @@ mod tests {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 530.0, 500.0, 30.0, CN_EAST, 20.0)); // 30 > 10
+        e.sync_index();
         let out = ctx(&e).run();
         assert!(out.results.is_empty());
         assert_eq!(out.comparisons, 1);
@@ -1184,6 +1187,7 @@ mod tests {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&obj(2, 505.0, 500.0, 30.0, CN_EAST));
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(out.comparisons, 0);
         assert!(out.results.is_empty());
@@ -1198,6 +1202,7 @@ mod tests {
         e.process_update(&obj(2, 506.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 503.0, 501.0, 30.0, CN_WEST, 20.0));
         assert_eq!(e.cluster_count(), 2);
+        e.sync_index();
         let out = ctx(&e).run();
         // One cluster-pair overlap test plus member-level reach tests.
         assert!(out.prefilter_tests >= 1);
@@ -1221,6 +1226,7 @@ mod tests {
         let mut e = ClusterEngine::new(params, Rect::square(1000.0));
         e.process_update(&obj(1, 100.0, 100.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 900.0, 900.0, 30.0, CN_WEST, 20.0));
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(out.prefilter_tests, 1);
         assert_eq!(out.pairs_pruned, 1);
@@ -1233,6 +1239,7 @@ mod tests {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
         e.process_update(&obj(1, 100.0, 100.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 900.0, 900.0, 30.0, CN_WEST, 20.0));
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(out.prefilter_tests, 0);
         assert_eq!(out.comparisons, 0);
@@ -1248,6 +1255,7 @@ mod tests {
             e.process_update(&obj(i, 450.0 + i as f64 * 20.0, 500.0, 30.0, CN_EAST));
         }
         e.process_update(&qry(1, 510.0, 505.0, 30.0, CN_WEST, 400.0));
+        e.sync_index();
         let out = ctx(&e).run();
         // All 5 objects match exactly once.
         assert_eq!(out.results.len(), 5);
@@ -1260,6 +1268,7 @@ mod tests {
         let mut e = ClusterEngine::new(params, Rect::square(1000.0));
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 505.0, 500.0, 30.0, CN_EAST, 20.0));
+        e.sync_index();
         let out = ctx(&e).run();
         // Under full shedding both positions are gone; the nucleus overlap
         // reports the (true) match.
@@ -1276,6 +1285,7 @@ mod tests {
         // exact join would not match a 20-unit range.
         e.process_update(&obj(1, 460.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 550.0, 500.0, 30.0, CN_EAST, 20.0));
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(
             out.results,
@@ -1290,6 +1300,7 @@ mod tests {
         );
         exact.process_update(&obj(1, 460.0, 500.0, 30.0, CN_EAST));
         exact.process_update(&qry(1, 550.0, 500.0, 30.0, CN_EAST, 20.0));
+        exact.sync_index();
         let truth = ctx(&exact).run();
         assert!(truth.results.is_empty());
     }
@@ -1301,6 +1312,7 @@ mod tests {
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST)); // founder, shed
         e.process_update(&obj(2, 580.0, 500.0, 30.0, CN_EAST)); // r≈80 kept
         e.process_update(&qry(1, 587.0, 500.0, 30.0, CN_EAST, 20.0)); // kept
+        e.sync_index();
         let out = ctx(&e).run();
         // Object 2 (exact, at 580) falls in the query region [577, 597].
         // Object 1 is shed: its nucleus (radius η·Θ_D = 20 around the final
@@ -1324,6 +1336,7 @@ mod tests {
             },
         );
         e.process_update(&knn_q);
+        e.sync_index();
         let out = ctx(&e).run();
         assert!(out.results.is_empty());
     }
@@ -1340,6 +1353,7 @@ mod tests {
         for q in 0..2 {
             e.process_update(&qry(q, 500.0 + q as f64, 501.0, 30.0, CN_EAST, 50.0));
         }
+        e.sync_index();
         let out = ctx(&e).run();
         assert_eq!(out.results.len(), 6);
         let mut sorted = out.results.clone();
@@ -1353,6 +1367,7 @@ mod tests {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&qry(1, 505.0, 500.0, 30.0, CN_EAST, 20.0));
+        e.sync_index();
         let out = ctx(&e).run();
         let names: Vec<&str> = out.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
@@ -1389,6 +1404,7 @@ mod tests {
             e.process_update(&obj(100 + i, x + 5.0, 505.0, 30.0, CN_EAST));
             e.process_update(&qry(i, x + 2.0, 502.0, 30.0, CN_WEST, 60.0));
         }
+        e.sync_index();
         let serial = ctx(&e).run();
         assert!(!serial.results.is_empty());
         for workers in [2usize, 4, 8] {
@@ -1415,6 +1431,7 @@ mod tests {
             e.process_update(&obj(100 + i, x + 5.0, 505.0, 30.0, CN_EAST));
             e.process_update(&qry(i, x + 2.0, 502.0, 30.0, CN_WEST, 60.0));
         }
+        e.sync_index();
         let mut scalar_ctx = ctx(&e);
         scalar_ctx.kernel = KernelKind::Scalar;
         let scalar = scalar_ctx.run();
@@ -1446,6 +1463,7 @@ mod tests {
 
         // Round 1: no previous round to vouch for any cluster — computed,
         // nothing admitted.
+        e.sync_index();
         let cold = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert!(cold.cache_hits == 0 && cold.cache_misses > 0);
         assert!(!cold.results.is_empty());
@@ -1481,6 +1499,7 @@ mod tests {
         }
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
+        e.sync_index();
         let cold = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         let cached = cache.len();
@@ -1488,6 +1507,7 @@ mod tests {
         // Refresh one object: exactly its cluster's pairs recompute, and —
         // dirty since the previous round — are not admitted again.
         e.process_update(&obj(0, 61.0, 500.0, 30.0, CN_EAST));
+        e.sync_index();
         let warm = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert!(warm.cache_hits > 0, "untouched pairs replay");
         assert!(warm.cache_misses > 0, "touched pair recomputes");
@@ -1516,6 +1536,7 @@ mod tests {
         }
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
+        e.sync_index();
         ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         let cached = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
@@ -1553,6 +1574,7 @@ mod tests {
                 q.time = round;
                 e.process_update(&q);
             }
+            e.sync_index();
             let out = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
             assert!(
                 cache.len() as u64 <= out.cache_hits + out.cache_misses,
@@ -1581,6 +1603,7 @@ mod tests {
         e.process_update(&qry(1, 500.0, 500.0, 30.0, CN_WEST, 2000.0));
         let mut cache = JoinCache::new();
         let mut scratch = JoinScratch::new();
+        e.sync_index();
         let first = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
         assert_eq!(first.results.len(), 400);
         assert!(scratch.pairs_tmp.capacity() >= scratch.pairs.len());
@@ -1617,6 +1640,7 @@ mod tests {
                 q.time = round;
                 e.process_update(&q);
             }
+            e.sync_index();
             let out = ctx(&e).run_cached(Some(e.epochs()), &mut cache, &mut scratch);
             assert_eq!(cache.len(), 0, "round {round}");
             assert_eq!(out.cache_hits, 0);

@@ -90,16 +90,18 @@ impl From<ParamsError> for String {
     }
 }
 
-/// How the §3.2 step-1 grid probe interprets "clusters in the proximity of
-/// the current location". Ablation knob for DESIGN.md §3.5 #3.
+/// How the §3.2 step-1 probe interprets "clusters in the proximity of the
+/// current location". Ablation knob for DESIGN.md §3.5 #3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ProbeScope {
-    /// Probe every cell overlapping the Θ_D disk around the update (the
-    /// default): clustering behaviour is independent of grid granularity.
+    /// Consider every cluster whose centroid lies in a cell the Θ_D box
+    /// around the update touches (the default): clustering behaviour is
+    /// independent of grid granularity.
     #[default]
     ThetaDisk,
-    /// Probe only the update's own cell — the literal reading of the
-    /// pseudo-code. With cells smaller than Θ_D this fragments clusters.
+    /// Consider only clusters whose centroid lies in the update's own cell
+    /// — the literal reading of the pseudo-code. With cells smaller than
+    /// Θ_D this fragments clusters.
     OwnCell,
 }
 

@@ -891,6 +891,7 @@ fn shard_evaluate(
     );
 
     let sw = Stopwatch::start();
+    engine.sync_index();
     engine.rebalance_index();
     phases.push(
         StageStats::maintenance(STAGE_GRID_REBALANCE)

@@ -5,8 +5,8 @@
 //! re-learning its clusters from scratch (the incremental clusterer's state
 //! *is* the summary of everything it has seen). The snapshot stores
 //! clusters, members (with their lazy-transformation drift marks), the
-//! attribute tables and the id counter; the grid index and home map are
-//! derived state and are rebuilt on restore.
+//! attribute tables and the id counter; the two indexes and the entity
+//! directory are derived state and are rebuilt on restore.
 //!
 //! The format avoids maps with non-string keys, so `serde_json` (and any
 //! other self-describing format) works directly.
@@ -192,8 +192,8 @@ impl EngineSnapshot {
         }
     }
 
-    /// Restores an engine from this snapshot, rebuilding the grid index,
-    /// the home map and per-cluster member indexes. Fails on internally
+    /// Restores an engine from this snapshot, rebuilding both indexes and
+    /// the entity directory. Fails on internally
     /// inconsistent snapshots (duplicate cluster ids, an entity in two
     /// clusters, ids past the counter).
     ///
@@ -331,9 +331,13 @@ mod tests {
     #[test]
     fn restored_engine_produces_identical_results() {
         use crate::join::JoinContext;
-        let original = busy_engine();
+        let mut original = busy_engine();
         let restored = EngineSnapshot::capture(&original).restore().unwrap();
+        // A restored engine's region index comes back current; the live
+        // one syncs as it would before any join.
+        original.sync_index();
         let run = |e: &ClusterEngine| {
+            assert!(e.index_is_current());
             JoinContext {
                 store: e.store(),
                 grid: e.grid(),
@@ -378,11 +382,13 @@ mod tests {
         let mut restored = snapshot.restore().expect("restores");
         assert_eq!(restored.params().index, IndexKind::Adaptive);
         restored.check_invariants();
+        original.sync_index();
         original.rebalance_index();
         restored.rebalance_index();
 
         use crate::join::JoinContext;
         let run = |e: &ClusterEngine| {
+            assert!(e.index_is_current());
             JoinContext {
                 store: e.store(),
                 grid: e.grid(),

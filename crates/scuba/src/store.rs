@@ -12,8 +12,8 @@
 //! * **generation counters** per slot, bumped on every reuse, so stale
 //!   handles are detectable (debug assertions; the epoch clock below makes
 //!   reuse safe for the cache even without checking generations);
-//! * **SoA hot columns** (centroid x/y, radius, effective radius, velocity,
-//!   member counts) kept in sync on every mutation, so the join-between
+//! * **SoA hot columns** (centroid x/y, radius, effective radius, object
+//!   and query counts) kept in sync on every mutation, so the join-between
 //!   pre-filter is a linear sweep over contiguous `f64` columns;
 //! * the dense [`EpochTracker`] — one `u64` mutation mark per slot under a
 //!   global monotonic clock.
@@ -132,12 +132,6 @@ pub struct StoreColumns<'a> {
     /// Effective radius per slot — radius + widest member-query reach
     /// ([`MovingCluster::effective_region`]).
     pub eff_radius: &'a [f64],
-    /// Velocity x per slot.
-    pub vx: &'a [f64],
-    /// Velocity y per slot.
-    pub vy: &'a [f64],
-    /// Total member count per slot.
-    pub member_count: &'a [u32],
     /// Object members per slot.
     pub object_count: &'a [u32],
     /// Query members per slot.
@@ -230,9 +224,6 @@ pub struct ClusterStore {
     cy: Vec<f64>,
     radius: Vec<f64>,
     eff_radius: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    member_count: Vec<u32>,
     object_count: Vec<u32>,
     query_count: Vec<u32>,
     epochs: EpochTracker,
@@ -297,9 +288,6 @@ impl ClusterStore {
                 self.cy.push(0.0);
                 self.radius.push(0.0);
                 self.eff_radius.push(0.0);
-                self.vx.push(0.0);
-                self.vy.push(0.0);
-                self.member_count.push(0);
                 self.object_count.push(0);
                 self.query_count.push(0);
                 self.slots.len() - 1
@@ -325,9 +313,6 @@ impl ClusterStore {
         self.cy[i] = 0.0;
         self.radius[i] = 0.0;
         self.eff_radius[i] = 0.0;
-        self.vx[i] = 0.0;
-        self.vy[i] = 0.0;
-        self.member_count[i] = 0;
         self.object_count[i] = 0;
         self.query_count[i] = 0;
         self.free.push(slot.0);
@@ -401,9 +386,6 @@ impl ClusterStore {
             cy: &self.cy,
             radius: &self.radius,
             eff_radius: &self.eff_radius,
-            vx: &self.vx,
-            vy: &self.vy,
-            member_count: &self.member_count,
             object_count: &self.object_count,
             query_count: &self.query_count,
         }
@@ -414,8 +396,8 @@ impl ClusterStore {
     pub fn estimated_bytes(&self) -> usize {
         let clusters: usize = self.values().map(MovingCluster::estimated_bytes).sum();
         let slab = self.slots.capacity() * std::mem::size_of::<Option<MovingCluster>>();
-        let f64_cols = 6 * self.cx.capacity() * std::mem::size_of::<f64>();
-        let u32_cols = 3 * self.member_count.capacity() * std::mem::size_of::<u32>()
+        let f64_cols = 4 * self.cx.capacity() * std::mem::size_of::<f64>();
+        let u32_cols = 2 * self.object_count.capacity() * std::mem::size_of::<u32>()
             + self.generations.capacity() * std::mem::size_of::<u32>()
             + self.free.capacity() * std::mem::size_of::<u32>();
         let by_id = self.by_id.capacity() * (std::mem::size_of::<ClusterId>() + 12);
@@ -427,14 +409,10 @@ impl ClusterStore {
         let i = slot.index();
         let c = self.slots[i].as_ref().expect("sync of vacant slot");
         let centroid = c.centroid();
-        let v = c.velocity();
         self.cx[i] = centroid.x;
         self.cy[i] = centroid.y;
         self.radius[i] = c.radius();
         self.eff_radius[i] = c.radius() + c.max_query_radius();
-        self.vx[i] = v.dx;
-        self.vy[i] = v.dy;
-        self.member_count[i] = c.len() as u32;
         self.object_count[i] = c.object_count() as u32;
         self.query_count[i] = c.query_count() as u32;
     }
@@ -473,7 +451,6 @@ impl ClusterStore {
             );
             let i = slot.index();
             let centroid = c.centroid();
-            let v = c.velocity();
             assert_eq!(self.cx[i].to_bits(), centroid.x.to_bits());
             assert_eq!(self.cy[i].to_bits(), centroid.y.to_bits());
             assert_eq!(self.radius[i].to_bits(), c.radius().to_bits());
@@ -481,9 +458,6 @@ impl ClusterStore {
                 self.eff_radius[i].to_bits(),
                 (c.radius() + c.max_query_radius()).to_bits()
             );
-            assert_eq!(self.vx[i].to_bits(), v.dx.to_bits());
-            assert_eq!(self.vy[i].to_bits(), v.dy.to_bits());
-            assert_eq!(self.member_count[i], c.len() as u32);
             assert_eq!(self.object_count[i], c.object_count() as u32);
             assert_eq!(self.query_count[i], c.query_count() as u32);
             assert_ne!(
@@ -592,7 +566,7 @@ mod tests {
         s.update(a, |c| c.absorb(&u, false));
         let cols = s.columns();
         assert_eq!(cols.cx[a.index()], 12.0, "centroid moved");
-        assert_eq!(cols.member_count[a.index()], 2);
+        assert_eq!(cols.object_count[a.index()], 2);
         assert!(cols.radius[a.index()] > 0.0);
         s.check_coherent();
     }

@@ -6,8 +6,10 @@
 //! * **ClusterHome** — "a hash table that keeps track of the current
 //!   relationships between objects, queries and their corresponding
 //!   clusters. A moving object/query can belong to only one cluster at a
-//!   time". It maps entities to dense [`ClusterSlot`] handles so membership
-//!   resolution feeds straight into the store's indexed paths.
+//!   time". It is the engine's one entity directory: each entity maps to
+//!   the dense [`ClusterSlot`] of its cluster *and* its position in that
+//!   cluster's member list, so an update reaches its member record with a
+//!   single hash probe and two indexed loads.
 
 use scuba_motion::{EntityRef, ObjectAttrs, ObjectId, QueryAttrs, QueryId};
 use scuba_spatial::FxHashMap;
@@ -113,31 +115,50 @@ impl QueriesTable {
     }
 }
 
-/// Entity → cluster-slot membership map.
+/// Entity → (cluster slot, member position) directory.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterHome {
-    home: FxHashMap<EntityRef, ClusterSlot>,
+    home: FxHashMap<EntityRef, (ClusterSlot, u32)>,
 }
 
 impl ClusterHome {
-    /// Creates an empty map.
+    /// Creates an empty directory.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records that `entity` now belongs to the cluster at `slot`,
-    /// returning its previous slot if it had one.
-    pub fn assign(&mut self, entity: EntityRef, slot: ClusterSlot) -> Option<ClusterSlot> {
-        self.home.insert(entity, slot)
+    /// Records that `entity` is now member number `idx` of the cluster at
+    /// `slot`, returning its previous slot if it had one.
+    pub fn assign(
+        &mut self,
+        entity: EntityRef,
+        slot: ClusterSlot,
+        idx: u32,
+    ) -> Option<ClusterSlot> {
+        self.home.insert(entity, (slot, idx)).map(|(prev, _)| prev)
     }
 
     /// The slot of the cluster `entity` currently belongs to.
     pub fn cluster_of(&self, entity: EntityRef) -> Option<ClusterSlot> {
+        self.entry_of(entity).map(|(slot, _)| slot)
+    }
+
+    /// The slot of `entity`'s cluster and its position in that cluster's
+    /// member list.
+    pub fn entry_of(&self, entity: EntityRef) -> Option<(ClusterSlot, u32)> {
         self.home.get(&entity).copied()
     }
 
+    /// Re-points `entity` at member position `idx` of its (unchanged)
+    /// cluster — a swap-remove moved it.
+    pub fn set_index(&mut self, entity: EntityRef, idx: u32) {
+        if let Some(entry) = self.home.get_mut(&entity) {
+            entry.1 = idx;
+        }
+    }
+
     /// Removes the entity's membership, returning it.
-    pub fn unassign(&mut self, entity: EntityRef) -> Option<ClusterSlot> {
+    pub fn unassign(&mut self, entity: EntityRef) -> Option<(ClusterSlot, u32)> {
         self.home.remove(&entity)
     }
 
@@ -154,7 +175,7 @@ impl ClusterHome {
     /// Estimated heap footprint in bytes.
     pub fn estimated_bytes(&self) -> usize {
         self.home.capacity()
-            * (std::mem::size_of::<EntityRef>() + std::mem::size_of::<ClusterSlot>() + 8)
+            * (std::mem::size_of::<EntityRef>() + std::mem::size_of::<(ClusterSlot, u32)>() + 8)
     }
 }
 
@@ -207,13 +228,16 @@ mod tests {
     fn cluster_home_single_membership() {
         let mut h = ClusterHome::new();
         let o: EntityRef = ObjectId(5).into();
-        assert_eq!(h.assign(o, ClusterSlot(1)), None);
+        assert_eq!(h.assign(o, ClusterSlot(1), 0), None);
         assert_eq!(h.cluster_of(o), Some(ClusterSlot(1)));
         // Re-assignment returns the previous slot (the entity moved).
-        assert_eq!(h.assign(o, ClusterSlot(2)), Some(ClusterSlot(1)));
-        assert_eq!(h.cluster_of(o), Some(ClusterSlot(2)));
+        assert_eq!(h.assign(o, ClusterSlot(2), 3), Some(ClusterSlot(1)));
+        assert_eq!(h.entry_of(o), Some((ClusterSlot(2), 3)));
+        // A swap-remove in the cluster re-points the position only.
+        h.set_index(o, 1);
+        assert_eq!(h.entry_of(o), Some((ClusterSlot(2), 1)));
         assert_eq!(h.len(), 1);
-        assert_eq!(h.unassign(o), Some(ClusterSlot(2)));
+        assert_eq!(h.unassign(o), Some((ClusterSlot(2), 1)));
         assert_eq!(h.cluster_of(o), None);
         assert!(h.is_empty());
     }
@@ -221,8 +245,8 @@ mod tests {
     #[test]
     fn object_and_query_ids_do_not_collide_in_home() {
         let mut h = ClusterHome::new();
-        h.assign(ObjectId(1).into(), ClusterSlot(1));
-        h.assign(QueryId(1).into(), ClusterSlot(2));
+        h.assign(ObjectId(1).into(), ClusterSlot(1), 0);
+        h.assign(QueryId(1).into(), ClusterSlot(2), 0);
         assert_eq!(h.len(), 2);
         assert_eq!(h.cluster_of(ObjectId(1).into()), Some(ClusterSlot(1)));
         assert_eq!(h.cluster_of(QueryId(1).into()), Some(ClusterSlot(2)));
@@ -232,7 +256,7 @@ mod tests {
     fn estimated_bytes_nonzero_when_filled() {
         let mut h = ClusterHome::new();
         for i in 0..100 {
-            h.assign(ObjectId(i).into(), ClusterSlot(i as u32));
+            h.assign(ObjectId(i).into(), ClusterSlot(i as u32), 0);
         }
         assert!(h.estimated_bytes() > 0);
         let mut t = ObjectsTable::new();

@@ -58,7 +58,16 @@ fn convoy(engine: &mut ClusterEngine, tag: u64, centre: Point, n_objects: u64, t
 /// Runs the cached join over the engine's current state and asserts the
 /// core invariant in passing: the cached output always equals a
 /// from-scratch [`JoinContext::run`] over the same state.
-fn joined(engine: &ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScratch) -> JoinOutput {
+fn joined(
+    engine: &mut ClusterEngine,
+    cache: &mut JoinCache,
+    scratch: &mut JoinScratch,
+) -> JoinOutput {
+    // The region index is brought up to date once per Δ, right before the
+    // join — here that is this helper's job.
+    engine.sync_index();
+    assert!(engine.index_is_current());
+    let engine = &*engine;
     let ctx = JoinContext {
         store: engine.store(),
         grid: engine.grid(),
@@ -80,7 +89,7 @@ fn joined(engine: &ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScrat
 
 /// One quiet round that replays nothing yet: pairs computed while dirty in
 /// the round before are computed once more, found clean, and admitted.
-fn warmed(engine: &ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScratch) {
+fn warmed(engine: &mut ClusterEngine, cache: &mut JoinCache, scratch: &mut JoinScratch) {
     let admitting = joined(engine, cache, scratch);
     assert!(admitting.cache_misses > 0 && !cache.is_empty());
 }
@@ -95,14 +104,14 @@ fn dissolve_mid_epoch_invalidates_cached_pair() {
     convoy(&mut engine, 2, Point::new(700.0, 700.0), 4, 0);
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
-    let cold = joined(&engine, &mut cache, &mut scratch);
+    let cold = joined(&mut engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty(), "both convoys produce matches");
     assert_eq!(cold.cache_hits, 0, "first epoch is all misses");
     assert!(cold.cache_misses >= 2, "one pair per convoy computed");
     assert!(cache.is_empty(), "nothing is admitted on first sight");
 
-    warmed(&engine, &mut cache, &mut scratch);
-    let warm = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let warm = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2, "silent epoch replays every pair");
     assert_eq!(warm.cache_misses, 0);
@@ -115,7 +124,7 @@ fn dissolve_mid_epoch_invalidates_cached_pair() {
     engine.dissolve(cid);
     engine.check_invariants();
 
-    let after = joined(&engine, &mut cache, &mut scratch);
+    let after = joined(&mut engine, &mut cache, &mut scratch);
     assert!(
         after.results.len() < warm.results.len(),
         "the dissolved convoy's matches disappear"
@@ -174,10 +183,10 @@ fn shedding_escalation_dirties_cached_pairs() {
     ));
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
-    let cold = joined(&engine, &mut cache, &mut scratch);
+    let cold = joined(&mut engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
-    warmed(&engine, &mut cache, &mut scratch);
-    let warm = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let warm = joined(&mut engine, &mut cache, &mut scratch);
     assert!(warm.cache_hits >= 1, "unshed convoy replays");
 
     // none → partial: the inner ring (within η·Θ_D of the centroid) loses
@@ -187,14 +196,14 @@ fn shedding_escalation_dirties_cached_pairs() {
         engine.shed_now() > 0,
         "partial shedding strips the inner ring"
     );
-    let partial = joined(&engine, &mut cache, &mut scratch);
+    let partial = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(partial.cache_hits, 0, "no stale replay of pre-shed matches");
     assert!(partial.cache_misses >= 1);
     assert!(partial.cache_invalidations >= 1);
 
     // Quiet epochs under partial shedding are clean again.
-    warmed(&engine, &mut cache, &mut scratch);
-    let partial_warm = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let partial_warm = joined(&mut engine, &mut cache, &mut scratch);
     assert!(
         partial_warm.cache_hits >= 1,
         "shed state itself is cacheable"
@@ -206,7 +215,7 @@ fn shedding_escalation_dirties_cached_pairs() {
         engine.shed_now() > 0,
         "full shedding strips the outer members"
     );
-    let full = joined(&engine, &mut cache, &mut scratch);
+    let full = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(full.cache_hits, 0, "escalation invalidates again");
     assert!(full.cache_misses >= 1);
     assert!(full.cache_invalidations >= 1);
@@ -224,9 +233,9 @@ fn evict_stale_drops_cached_pairs_cluster() {
     convoy(&mut engine, 2, Point::new(700.0, 700.0), 4, 0);
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
-    let cold = joined(&engine, &mut cache, &mut scratch);
-    warmed(&engine, &mut cache, &mut scratch);
-    let warm = joined(&engine, &mut cache, &mut scratch);
+    let cold = joined(&mut engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let warm = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2);
 
@@ -237,7 +246,7 @@ fn evict_stale_drops_cached_pairs_cluster() {
     assert!(evicted >= 5, "convoy 2's members all age out");
     engine.check_invariants();
 
-    let after = joined(&engine, &mut cache, &mut scratch);
+    let after = joined(&mut engine, &mut cache, &mut scratch);
     assert!(
         after.results.len() < warm.results.len(),
         "the evicted convoy's matches disappear"
@@ -250,8 +259,8 @@ fn evict_stale_drops_cached_pairs_cluster() {
     // recomputes this epoch, is admitted on the next quiet one and
     // replays from the one after.
     assert!(after.cache_misses >= 1);
-    warmed(&engine, &mut cache, &mut scratch);
-    let settled = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let settled = joined(&mut engine, &mut cache, &mut scratch);
     assert!(settled.cache_hits >= 1, "the survivor warms back up");
 }
 
@@ -266,10 +275,10 @@ fn remove_entity_invalidates_cached_pair() {
     convoy(&mut engine, 2, Point::new(700.0, 700.0), 4, 0);
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
-    let cold = joined(&engine, &mut cache, &mut scratch);
+    let cold = joined(&mut engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
-    warmed(&engine, &mut cache, &mut scratch);
-    let warm = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let warm = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(warm.results, cold.results);
     assert!(warm.cache_hits >= 2, "both convoys replay when quiet");
 
@@ -285,7 +294,7 @@ fn remove_entity_invalidates_cached_pair() {
     );
     engine.check_invariants();
 
-    let after = joined(&engine, &mut cache, &mut scratch);
+    let after = joined(&mut engine, &mut cache, &mut scratch);
     assert!(
         after.results.len() < warm.results.len(),
         "the removed object's matches disappear"
@@ -305,8 +314,8 @@ fn remove_entity_invalidates_cached_pair() {
         engine.cluster(cid).is_some(),
         "cluster survives the removal"
     );
-    warmed(&engine, &mut cache, &mut scratch);
-    let settled = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let settled = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(settled.results, after.results);
     assert!(settled.cache_hits >= 2, "everything replays when quiet");
 }
@@ -645,10 +654,10 @@ fn escalation_with_removal_and_eviction_invalidates_cleanly() {
     convoy(&mut engine, 2, Point::new(700.0, 700.0), 4, 0);
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
 
-    let cold = joined(&engine, &mut cache, &mut scratch);
+    let cold = joined(&mut engine, &mut cache, &mut scratch);
     assert!(!cold.results.is_empty());
-    warmed(&engine, &mut cache, &mut scratch);
-    let warm = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let warm = joined(&mut engine, &mut cache, &mut scratch);
     assert!(warm.cache_hits >= 2, "both convoys replay when quiet");
 
     // Two deadline misses escalate the controller; the decision is
@@ -669,7 +678,7 @@ fn escalation_with_removal_and_eviction_invalidates_cleanly() {
     assert!(engine.evict_stale(20, 8) >= 4, "silent convoy 2 ages out");
     engine.check_invariants();
 
-    let after = joined(&engine, &mut cache, &mut scratch);
+    let after = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(after.cache_hits, 0, "nothing replays across the upheaval");
     assert!(after.cache_invalidations >= 1);
     assert!(
@@ -685,8 +694,8 @@ fn escalation_with_removal_and_eviction_invalidates_cleanly() {
     );
 
     // Quiet again: the shed, shrunken state is itself cacheable.
-    warmed(&engine, &mut cache, &mut scratch);
-    let settled = joined(&engine, &mut cache, &mut scratch);
+    warmed(&mut engine, &mut cache, &mut scratch);
+    let settled = joined(&mut engine, &mut cache, &mut scratch);
     assert_eq!(settled.results, after.results);
     assert!(settled.cache_hits >= 1, "the survivor warms back up");
 }

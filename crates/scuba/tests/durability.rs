@@ -17,14 +17,15 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use scuba::{
-    recover, resume, run_supervised, NoObserver, ScubaParams, SuperviseConfig, SupervisedOutcome,
+    recover, resume, run_supervised, EngineSnapshot, IndexKind, NoObserver, ScubaOperator,
+    ScubaParams, SheddingMode, SuperviseConfig, SupervisedOutcome,
 };
 use scuba_motion::{
     LocationUpdate, ObjectAttrs, ObjectClass, ObjectId, QueryAttrs, QueryId, QuerySpec,
 };
 use scuba_spatial::{Point, Rect, Time};
 use scuba_stream::executor::UpdateSource;
-use scuba_stream::{EvaluationReport, PanicInjector, PanicPlan, QueryMatch};
+use scuba_stream::{ContinuousOperator, EvaluationReport, PanicInjector, PanicPlan, QueryMatch};
 
 const CN: Point = Point {
     x: 1000.0,
@@ -384,4 +385,181 @@ fn exhausted_budget_reports_abort() {
     let reason = outcome.report.aborted.expect("run must abort");
     assert!(reason.contains("restart budget"), "{reason}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seeded fleet that keeps clusters forming, overlapping, dissolving and
+/// re-founding: every entity drives toward one of four border nodes at a
+/// speed inside one Θ_S band and picks a new node on arrival. Entities
+/// bound for the same node from nearby positions are within Θ_D of several
+/// same-direction centroids at once — exactly where the choice of absorbing
+/// cluster must not depend on slot history — and every arrival dissolves a
+/// cluster whose slot the next founding reuses.
+struct Fleet {
+    seed: u64,
+    tick: Time,
+    /// Position, destination node index, speed.
+    entities: Vec<(Point, usize, f64)>,
+}
+
+const NODES: [Point; 4] = [
+    Point { x: 0.0, y: 500.0 },
+    Point {
+        x: 1000.0,
+        y: 500.0,
+    },
+    Point { x: 500.0, y: 0.0 },
+    Point {
+        x: 500.0,
+        y: 1000.0,
+    },
+];
+
+/// SplitMix64: stateless, so a choice depends only on `(seed, inputs)`.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+impl Fleet {
+    fn new(seed: u64, n: u64) -> Self {
+        let entities = (0..n)
+            .map(|i| {
+                let h = mix(seed ^ (i << 20));
+                let loc = Point::new(100.0 + (h % 800) as f64, 100.0 + (h >> 16) as f64 % 800.0);
+                (loc, (h >> 40) as usize % 4, 20.0 + (h >> 50) as f64 % 8.0)
+            })
+            .collect();
+        Fleet {
+            seed,
+            tick: 0,
+            entities,
+        }
+    }
+
+    /// Advances every entity one time unit and reports it.
+    fn next_tick(&mut self) -> Vec<LocationUpdate> {
+        self.tick += 1;
+        let (seed, t) = (self.seed, self.tick);
+        self.entities
+            .iter_mut()
+            .enumerate()
+            .map(|(i, (loc, node, speed))| {
+                let i = i as u64;
+                let to_node = NODES[*node] - *loc;
+                if to_node.norm() <= *speed {
+                    *loc = NODES[*node];
+                    *node = (*node + 1 + (mix(seed ^ i ^ (t << 32)) % 3) as usize) % 4;
+                } else {
+                    *loc += to_node.with_length(*speed);
+                }
+                if i % 4 == 3 {
+                    LocationUpdate::query(
+                        QueryId(i),
+                        *loc,
+                        t,
+                        *speed,
+                        NODES[*node],
+                        QueryAttrs {
+                            spec: QuerySpec::square_range(60.0),
+                        },
+                    )
+                } else {
+                    LocationUpdate::object(
+                        ObjectId(i),
+                        *loc,
+                        t,
+                        *speed,
+                        NODES[*node],
+                        ObjectAttrs::default(),
+                    )
+                }
+            })
+            .collect()
+    }
+}
+
+/// Feeds one tick to an operator, evaluating when Δ expires.
+fn step(op: &mut ScubaOperator, updates: &[LocationUpdate], t: Time) -> Option<Vec<QueryMatch>> {
+    op.process_batch(updates);
+    (t % op.engine().params().delta == 0).then(|| op.evaluate(t).results)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Engine state is a function of the update history, not of slot
+    /// history: an engine restored from a capture — whose slots are
+    /// reassigned in cluster-id order, unlike the live engine's
+    /// churn-ordered slab — fed the same remaining ticks stays
+    /// `capture()`-equal to the live one (cluster ids, member lists,
+    /// `next_cluster_id`) and answers identically at every evaluation.
+    /// Under shedding the answers depend on the grouping, so they agree
+    /// only because the grouping does.
+    #[test]
+    fn restored_engine_continues_capture_identical(
+        seed in 0u64..1000,
+        cut in 6u64..30,
+        shed in any::<bool>(),
+    ) {
+        let shedding = if shed { SheddingMode::Partial { eta: 0.5 } } else { SheddingMode::None };
+        let params = ScubaParams::default().with_shedding(shedding);
+        let mut fleet = Fleet::new(seed, 320);
+        let mut live = ScubaOperator::new(params, area());
+        for t in 1..=cut {
+            step(&mut live, &fleet.next_tick(), t);
+        }
+        prop_assert!(
+            live.clustering_stats().dissolutions > 0,
+            "the stream must dissolve and re-found clusters before the cut"
+        );
+        let snapshot = EngineSnapshot::capture(live.engine());
+        let mut restored = ScubaOperator::from_engine(snapshot.restore().expect("restores"));
+        for t in cut + 1..=cut + 24 {
+            let updates = fleet.next_tick();
+            let a = step(&mut live, &updates, t);
+            let b = step(&mut restored, &updates, t);
+            prop_assert_eq!(a, b, "answers diverged at t={}", t);
+            prop_assert_eq!(
+                EngineSnapshot::capture(restored.engine()),
+                EngineSnapshot::capture(live.engine()),
+                "captures diverged at t={}", t
+            );
+        }
+        live.engine().check_invariants();
+        restored.engine().check_invariants();
+    }
+
+    /// Clustering never reads the region index, so the index kind cannot
+    /// show in engine state: a uniform-grid and an adaptive-grid engine fed
+    /// the same stream stay `capture()`-equal (params aside) and answer
+    /// identically.
+    #[test]
+    fn uniform_and_adaptive_engines_stay_capture_identical(seed in 0u64..1000) {
+        let mut fleet = Fleet::new(seed, 320);
+        // Coarse cells and a low split threshold, so the adaptive grid
+        // really refines (and re-balances) under this fleet.
+        let uniform_params = ScubaParams::default().with_grid_cells(20);
+        let adaptive_params = uniform_params
+            .with_index(IndexKind::Adaptive)
+            .with_split_merge(4, 1);
+        let mut uniform = ScubaOperator::new(uniform_params, area());
+        let mut adaptive = ScubaOperator::new(adaptive_params, area());
+        for t in 1..=30 {
+            let updates = fleet.next_tick();
+            let a = step(&mut uniform, &updates, t);
+            let b = step(&mut adaptive, &updates, t);
+            prop_assert_eq!(a, b, "answers diverged at t={}", t);
+            let mut captured = EngineSnapshot::capture(adaptive.engine());
+            captured.params = uniform_params;
+            prop_assert_eq!(
+                captured,
+                EngineSnapshot::capture(uniform.engine()),
+                "captures diverged at t={}", t
+            );
+        }
+        let refined = adaptive.engine().index().as_adaptive().expect("adaptive index");
+        prop_assert!(refined.refined_cell_count() > 0, "the fleet must refine some cell");
+    }
 }

@@ -58,10 +58,15 @@ fn convoy(engine: &mut ClusterEngine, tag: u64, time: u64) {
 
 /// Runs the join at a given parallelism, optionally through a cache.
 fn joined(
-    engine: &ClusterEngine,
+    engine: &mut ClusterEngine,
     parallelism: usize,
     cache: Option<(&mut JoinCache, &mut JoinScratch)>,
 ) -> JoinOutput {
+    // The region index is brought up to date once per Δ, right before the
+    // join — here that is this helper's job.
+    engine.sync_index();
+    assert!(engine.index_is_current());
+    let engine = &*engine;
     let ctx = JoinContext {
         store: engine.store(),
         grid: engine.grid(),
@@ -119,7 +124,7 @@ fn reports_are_slot_layout_independent() {
         convoy(&mut pristine, tag, 0);
     }
 
-    let reference = joined(&churned, 1, None);
+    let reference = joined(&mut churned, 1, None);
     assert!(!reference.results.is_empty());
     let mut sorted = reference.results.clone();
     sorted.sort();
@@ -127,21 +132,21 @@ fn reports_are_slot_layout_independent() {
     assert_eq!(reference.results, sorted, "report order is canonical");
 
     assert_eq!(
-        joined(&pristine, 1, None).results,
+        joined(&mut pristine, 1, None).results,
         reference.results,
         "slot layout leaked into the report"
     );
     for parallelism in [1, 2, 4] {
         let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
         assert_eq!(
-            joined(&churned, parallelism, None).results,
+            joined(&mut churned, parallelism, None).results,
             reference.results,
             "parallelism {parallelism} changed the report"
         );
         // Cold then warm: replayed-from-cache epochs included.
         for round in 0..2 {
             assert_eq!(
-                joined(&churned, parallelism, Some((&mut cache, &mut scratch))).results,
+                joined(&mut churned, parallelism, Some((&mut cache, &mut scratch))).results,
                 reference.results,
                 "cached round {round} at parallelism {parallelism} diverged"
             );
@@ -181,8 +186,8 @@ fn snapshot_roundtrip_across_slot_reuse() {
         );
     }
     assert_eq!(
-        joined(&live, 1, None).results,
-        joined(&restored, 1, None).results,
+        joined(&mut live, 1, None).results,
+        joined(&mut restored, 1, None).results,
         "restored engine diverged from the uninterrupted run"
     );
     assert_eq!(
@@ -195,14 +200,14 @@ fn snapshot_roundtrip_across_slot_reuse() {
     // misses cold and on the admitting round after it, all hits from the
     // third, identical results throughout.
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
-    let reference = joined(&restored, 1, None);
-    let cold = joined(&restored, 1, Some((&mut cache, &mut scratch)));
+    let reference = joined(&mut restored, 1, None);
+    let cold = joined(&mut restored, 1, Some((&mut cache, &mut scratch)));
     assert_eq!(cold.results, reference.results);
     assert_eq!(cold.cache_hits, 0, "nothing replays against a fresh cache");
     assert!(cold.cache_misses > 0);
-    let admitting = joined(&restored, 1, Some((&mut cache, &mut scratch)));
+    let admitting = joined(&mut restored, 1, Some((&mut cache, &mut scratch)));
     assert_eq!(admitting.cache_misses, cold.cache_misses);
-    let warm = joined(&restored, 1, Some((&mut cache, &mut scratch)));
+    let warm = joined(&mut restored, 1, Some((&mut cache, &mut scratch)));
     assert_eq!(warm.results, reference.results);
     assert_eq!(warm.cache_misses, 0, "quiet epoch replays everything");
     assert!(warm.cache_hits > 0);
@@ -218,9 +223,9 @@ fn slot_reuse_never_replays_previous_occupants_entries() {
         convoy(&mut engine, tag, 0);
     }
     let (mut cache, mut scratch) = (JoinCache::new(), JoinScratch::new());
-    joined(&engine, 1, Some((&mut cache, &mut scratch)));
-    joined(&engine, 1, Some((&mut cache, &mut scratch))); // the admitting round
-    let warm = joined(&engine, 1, Some((&mut cache, &mut scratch)));
+    joined(&mut engine, 1, Some((&mut cache, &mut scratch)));
+    joined(&mut engine, 1, Some((&mut cache, &mut scratch))); // the admitting round
+    let warm = joined(&mut engine, 1, Some((&mut cache, &mut scratch)));
     assert!(warm.cache_hits >= 2, "quiet epoch replays both convoys");
 
     // Convoy 2's cluster dissolves; convoy 5 founds into its slot at a
@@ -232,8 +237,8 @@ fn slot_reuse_never_replays_previous_occupants_entries() {
         Some(freed)
     );
 
-    let after = joined(&engine, 1, Some((&mut cache, &mut scratch)));
-    let reference = joined(&engine, 1, None);
+    let after = joined(&mut engine, 1, Some((&mut cache, &mut scratch)));
+    let reference = joined(&mut engine, 1, None);
     assert_eq!(after.results, reference.results);
     assert!(
         after.results.iter().any(|m| m.query == QueryId(5)),

@@ -34,7 +34,6 @@ pub mod point;
 pub mod polar;
 pub mod rect;
 pub mod rtree;
-pub mod stamp;
 pub mod units;
 
 pub use circle::Circle;
@@ -44,5 +43,4 @@ pub use point::{Point, Vector};
 pub use polar::Polar;
 pub use rect::Rect;
 pub use rtree::RTree;
-pub use stamp::StampSlab;
 pub use units::{Distance, Speed, Time, TimeDelta};
