@@ -215,26 +215,7 @@ fn populated(scale: &ExperimentScale, updates: &[LocationUpdate]) -> ScubaOperat
         op.process_update(u);
     }
     op.evaluate(params.delta);
-    // Post-join maintenance relocated the clusters; the harvest below reads
-    // the region index directly.
-    op.sync_index();
     op
-}
-
-/// Harvests the deduplicated packed pair-key stream exactly as the
-/// join's discovery stage does.
-fn candidate_keys(op: &ScubaOperator) -> Vec<u64> {
-    let mut keys: Vec<u64> = Vec::new();
-    op.engine().grid().for_each_candidate_cell(&mut |cell| {
-        for (i, &a) in cell.iter().enumerate() {
-            for &b in &cell[i..] {
-                keys.push(kernel::pack_pair(a, b));
-            }
-        }
-    });
-    keys.sort_unstable();
-    keys.dedup();
-    keys
 }
 
 /// Times one kernel over the key stream, returning the timing plus the
@@ -318,7 +299,7 @@ fn run_workload(
     make: &dyn Fn(&ExperimentScale, u64) -> Vec<LocationUpdate>,
 ) -> WorkloadOut {
     let op = populated(scale, &make(scale, 0));
-    let keys = candidate_keys(&op);
+    let keys = scuba_bench::candidate_keys(&op);
     assert!(!keys.is_empty(), "{name}: workload produced no pairs");
 
     let (scalar, scalar_tasks, scalar_stats) = time_kernel(&op, &keys, KernelKind::Scalar);

@@ -176,34 +176,16 @@ fn pair_joinable(l: &MovingCluster, r: &MovingCluster, same: bool) -> bool {
             || r.region().overlaps(&l.effective_region()))
 }
 
-/// Collects the deduplicated candidate-pair set exactly as the join's
-/// discovery stage does: every ordered pair (self-pairs included) sharing
-/// a grid cell, packed `(min, max)` and deduplicated.
-fn candidate_pairs(op: &ScubaOperator) -> Vec<(u32, u32)> {
-    let mut keys: Vec<u64> = Vec::new();
-    op.engine().grid().for_each_candidate_cell(&mut |cell| {
-        for (i, &a) in cell.iter().enumerate() {
-            for &b in &cell[i..] {
-                let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-                keys.push((u64::from(lo) << 32) | u64::from(hi));
-            }
-        }
-    });
-    keys.sort_unstable();
-    keys.dedup();
-    keys.iter().map(|&k| ((k >> 32) as u32, k as u32)).collect()
-}
-
 /// Times the circle pre-filter over the candidate pairs, dense-column vs
 /// hash-walk, and asserts both reach identical decisions.
 fn sweep(scale: &ExperimentScale) -> SweepOut {
     let (mut op, _, _) = populated(scale, false);
     let delta = op.engine().params().delta;
     op.evaluate(delta);
-    // Post-join maintenance dissolved and relocated clusters; the harvest
-    // below reads the region index directly.
-    op.sync_index();
-    let pairs = candidate_pairs(&op);
+    let pairs: Vec<(u32, u32)> = scuba_bench::candidate_keys(&op)
+        .iter()
+        .map(|&k| ((k >> 32) as u32, k as u32))
+        .collect();
     let store = op.engine().store();
 
     // The old world: durable-id-keyed hash map, one lookup per side per

@@ -23,3 +23,28 @@ pub mod table;
 pub use config::ExperimentScale;
 pub use output::{BenchOutput, HarnessArgs};
 pub use runner::{run_operator, run_regular, run_scuba, OperatorRun};
+
+/// The deduplicated packed pair-key stream ([`scuba::kernel::pack_pair`])
+/// the join's discovery stage would produce over `op`'s clusters as they
+/// are now. Harvested from a uniform grid built here out of the store: the
+/// engine's own region index is current only as of the sync before its
+/// last join, and post-join maintenance has moved and dissolved clusters
+/// since.
+pub fn candidate_keys(op: &scuba::ScubaOperator) -> Vec<u64> {
+    let engine = op.engine();
+    let mut grid = scuba::grid::ClusterGrid::new(*engine.grid().spec());
+    for (slot, cluster) in engine.store().iter() {
+        grid.insert(slot, &cluster.effective_region());
+    }
+    let mut keys: Vec<u64> = Vec::new();
+    for (_, cell) in grid.iter_nonempty() {
+        for (i, &a) in cell.iter().enumerate() {
+            for &b in &cell[i..] {
+                keys.push(scuba::kernel::pack_pair(a, b));
+            }
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}

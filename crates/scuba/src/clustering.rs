@@ -32,11 +32,11 @@
 //!   live cluster under the one cell holding its centroid and is kept
 //!   current per update — a found, an absorb, a relocation or a dissolve
 //!   moves at most one entry;
-//! * the join and kNN need *regions* ("which clusters' effective regions
-//!   share a cell?"). That is the [`SpatialIndex`] behind
-//!   [`ClusterEngine::grid`]. Nothing reads it during ingest, so ingest only
-//!   marks the slots whose region changed and [`ClusterEngine::sync_index`]
-//!   re-registers them once per Δ, right before the joining phase.
+//! * the join needs *regions* ("which clusters' effective regions share a
+//!   cell?"). That is the [`SpatialIndex`] behind [`ClusterEngine::grid`].
+//!   Nothing reads it during ingest, so ingest only marks the slots whose
+//!   region changed and [`ClusterEngine::sync_index`] re-registers them
+//!   once per Δ, right before the joining phase. (kNN scans the store.)
 //!
 //! Cluster storage is the generational [`ClusterStore`]: every hot path
 //! addresses clusters by dense [`ClusterSlot`] handles (both indexes, the
@@ -58,23 +58,17 @@ use crate::tables::{ClusterHome, ObjectsTable, QueriesTable};
 // this module before it became a dense per-slot table in [`crate::store`].
 pub use crate::store::EpochTracker;
 
-/// "No slot" / "no cell" in the [`CentroidIndex`]'s `u32` links.
+/// "Not held" in [`CentroidIndex::cell_of`].
 const NIL: u32 = u32::MAX;
 
 /// The step-1 probe structure: every live cluster sits in exactly one cell,
 /// the one containing its centroid (border-clamped like every
-/// [`GridSpec`] lookup). A cell's clusters form a singly linked list
-/// threaded through per-slot `next` links — four bytes per cell instead of
-/// a `Vec` header, which matters on the paper's 100×100 grid where most
-/// cells hold no centroid. Lists are unordered: the caller picks the
+/// [`GridSpec`] lookup). Cell lists are unordered: the caller picks the
 /// nearest passing centroid, so list order cannot influence clustering.
 #[derive(Debug)]
 struct CentroidIndex {
     spec: GridSpec,
-    /// First slot of each cell's list, [`NIL`] for an empty cell.
-    head: Vec<u32>,
-    /// The slot following each slot in its cell's list, [`NIL`] at the end.
-    next: Vec<u32>,
+    cells: Vec<Vec<ClusterSlot>>,
     /// Linear cell index per slot, [`NIL`] for slots not held.
     cell_of: Vec<u32>,
 }
@@ -83,8 +77,7 @@ impl CentroidIndex {
     fn new(spec: GridSpec) -> Self {
         CentroidIndex {
             spec,
-            head: vec![NIL; spec.cell_count()],
-            next: Vec::new(),
+            cells: vec![Vec::new(); spec.cell_count()],
             cell_of: Vec::new(),
         }
     }
@@ -95,13 +88,12 @@ impl CentroidIndex {
         let cell = self.spec.linear(self.spec.cell_of(centroid)) as u32;
         if slot.index() >= self.cell_of.len() {
             self.cell_of.resize(slot.index() + 1, NIL);
-            self.next.resize(slot.index() + 1, NIL);
         }
         if self.cell_of[slot.index()] == cell {
             return;
         }
         self.remove(slot);
-        self.next[slot.index()] = std::mem::replace(&mut self.head[cell as usize], slot.0);
+        self.cells[cell as usize].push(slot);
         self.cell_of[slot.index()] = cell;
     }
 
@@ -113,26 +105,15 @@ impl CentroidIndex {
         if cell == NIL {
             return;
         }
-        let after = self.next[slot.index()];
-        if self.head[cell as usize] == slot.0 {
-            self.head[cell as usize] = after;
-        } else {
-            // A cell holds a handful of centroids at most: walk to the
-            // predecessor.
-            let mut prev = self.head[cell as usize] as usize;
-            while self.next[prev] != slot.0 {
-                prev = self.next[prev] as usize;
-            }
-            self.next[prev] = after;
-        }
+        let list = &mut self.cells[cell as usize];
+        let pos = list.iter().position(|&s| s == slot);
+        list.swap_remove(pos.expect("a held slot is listed in its cell"));
         self.cell_of[slot.index()] = NIL;
     }
 
     /// The slots filed under the cell with linear index `cell`.
-    fn cell(&self, cell: usize) -> impl Iterator<Item = ClusterSlot> + '_ {
-        let link = |s: u32| (s != NIL).then_some(s);
-        std::iter::successors(link(self.head[cell]), move |&s| link(self.next[s as usize]))
-            .map(ClusterSlot)
+    fn cell(&self, cell: usize) -> &[ClusterSlot] {
+        &self.cells[cell]
     }
 
     /// The cells (by linear index) that can hold a centroid within
@@ -158,8 +139,9 @@ impl CentroidIndex {
     }
 
     fn estimated_bytes(&self) -> usize {
-        (self.head.capacity() + self.next.capacity() + self.cell_of.capacity())
-            * std::mem::size_of::<u32>()
+        self.cells.len() * std::mem::size_of::<Vec<ClusterSlot>>()
+            + (self.cells.iter().map(Vec::capacity).sum::<usize>() + self.cell_of.capacity())
+                * std::mem::size_of::<u32>()
     }
 }
 
@@ -185,7 +167,7 @@ pub struct ClusteringStats {
 #[derive(Debug)]
 pub struct ClusterEngine {
     params: ScubaParams,
-    /// Region index (join pair discovery, kNN); current as of the last
+    /// Region index (join pair discovery); current as of the last
     /// [`ClusterEngine::sync_index`].
     grid: AnyIndex,
     /// Centroid index (step-1 probe); always current.
@@ -242,8 +224,8 @@ impl ClusterEngine {
 
     /// The region index playing the ClusterGrid role, behind the
     /// [`SpatialIndex`] trait, so the uniform and adaptive implementations
-    /// are interchangeable for its readers (join pair-discovery, kNN,
-    /// benches).
+    /// are interchangeable for its readers (join pair-discovery,
+    /// diagnostics).
     ///
     /// **Current as of the last [`ClusterEngine::sync_index`]**: ingest and
     /// maintenance only mark the slots whose region changed. Readers that
@@ -478,7 +460,7 @@ impl ClusterEngine {
         // cost barely changes across grid sizes).
         let mut best: Option<((f64, ClusterId), ClusterSlot)> = None;
         for cell in self.centroids.probe_cells(probe_scope, update.loc, theta_d) {
-            for slot in self.centroids.cell(cell) {
+            for &slot in self.centroids.cell(cell) {
                 let cluster = self
                     .store
                     .get(slot)
@@ -753,7 +735,15 @@ impl ClusterEngine {
                 }
             });
             match fate {
-                None => self.dissolve_slot(slot),
+                None => {
+                    self.dissolve_slot(slot);
+                    // Unlike a dissolve during ingest, this one is not
+                    // followed by a sync before the evaluation reports its
+                    // footprint: drop the registration now (the next sync
+                    // would do exactly this) so that `estimated_bytes`
+                    // counts live clusters only.
+                    self.grid.remove(slot);
+                }
                 // Only clusters whose centroid actually moved dirty the
                 // epoch tracker — stationary clusters stay cache-clean.
                 Some(Some(centroid)) => {
@@ -822,7 +812,7 @@ impl ClusterEngine {
         // make the step-1 probe miss a joinable cluster or hit a vacant slot.
         let spec = self.centroids.spec;
         let placed: usize = (0..spec.cell_count())
-            .map(|cell| self.centroids.cell(cell).count())
+            .map(|cell| self.centroids.cell(cell).len())
             .sum();
         assert_eq!(placed, self.store.len(), "centroid index size mismatch");
         for (slot, cluster) in self.store.iter() {
@@ -834,7 +824,7 @@ impl ClusterEngine {
                 cluster.cid
             );
             assert!(
-                self.centroids.cell(cell).any(|s| s == slot),
+                self.centroids.cell(cell).contains(&slot),
                 "centroid cell {cell} does not list {:?}",
                 cluster.cid
             );
@@ -1056,9 +1046,14 @@ mod tests {
         // 40 units from destination at speed 30, Δ = 2 → passes it.
         e.process_update(&obj(1, 960.0, 500.0, 30.0, CN_EAST));
         assert_eq!(e.cluster_count(), 1);
+        e.sync_index();
+        assert_eq!(e.grid().cluster_count(), 1);
         e.post_join_maintenance(2);
         assert_eq!(e.cluster_count(), 0);
         assert_eq!(e.home().len(), 0);
+        // No sync follows inside the evaluation, yet the footprint it
+        // reports must not count the dissolved cluster's registration.
+        assert_eq!(e.grid().cluster_count(), 0);
         // The object re-clusters with its next update (fresh destination).
         e.process_update(&obj(1, 1000.0, 500.0, 30.0, CN_WEST));
         assert_eq!(e.cluster_count(), 1);
@@ -1404,12 +1399,12 @@ mod tests {
     }
 
     #[test]
-    fn centroid_index_places_moves_and_unlinks() {
+    fn centroid_index_places_moves_and_probes() {
         let spec = GridSpec::new(Rect::square(100.0), 10);
         let mut idx = CentroidIndex::new(spec);
         let cell = |x, y| spec.linear(spec.cell_of(&Point::new(x, y)));
         let held = |idx: &CentroidIndex, cell| {
-            let mut slots: Vec<u32> = idx.cell(cell).map(|s| s.0).collect();
+            let mut slots: Vec<u32> = idx.cell(cell).iter().map(|s| s.0).collect();
             slots.sort_unstable();
             slots
         };
@@ -1417,7 +1412,7 @@ mod tests {
             idx.place(ClusterSlot(i), &Point::new(55.0, 55.0));
         }
         assert_eq!(held(&idx, cell(55.0, 55.0)), [0, 1, 2, 3]);
-        // Unlink from the middle, the head and the tail of the list.
+        // Remove from the middle, the front and the back of the list.
         idx.remove(ClusterSlot(1));
         idx.place(ClusterSlot(3), &Point::new(5.0, 5.0));
         idx.remove(ClusterSlot(0));

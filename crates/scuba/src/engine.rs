@@ -195,14 +195,6 @@ impl ScubaOperator {
         &self.engine
     }
 
-    /// Brings the engine's region index up to date outside an evaluation,
-    /// for diagnostics and benches that read `engine().grid()` between
-    /// evaluations ([`ClusterEngine::sync_index`]; `evaluate` does this
-    /// itself before the joining phase).
-    pub fn sync_index(&mut self) {
-        self.engine.sync_index();
-    }
-
     /// Bytes currently reserved by the reusable joining-phase buffers.
     /// Stable across steady-state ticks — tests use it as evidence that
     /// evaluation allocates nothing once the scratch has warmed up.

@@ -19,13 +19,17 @@
 //! *zero* cells — post-join relocation can carry it past the grid bounds
 //! before it dissolves).
 //!
-//! The grid is the *region* index: its readers are the join's
-//! pair-discovery walk and kNN, both of which treat a cell list as a set
-//! (candidate pairs are sorted and deduplicated downstream). The order of
-//! slots within a cell therefore carries no meaning, and removal is a
-//! `swap_remove`. Clustering does not read this grid at all — its step-1
-//! probe runs on the engine's private centroid index (see
-//! [`crate::clustering`]).
+//! The grid is the *region* index: its reader is the join's pair-discovery
+//! walk, which treats a cell list as a set (candidate pairs are sorted and
+//! deduplicated downstream). The order of slots within a cell therefore
+//! carries no meaning, and removal is a `swap_remove`. Clustering does not
+//! read this grid at all — its step-1 probe runs on the engine's private
+//! centroid index (see [`crate::clustering`]).
+//!
+//! The heap footprint follows the live registrations: a cell that empties
+//! and a slot that is removed give their buffers back, so
+//! [`ClusterGrid::estimated_bytes`] does not remember every cell a cluster
+//! ever crossed.
 
 use scuba_spatial::{CellIdx, Circle, GridSpec, Point};
 
@@ -165,9 +169,8 @@ impl ClusterGrid {
     pub fn remove(&mut self, slot: ClusterSlot) -> bool {
         if self.live.get(slot.index()).copied().unwrap_or(false) {
             self.unregister(slot);
-            // Keep the (small) cell vector's capacity for the slot's next
-            // occupant — slots are reused densely under churn.
-            self.registrations[slot.index()].clear();
+            // Like an empty cell, a vacant slot owns no heap.
+            self.registrations[slot.index()] = Vec::new();
             self.live[slot.index()] = false;
             self.registered -= 1;
             true
@@ -183,6 +186,12 @@ impl ClusterGrid {
             if let Some(pos) = cell.iter().position(|&c| c == slot) {
                 // Cell lists are sets to every reader (module docs).
                 cell.swap_remove(pos);
+                if cell.is_empty() {
+                    // An empty cell owns no heap: the footprint follows
+                    // the live registrations, not the trail of every cell
+                    // a cluster ever crossed.
+                    *cell = Vec::new();
+                }
             }
         }
         self.registrations[slot.index()] = cells;
@@ -225,7 +234,7 @@ impl ClusterGrid {
     }
 
     /// The clusters whose registered regions overlap the cell that
-    /// contains `p` (kNN's covering-cluster lookup).
+    /// contains `p`.
     #[inline]
     pub fn clusters_near(&self, p: &Point) -> &[ClusterSlot] {
         let idx = self.spec.cell_of(p);
@@ -550,5 +559,30 @@ mod tests {
             );
         }
         assert!(g.estimated_bytes() > empty);
+    }
+
+    /// The footprint follows the live registrations: a cluster that moves
+    /// on leaves nothing behind in the cells it crossed, and a removed one
+    /// leaves nothing but its slot's table row.
+    #[test]
+    fn emptied_cells_and_vacant_slots_hold_no_heap() {
+        let mut g = grid(10);
+        g.insert(ClusterSlot(0), &Circle::new(Point::new(15.0, 15.0), 12.0));
+        let parked = g.estimated_bytes();
+        for step in 1..=6 {
+            let x = 15.0 + 10.0 * step as f64;
+            g.insert(ClusterSlot(0), &Circle::new(Point::new(x, 15.0), 12.0));
+            g.check_consistent();
+        }
+        g.insert(ClusterSlot(0), &Circle::new(Point::new(15.0, 15.0), 12.0));
+        assert_eq!(g.estimated_bytes(), parked, "the trail was released");
+
+        let mut fresh = grid(10);
+        fresh.insert(ClusterSlot(0), &Circle::new(Point::new(15.0, 15.0), 12.0));
+        fresh.remove(ClusterSlot(0));
+        g.remove(ClusterSlot(0));
+        assert_eq!(g.estimated_bytes(), fresh.estimated_bytes());
+        assert!(g.cells.iter().all(|c| c.capacity() == 0));
+        assert_eq!(g.registrations[0].capacity(), 0);
     }
 }

@@ -89,6 +89,10 @@ pub const STAGE_JOIN_WITHIN: &str = "join-within";
 /// Stage name: sort + dedup of raw matches.
 pub const STAGE_RESULT_MERGE: &str = "result-merge";
 
+/// Candidate pair keys the stage-1 buffer holds (1 MiB) before pair
+/// discovery folds duplicates away instead of growing it.
+const PAIR_COMPACT_MIN: usize = 1 << 17;
+
 /// What one joining phase produced and how much work it did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JoinOutput {
@@ -701,6 +705,12 @@ impl<'a> JoinContext<'a> {
     /// grid), packing each co-resident slot pair (self-pairs included) into
     /// a `u64` key, then radix-sorts + dedups the reused key buffer.
     /// Returns `(entries_walked, candidates)`.
+    ///
+    /// Two clusters that share k cells are pushed k times, and on a grid
+    /// much finer than Θ_D k runs to hundreds. So that the buffer is sized
+    /// by the *distinct* pairs and not by that multiple, a full buffer of
+    /// at least [`PAIR_COMPACT_MIN`] keys is deduplicated in place before it
+    /// may grow; it then doubles only if more than half of it was distinct.
     fn discover_pairs(&self, scratch: &mut JoinScratch) -> (u64, u64) {
         let JoinScratch {
             pairs,
@@ -714,6 +724,14 @@ impl<'a> JoinContext<'a> {
         self.grid
             .for_each_candidate_cell_with(discovery, &mut |cell| {
                 entries_walked += cell.len() as u64;
+                let incoming = cell.len() * (cell.len() + 1) / 2;
+                if pairs.capacity() >= PAIR_COMPACT_MIN && pairs.len() + incoming > pairs.capacity()
+                {
+                    radix::sort_dedup(pairs, pairs_tmp);
+                    if pairs.len() > pairs.capacity() / 2 {
+                        pairs.reserve(pairs.capacity());
+                    }
+                }
                 for (i, &left) in cell.iter().enumerate() {
                     for &right in &cell[i..] {
                         candidates += 1;
@@ -1619,6 +1637,36 @@ mod tests {
             assert_eq!(out.results, again.results);
             assert_eq!(scratch.capacity_bytes(), settled);
         }
+    }
+
+    /// On a grid much finer than the regions on it, one cluster pair is
+    /// pushed once per shared cell. The key buffer must follow the distinct
+    /// pairs, not that multiple: it is deduplicated in place when full
+    /// instead of growing to the raw count.
+    #[test]
+    fn pair_buffer_is_sized_by_distinct_pairs() {
+        // 48 singleton query clusters stacked on one point (speeds > Θ_S
+        // apart keep them separate), each registered in the ~700 ten-unit
+        // cells its 200-wide range reaches.
+        let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
+        for i in 0..48u64 {
+            e.process_update(&qry(i, 500.0, 500.0, 20.0 * (i + 1) as f64, CN_EAST, 200.0));
+        }
+        assert_eq!(e.cluster_count(), 48);
+        e.sync_index();
+        let mut scratch = JoinScratch::new();
+        let (_, raw) = ctx(&e).discover_pairs(&mut scratch);
+        assert_eq!(scratch.pairs.len(), 48 * 49 / 2, "every pair, once");
+        assert!(raw as usize > 4 * PAIR_COMPACT_MIN, "raw keys: {raw}");
+        assert!(
+            scratch.pairs.capacity() < 2 * PAIR_COMPACT_MIN,
+            "buffer grew to {} keys for {} distinct pairs",
+            scratch.pairs.capacity(),
+            scratch.pairs.len()
+        );
+        let settled = scratch.capacity_bytes();
+        ctx(&e).discover_pairs(&mut scratch);
+        assert_eq!(scratch.capacity_bytes(), settled);
     }
 
     /// The admission gate on the paper's §6.1 stream shape: every entity

@@ -64,9 +64,9 @@ pub fn evaluate_continuous(engine: &ClusterEngine) -> Vec<scuba_stream::QueryMat
 /// objects; otherwise any cluster whose region covers the query's position
 /// and holds ≥ k objects (with pure single-kind clusters the query's own
 /// cluster never contains objects, but the query may be travelling inside
-/// an object convoy). That lookup reads the engine's region index, which
-/// is current as of the last [`ClusterEngine::sync_index`]; inside an
-/// evaluation that is the sync right before the joining phase.
+/// an object convoy). That lookup scans the store like the isolation test
+/// and the fallback do, so kNN never depends on when the region index was
+/// last synced.
 pub fn knn_for_query(engine: &ClusterEngine, query: QueryId, k: usize) -> Option<KnnAnswer> {
     let slot = engine.home().cluster_of(query.into())?;
     let cluster = engine.cluster_at(slot)?;
@@ -78,15 +78,10 @@ pub fn knn_for_query(engine: &ClusterEngine, query: QueryId, k: usize) -> Option
         Some(slot)
     } else {
         engine
-            .grid()
-            .clusters_near(&center)
+            .store()
             .iter()
-            .copied()
-            .find(|other| {
-                engine
-                    .cluster_at(*other)
-                    .is_some_and(|c| c.object_count() >= k && c.region().contains(&center))
-            })
+            .find(|(_, c)| c.object_count() >= k && c.region().contains(&center))
+            .map(|(other, _)| other)
     };
     Some(knn_at(engine, center, k, candidate))
 }
@@ -223,7 +218,6 @@ mod tests {
         // A far-away unrelated cluster.
         e.process_update(&obj(9, 50.0, 50.0, CN_W));
 
-        e.sync_index();
         let answer = knn_for_query(&e, QueryId(1), 2).unwrap();
         assert!(answer.used_cluster_shortcut);
         assert_eq!(answer.neighbors.len(), 2);
@@ -241,7 +235,6 @@ mod tests {
         e.process_update(&obj(2, 510.0, 500.0, CN_W));
         e.process_update(&obj(3, 515.0, 500.0, CN_W));
 
-        e.sync_index();
         let answer = knn_for_query(&e, QueryId(1), 3).unwrap();
         assert!(!answer.used_cluster_shortcut);
         assert_eq!(answer.neighbors.len(), 3);
@@ -259,7 +252,6 @@ mod tests {
         e.process_update(&obj(3, 506.0, 501.0, CN_W));
         e.process_update(&obj(4, 509.0, 501.0, CN_W));
 
-        e.sync_index();
         let answer = knn_for_query(&e, QueryId(1), 1).unwrap();
         assert!(!answer.used_cluster_shortcut, "clusters overlap");
         assert_eq!(answer.neighbors.len(), 1);
@@ -314,7 +306,6 @@ mod tests {
         e.process_update(&obj(2, 510.0, 500.0, CN_E));
         e.process_update(&knn_query(1, 502.0, 500.0, 1, CN_E));
         e.process_update(&knn_query(2, 509.0, 500.0, 2, CN_E));
-        e.sync_index();
         let mut results = evaluate_continuous(&e);
         results.sort_unstable();
         // Q1 wants 1 neighbour (object 1 is nearest), Q2 wants 2.
@@ -339,7 +330,6 @@ mod tests {
                 spec: QuerySpec::square_range(10.0),
             },
         ));
-        e.sync_index();
         assert!(evaluate_continuous(&e).is_empty());
     }
 }

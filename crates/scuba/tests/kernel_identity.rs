@@ -191,12 +191,10 @@ fn join_scratch_stops_growing_in_steady_state() {
             .with_kernel(kernel);
         let mut op = ScubaOperator::new(params, area());
 
-        // The churn stream is periodic (period 4). The first period starts
-        // from an empty engine, so only from the second on does a tick
-        // meet the clusters its predecessor leaves in steady state: two
-        // periods of warm-up drive every buffer to its true high-water mark.
+        // The churn stream is periodic (period 4): one full period of
+        // warm-up drives every buffer to its true high-water mark.
         let phase = |tick: u64| (tick - 1) % 4 + 1;
-        for tick in 1..=8u64 {
+        for tick in 1..=4u64 {
             for u in make_updates(phase(tick)) {
                 op.process_update(&u);
             }
@@ -207,7 +205,7 @@ fn join_scratch_stops_growing_in_steady_state() {
 
         // Steady state: replaying the same churn pattern must never
         // reallocate.
-        for tick in 9..=16u64 {
+        for tick in 5..=12u64 {
             for u in make_updates(phase(tick)) {
                 op.process_update(&u);
             }

@@ -99,13 +99,12 @@ fn shedding_trades_accuracy_not_correctness() {
 
 #[test]
 fn shed_engine_uses_less_memory() {
-    // 10×10 cells over the 1 000-unit town keep the paper's cell ≈ Θ_D
-    // ratio (§6.1: 100×100 over 10 000 units). On 10-unit cells the
-    // Θ_D-floored regions of shed clusters cover hundreds of cells each and
-    // their index registrations cancel the per-member saving.
-    let params = ScubaParams::default().with_grid_cells(10);
-    let exact = run_scuba(params, 6).0;
-    let shed = run_scuba(params.with_shedding(SheddingMode::Full), 6).0;
+    let exact = run_scuba(ScubaParams::default(), 6).0;
+    let shed = run_scuba(
+        ScubaParams::default().with_shedding(SheddingMode::Full),
+        6,
+    )
+    .0;
     assert!(
         shed.aggregate().mean_memory_bytes < exact.aggregate().mean_memory_bytes,
         "full shedding should reduce memory: {} vs {}",
