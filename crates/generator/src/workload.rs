@@ -292,11 +292,7 @@ impl WorkloadGenerator {
     /// off).
     pub fn active_queries(&self) -> usize {
         match &self.churn {
-            Some(c) => c
-                .lives
-                .iter()
-                .filter(|l| **l == QueryLife::Active)
-                .count(),
+            Some(c) => c.lives.iter().filter(|l| **l == QueryLife::Active).count(),
             None => self.config.num_queries,
         }
     }
@@ -698,8 +694,7 @@ mod tests {
         // Track the active set the way a consumer would: apply each tick's
         // controls before its batch, then check the batch only carries
         // registered queries.
-        let mut active: std::collections::HashSet<u64> =
-            (0..cfg.num_queries as u64).collect();
+        let mut active: std::collections::HashSet<u64> = (0..cfg.num_queries as u64).collect();
         let mut deregistered = 0u64;
         let mut reregistered = 0u64;
         for _ in 0..40 {

@@ -271,11 +271,7 @@ mod tests {
     #[test]
     fn duplicate_waypoints_are_crossed() {
         let mut m = PiecewiseMotion::new(
-            vec![
-                Point::ORIGIN,
-                Point::ORIGIN,
-                Point::new(2.0, 0.0),
-            ],
+            vec![Point::ORIGIN, Point::ORIGIN, Point::new(2.0, 0.0)],
             1.0,
         )
         .unwrap();

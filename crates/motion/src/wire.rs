@@ -25,9 +25,7 @@
 use scuba_spatial::Point;
 
 use crate::ids::{ObjectId, QueryId};
-use crate::update::{
-    EntityAttrs, LocationUpdate, ObjectAttrs, ObjectClass, QueryAttrs, QuerySpec,
-};
+use crate::update::{EntityAttrs, LocationUpdate, ObjectAttrs, ObjectClass, QueryAttrs, QuerySpec};
 
 const KIND_OBJECT: u8 = 0;
 const KIND_QUERY: u8 = 1;

@@ -366,7 +366,10 @@ mod tests {
     fn extent_covers_all_nodes() {
         let (net, _) = triangle();
         let ext = net.extent().unwrap();
-        assert_eq!(ext, Rect::from_corners(Point::new(0.0, 0.0), Point::new(10.0, 10.0)));
+        assert_eq!(
+            ext,
+            Rect::from_corners(Point::new(0.0, 0.0), Point::new(10.0, 10.0))
+        );
         assert_eq!(RoadNetwork::new().extent(), Err(NetworkError::Empty));
     }
 

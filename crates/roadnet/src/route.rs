@@ -254,10 +254,12 @@ mod tests {
         for y in 0..3 {
             for x in 0..3 {
                 if x < 2 {
-                    net.add_edge(id(x, y), id(x + 1, y), RoadClass::Local).unwrap();
+                    net.add_edge(id(x, y), id(x + 1, y), RoadClass::Local)
+                        .unwrap();
                 }
                 if y < 2 {
-                    net.add_edge(id(x, y), id(x, y + 1), RoadClass::Local).unwrap();
+                    net.add_edge(id(x, y), id(x, y + 1), RoadClass::Local)
+                        .unwrap();
                 }
             }
         }
@@ -334,7 +336,9 @@ mod tests {
         let island = net.add_node(Point::new(999.0, 999.0));
         let mut router = Router::new(&net);
         assert_eq!(
-            router.route(NodeId(0), island, RouteMetric::Distance).unwrap(),
+            router
+                .route(NodeId(0), island, RouteMetric::Distance)
+                .unwrap(),
             None
         );
     }

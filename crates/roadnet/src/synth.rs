@@ -210,7 +210,7 @@ mod tests {
         };
         let city = SyntheticCity::build(cfg);
         assert_eq!(city.network.node_count(), 25); // 5x5
-        // Grid edges: 2 * n * (n+1) = 2*4*5 = 40, plus 3 shortcuts.
+                                                   // Grid edges: 2 * n * (n+1) = 2*4*5 = 40, plus 3 shortcuts.
         assert_eq!(city.network.edge_count(), 43);
     }
 
@@ -257,10 +257,7 @@ mod tests {
             highway_every: 0,
             ..CityConfig::small()
         });
-        assert!(city
-            .network
-            .edges()
-            .all(|e| e.class != RoadClass::Highway));
+        assert!(city.network.edges().all(|e| e.class != RoadClass::Highway));
         assert!(city.highway_nodes().is_empty());
     }
 

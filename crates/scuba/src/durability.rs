@@ -616,7 +616,11 @@ pub struct CheckpointState {
 /// Serialises a checkpoint: `SCBC` magic, format version, tick, payload
 /// length, CRC32 of the payload, then the payload (stripe count followed by
 /// each stripe's binary snapshot, followed by the query registry).
-pub fn encode_checkpoint(tick: Time, stripes: &[EngineSnapshot], registry: &QueryRegistry) -> Vec<u8> {
+pub fn encode_checkpoint(
+    tick: Time,
+    stripes: &[EngineSnapshot],
+    registry: &QueryRegistry,
+) -> Vec<u8> {
     // One buffer: header first with length and checksum left blank, the
     // payload encoded in place behind it, then the two fields patched.
     let mut out = Vec::new();
@@ -1796,8 +1800,14 @@ where
                         attempt += 1;
                         stats.restarts += 1;
                         report.restarts += 1;
-                        match rebuild(&ckpt_stripes, &ckpt_registry, &pending, delta, injector, now)
-                        {
+                        match rebuild(
+                            &ckpt_stripes,
+                            &ckpt_registry,
+                            &pending,
+                            delta,
+                            injector,
+                            now,
+                        ) {
                             Ok(rebuilt) => operator = rebuilt,
                             Err(TickFailure::Fatal(reason)) => {
                                 aborted = Some(reason);
@@ -2649,8 +2659,7 @@ mod tests {
             "data-plane query updates register implicitly"
         );
         assert_eq!(
-            obs.healths[0].registered_total,
-            obs.healths[0].active_queries,
+            obs.healths[0].registered_total, obs.healths[0].active_queries,
             "no deregistrations in this workload"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -3010,7 +3019,10 @@ mod tests {
         // Stop at t=9 — mid checkpoint interval, with explicit register
         // and deregister ops on both sides of the cut — then resume.
         let dir = tmp_dir("churn-resume");
-        let first = SuperviseConfig { duration: 9, ..full };
+        let first = SuperviseConfig {
+            duration: 9,
+            ..full
+        };
         let first_outcome = run_supervised(
             &mut churn_source(),
             &params,

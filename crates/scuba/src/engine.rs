@@ -122,8 +122,11 @@ impl ScubaOperator {
         // gauge even without a checkpointed registry (the durable restore
         // path overwrites this with the exact checkpoint copy).
         let mut registry = QueryRegistry::new();
-        let mut known: Vec<(QueryId, QuerySpec)> =
-            engine.queries().iter().map(|(id, a)| (id, a.spec)).collect();
+        let mut known: Vec<(QueryId, QuerySpec)> = engine
+            .queries()
+            .iter()
+            .map(|(id, a)| (id, a.spec))
+            .collect();
         known.sort_by_key(|(id, _)| *id);
         for (id, spec) in known {
             registry.observe(id, 0, spec, None);

@@ -1406,7 +1406,10 @@ mod tests {
         assert_eq!(g.deregistered_total, 1);
         assert_eq!(g.unknown_total, 0, "a known deregister is not unknown");
         let report = sharded.evaluate(4);
-        assert!(report.results.is_empty(), "deregistered query answers nothing");
+        assert!(
+            report.results.is_empty(),
+            "deregistered query answers nothing"
+        );
         for engine in sharded.engines() {
             engine.check_invariants();
         }

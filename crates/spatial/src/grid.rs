@@ -307,7 +307,12 @@ impl<T: Clone> SpatialGrid<T> {
     pub fn estimated_bytes(&self) -> usize {
         let header = std::mem::size_of::<Vec<T>>();
         let item = std::mem::size_of::<T>();
-        self.cells.len() * header + self.cells.iter().map(|c| c.capacity() * item).sum::<usize>()
+        self.cells.len() * header
+            + self
+                .cells
+                .iter()
+                .map(|c| c.capacity() * item)
+                .sum::<usize>()
     }
 }
 

@@ -210,8 +210,12 @@ mod tests {
     #[test]
     fn clamp_point_projects() {
         let r = Rect::square(10.0);
-        assert!(r.clamp_point(&Point::new(-5.0, 5.0)).approx_eq(&Point::new(0.0, 5.0)));
-        assert!(r.clamp_point(&Point::new(3.0, 4.0)).approx_eq(&Point::new(3.0, 4.0)));
+        assert!(r
+            .clamp_point(&Point::new(-5.0, 5.0))
+            .approx_eq(&Point::new(0.0, 5.0)));
+        assert!(r
+            .clamp_point(&Point::new(3.0, 4.0))
+            .approx_eq(&Point::new(3.0, 4.0)));
     }
 
     #[test]

@@ -482,9 +482,7 @@ mod tests {
         assert_eq!(report.controls_applied, 4);
         assert_eq!(
             op.events,
-            vec![
-                "control", "data", "control", "data", "control", "data", "control", "data"
-            ]
+            vec!["control", "data", "control", "data", "control", "data", "control", "data"]
         );
     }
 

@@ -90,8 +90,7 @@ fn main() {
     let city = SyntheticCity::build(CityConfig::default());
     let area = city.network.extent().expect("city has nodes");
     let mut generator = WorkloadGenerator::new(Arc::new(city.network), workload);
-    let mut adaptive =
-        ScubaOperator::new(ScubaParams::default(), area).with_memory_budget(budget);
+    let mut adaptive = ScubaOperator::new(ScubaParams::default(), area).with_memory_budget(budget);
     let run = executor.run(&mut || generator.tick(), &mut adaptive);
     println!(
         "adaptive controller settled on {:?} (peak {:.2} MiB)",

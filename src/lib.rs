@@ -4,4 +4,3 @@
 //! `crates/*`. This package exists so the workspace root can host
 //! `examples/` and `tests/` that span every crate.
 #![forbid(unsafe_code)]
-

@@ -100,11 +100,7 @@ fn shedding_trades_accuracy_not_correctness() {
 #[test]
 fn shed_engine_uses_less_memory() {
     let exact = run_scuba(ScubaParams::default(), 6).0;
-    let shed = run_scuba(
-        ScubaParams::default().with_shedding(SheddingMode::Full),
-        6,
-    )
-    .0;
+    let shed = run_scuba(ScubaParams::default().with_shedding(SheddingMode::Full), 6).0;
     assert!(
         shed.aggregate().mean_memory_bytes < exact.aggregate().mean_memory_bytes,
         "full shedding should reduce memory: {} vs {}",
@@ -117,8 +113,7 @@ fn shed_engine_uses_less_memory() {
 fn cluster_count_tracks_skew() {
     let run = |skew: u32| {
         let (network, area) = small_city();
-        let mut generator =
-            WorkloadGenerator::new(network, WorkloadConfig { skew, ..workload() });
+        let mut generator = WorkloadGenerator::new(network, WorkloadConfig { skew, ..workload() });
         let mut operator = ScubaOperator::new(ScubaParams::default(), area);
         let executor = Executor::new(ExecutorConfig {
             delta: 2,

@@ -42,11 +42,7 @@ fn threaded_stream_equals_in_process_run() {
 
     assert_eq!(direct_run.updates_ingested, threaded_run.updates_ingested);
     assert_eq!(direct_run.evaluations.len(), threaded_run.evaluations.len());
-    for (d, t) in direct_run
-        .evaluations
-        .iter()
-        .zip(&threaded_run.evaluations)
-    {
+    for (d, t) in direct_run.evaluations.iter().zip(&threaded_run.evaluations) {
         assert_eq!(d.results, t.results, "wire transport changed results");
     }
     assert_eq!(receiver.decode_errors(), 0);
