@@ -3,7 +3,7 @@
 //! per-stage pipeline breakdown of every operator in the suite.
 //!
 //! Usage: `all_experiments [--scale F] [--objects N] [--queries N]
-//! [--parallelism N] [--json]`
+//! [--json]`
 
 use scuba::OperatorKind;
 use scuba_bench::figures::{

@@ -4,6 +4,8 @@ use scuba_generator::WorkloadConfig;
 use scuba_roadnet::CityConfig;
 use scuba_spatial::json::Json;
 
+use crate::runner::scuba_params;
+
 /// Scale and workload knobs for one experiment run.
 ///
 /// Defaults mirror the paper's §6.1 settings: 10 000 objects, 10 000 range
@@ -35,9 +37,6 @@ pub struct ExperimentScale {
     /// happen to cross — as opposed to `reps`, which suppresses scheduler
     /// noise). Default 1.
     pub seeds: u32,
-    /// Worker threads for SCUBA's join-within stage. Default 1 (serial);
-    /// results and work counters are identical at any setting.
-    pub parallelism: usize,
 }
 
 impl Default for ExperimentScale {
@@ -53,7 +52,6 @@ impl Default for ExperimentScale {
             seed: 0xEDB7,
             reps: 1,
             seeds: 1,
-            parallelism: 1,
         }
     }
 }
@@ -72,7 +70,6 @@ impl ExperimentScale {
             seed,
             reps,
             seeds,
-            parallelism,
         } = *self;
         Json::obj()
             .with("objects", objects)
@@ -85,7 +82,6 @@ impl ExperimentScale {
             .with("seed", seed)
             .with("reps", reps)
             .with("seeds", seeds)
-            .with("parallelism", parallelism)
     }
 
     /// Scales the population by `factor` (keeps at least one of each).
@@ -118,10 +114,12 @@ impl ExperimentScale {
 
     /// Parses a figure binary's command line:
     /// `--objects N --queries N --skew N --grid N --delta N --duration N`
-    /// `--range S --seed N --scale F --reps N --seeds N --parallelism N`
+    /// `--range S --seed N --scale F --reps N --seeds N`
     /// and `--json`, which is returned beside the scale.
     ///
-    /// Any other argument is an error.
+    /// Any other argument is an error, and so is a scale whose SCUBA
+    /// params or workload do not validate (`--grid 0`, `--delta 0`,
+    /// `--range NaN`, …).
     pub fn from_args(args: &[String]) -> Result<(Self, bool), String> {
         let mut scale = ExperimentScale::default();
         let mut json = false;
@@ -174,10 +172,6 @@ impl ExperimentScale {
                     scale.seeds = parse(take_value(flag)?, flag)?;
                     i += 2;
                 }
-                "--parallelism" => {
-                    scale.parallelism = parse::<usize>(take_value(flag)?, flag)?.max(1);
-                    i += 2;
-                }
                 "--scale" => {
                     let f: f64 = parse(take_value(flag)?, flag)?;
                     scale = scale.scaled(f);
@@ -190,6 +184,13 @@ impl ExperimentScale {
                 other => return Err(format!("unknown option '{other}'")),
             }
         }
+        scuba_params(&scale)
+            .validate()
+            .map_err(|e| format!("invalid SCUBA params: {e}"))?;
+        scale
+            .workload()
+            .validate()
+            .map_err(|e| format!("invalid workload: {e}"))?;
         Ok((scale, json))
     }
 
@@ -262,17 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_parallelism_and_clamps_zero() {
-        let (s, _) = ExperimentScale::from_args(&args(&["--parallelism", "4"])).unwrap();
-        assert_eq!(s.parallelism, 4);
-        let (s, _) = ExperimentScale::from_args(&args(&["--parallelism", "0"])).unwrap();
-        assert_eq!(s.parallelism, 1, "zero is clamped to serial");
-        assert_eq!(ExperimentScale::default().parallelism, 1);
-    }
-
-    #[test]
-    fn retired_ingest_flags_are_unknown_options() {
-        for flags in [&["--ingest-shards", "4"][..], &["--no-batch-ingest"]] {
+    fn retired_flags_are_unknown_options() {
+        for flags in [
+            &["--ingest-shards", "4"][..],
+            &["--no-batch-ingest"],
+            &["--parallelism", "2"],
+        ] {
             let err = ExperimentScale::from_args(&args(flags)).unwrap_err();
             assert_eq!(err, format!("unknown option '{}'", flags[0]));
         }
@@ -287,6 +283,26 @@ mod tests {
             ExperimentScale::from_args(&args(&["--objets", "500"])).unwrap_err(),
             "unknown option '--objets'"
         );
+    }
+
+    /// A scale the engine or the generator would refuse is refused here,
+    /// before a figure bin prints a header or panics mid-run.
+    #[test]
+    fn rejects_scales_that_do_not_validate() {
+        for (flags, needle) in [
+            (
+                &["--delta", "0"],
+                "invalid SCUBA params: delta must be >= 1",
+            ),
+            (
+                &["--grid", "0"],
+                "invalid SCUBA params: grid_cells must be >= 1",
+            ),
+            (&["--range", "NaN"], "invalid workload: query_range_side"),
+        ] {
+            let err = ExperimentScale::from_args(&args(flags)).unwrap_err();
+            assert!(err.starts_with(needle), "{flags:?}: {err}");
+        }
     }
 
     #[test]

@@ -273,7 +273,7 @@ pub fn fig11(scale: &ExperimentScale, iterations: &[u32]) -> Vec<Fig11Row> {
             area,
         );
         let sw = Stopwatch::start();
-        let _join = outcome.join(&params);
+        let _join = outcome.join();
         let join_time = sw.elapsed();
         rows.push(Fig11Row {
             variant: format!("kmeans(iter={iters})"),

@@ -121,14 +121,15 @@ pub fn run_regular(scale: &ExperimentScale) -> OperatorRun {
     run_operator(scale, OperatorKind::Regular, scuba_params(scale))
 }
 
-/// SCUBA params consistent with a scale (grid + Δ + parallelism from the
-/// scale, paper thresholds otherwise).
+/// SCUBA params consistent with a scale (grid + Δ from the scale, paper
+/// thresholds otherwise). The grid is taken as given, not clamped, so
+/// [`ScubaParams::validate`] sees a zero.
 pub fn scuba_params(scale: &ExperimentScale) -> ScubaParams {
-    let mut params = ScubaParams::default()
-        .with_grid_cells(scale.grid_cells)
-        .with_parallelism(scale.parallelism);
-    params.delta = scale.delta;
-    params
+    ScubaParams {
+        grid_cells: scale.grid_cells,
+        delta: scale.delta,
+        ..ScubaParams::default()
+    }
 }
 
 fn executor(scale: &ExperimentScale) -> Executor {

@@ -14,15 +14,15 @@
 //!   one-key object (`{"Partial": {"eta": 0.5}}`);
 //! * an `Option` is `null` or its value.
 //!
-//! The writers destructure every struct, so a new field does not compile
-//! until the format covers it.
+//! A test destructures every struct, so a new field does not compile until
+//! that test names it and the matching `read_*` covers it.
 
 use scuba::{ScubaParams, SheddingMode, ValidationPolicy};
 use scuba_generator::WorkloadConfig;
 use scuba_roadnet::{CityConfig, RouteMetric};
 use scuba_spatial::json::{self, Json};
 
-/// Everything one simulation needs, readable from and writable as JSON.
+/// Everything one simulation needs, readable from JSON.
 ///
 /// Field defaults are the paper's §6.1 settings scaled to a laptop-friendly
 /// population (override with `--objects/--queries` or a config file for
@@ -121,12 +121,6 @@ impl SimConfig {
             .map_err(|e| format!("bad config JSON: {e}"))
     }
 
-    /// Serialises the config as pretty JSON (usable as a starting config
-    /// file).
-    pub fn to_json(&self) -> String {
-        write_sim(self).pretty()
-    }
-
     /// Builds a config from command-line arguments: `--config FILE` is
     /// loaded first, then individual flags override its fields.
     pub fn from_args(args: &[String]) -> Result<(Self, OutputOptions), String> {
@@ -196,10 +190,6 @@ impl SimConfig {
                 }
                 "--theta-s" => {
                     config.params.theta_s = parse(value(flag)?, flag)?;
-                    i += 2;
-                }
-                "--parallelism" => {
-                    config.params.parallelism = parse(value(flag)?, flag)?;
                     i += 2;
                 }
                 "--shards" => {
@@ -324,20 +314,6 @@ fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("bad value '{value}' for {flag}"))
 }
 
-fn write_sim(c: &SimConfig) -> Json {
-    let SimConfig {
-        city,
-        workload,
-        params,
-        duration,
-    } = c;
-    Json::obj()
-        .with("city", write_city(city))
-        .with("workload", write_workload(workload))
-        .with("params", write_params(params))
-        .with("duration", *duration)
-}
-
 fn read_sim(v: &Json) -> Result<SimConfig, String> {
     read_struct(v, SimConfig::default(), |c, key, v| {
         match key {
@@ -349,24 +325,6 @@ fn read_sim(v: &Json) -> Result<SimConfig, String> {
         }
         Ok(true)
     })
-}
-
-fn write_city(c: &CityConfig) -> Json {
-    let CityConfig {
-        extent,
-        blocks,
-        highway_every,
-        diagonal_shortcuts,
-        jitter,
-        seed,
-    } = *c;
-    Json::obj()
-        .with("extent", extent)
-        .with("blocks", blocks)
-        .with("highway_every", highway_every)
-        .with("diagonal_shortcuts", diagonal_shortcuts)
-        .with("jitter", jitter)
-        .with("seed", seed)
 }
 
 fn read_city(v: &Json) -> Result<CityConfig, String> {
@@ -382,50 +340,6 @@ fn read_city(v: &Json) -> Result<CityConfig, String> {
         }
         Ok(true)
     })
-}
-
-fn write_workload(w: &WorkloadConfig) -> Json {
-    let WorkloadConfig {
-        num_objects,
-        num_queries,
-        skew,
-        update_fraction,
-        query_range_side,
-        speed_min,
-        speed_max,
-        speed_jitter,
-        group_spread,
-        dwell_ticks,
-        hotspot_count,
-        hotspot_radius,
-        hotspot_intensity,
-        query_churn_rate,
-        query_lifetime_mean,
-        route_metric,
-        seed,
-    } = *w;
-    let route_metric = match route_metric {
-        RouteMetric::Distance => "Distance",
-        RouteMetric::TravelTime => "TravelTime",
-    };
-    Json::obj()
-        .with("num_objects", num_objects)
-        .with("num_queries", num_queries)
-        .with("skew", skew)
-        .with("update_fraction", update_fraction)
-        .with("query_range_side", query_range_side)
-        .with("speed_min", speed_min)
-        .with("speed_max", speed_max)
-        .with("speed_jitter", speed_jitter)
-        .with("group_spread", group_spread)
-        .with("dwell_ticks", dwell_ticks)
-        .with("hotspot_count", hotspot_count)
-        .with("hotspot_radius", hotspot_radius)
-        .with("hotspot_intensity", hotspot_intensity)
-        .with("query_churn_rate", query_churn_rate)
-        .with("query_lifetime_mean", query_lifetime_mean)
-        .with("route_metric", route_metric)
-        .with("seed", seed)
 }
 
 fn read_workload(v: &Json) -> Result<WorkloadConfig, String> {
@@ -460,47 +374,6 @@ fn read_workload(v: &Json) -> Result<WorkloadConfig, String> {
     })
 }
 
-fn write_params(p: &ScubaParams) -> Json {
-    let ScubaParams {
-        theta_d,
-        theta_s,
-        grid_cells,
-        delta,
-        cnloc_tolerance,
-        shedding,
-        member_filter,
-        entity_ttl,
-        parallelism,
-        validation,
-        deadline_us,
-        shards,
-    } = *p;
-    let shedding = match shedding {
-        SheddingMode::None => Json::from("None"),
-        SheddingMode::Partial { eta } => Json::obj().with("Partial", Json::obj().with("eta", eta)),
-        SheddingMode::Full => Json::from("Full"),
-    };
-    let validation = match validation {
-        ValidationPolicy::Off => "Off",
-        ValidationPolicy::Reject => "Reject",
-        ValidationPolicy::Clamp => "Clamp",
-        ValidationPolicy::Abort => "Abort",
-    };
-    Json::obj()
-        .with("theta_d", theta_d)
-        .with("theta_s", theta_s)
-        .with("grid_cells", grid_cells)
-        .with("delta", delta)
-        .with("cnloc_tolerance", cnloc_tolerance)
-        .with("shedding", shedding)
-        .with("member_filter", member_filter)
-        .with("entity_ttl", entity_ttl)
-        .with("parallelism", parallelism)
-        .with("validation", validation)
-        .with("deadline_us", deadline_us)
-        .with("shards", shards)
-}
-
 fn read_params(v: &Json) -> Result<ScubaParams, String> {
     read_struct(v, ScubaParams::default(), |p, key, v| {
         match key {
@@ -508,11 +381,8 @@ fn read_params(v: &Json) -> Result<ScubaParams, String> {
             "theta_s" => p.theta_s = float(v)?,
             "grid_cells" => p.grid_cells = uint(v)?,
             "delta" => p.delta = uint(v)?,
-            "cnloc_tolerance" => p.cnloc_tolerance = float(v)?,
             "shedding" => p.shedding = read_shedding(v)?,
-            "member_filter" => p.member_filter = boolean(v)?,
             "entity_ttl" => p.entity_ttl = option(v, uint)?,
-            "parallelism" => p.parallelism = uint(v)?,
             "validation" => {
                 p.validation = match unit_variant(v)? {
                     "Off" => ValidationPolicy::Off,
@@ -614,11 +484,6 @@ fn float(v: &Json) -> Result<f64, String> {
         .ok_or_else(|| format!("expected a number, found {}", v.kind()))
 }
 
-fn boolean(v: &Json) -> Result<bool, String> {
-    v.as_bool()
-        .ok_or_else(|| format!("expected a boolean, found {}", v.kind()))
-}
-
 fn option<T>(v: &Json, read: fn(&Json) -> Result<T, String>) -> Result<Option<T>, String> {
     match v {
         Json::Null => Ok(None),
@@ -665,16 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_flag_sets_params() {
-        let (c, _) = SimConfig::from_args(&args(&["--parallelism", "4"])).unwrap();
-        assert_eq!(c.params.parallelism, 4);
-        assert!(
-            SimConfig::from_args(&args(&["--parallelism", "0"])).is_err(),
-            "zero workers fails validation"
-        );
-    }
-
-    #[test]
     fn retired_ingest_flags_are_unknown_options() {
         // `main` prints the error and exits with status 2.
         for flags in [&["--ingest-shards", "4"][..], &["--no-batch-ingest"]] {
@@ -691,23 +546,20 @@ mod tests {
         assert_eq!(c.params.shards, 4);
         let err = SimConfig::from_args(&args(&["--shards", "0"])).unwrap_err();
         assert!(err.contains("shards"), "{err}");
-        // Orthogonal knobs: executor shards × per-shard join workers.
-        let (c, _) = SimConfig::from_args(&args(&["--shards", "2", "--parallelism", "3"])).unwrap();
-        assert_eq!(c.params.shards, 2);
-        assert_eq!(c.params.parallelism, 3);
     }
 
     #[test]
     fn retired_index_flags_are_unknown_options() {
-        // The adaptive grid and its knobs, the wide join kernel and the
-        // join cache are gone; `main` prints the error and exits with
-        // status 2.
+        // The adaptive grid and its knobs, the wide join kernel, the join
+        // cache and join-within threads are gone; `main` prints the error
+        // and exits with status 2.
         for flag in [
             "--index",
             "--split-threshold",
             "--merge-threshold",
             "--kernel",
             "--no-join-cache",
+            "--parallelism",
         ] {
             let err = SimConfig::from_args(&args(&[flag, "4"])).unwrap_err();
             assert_eq!(err, format!("unknown option '{flag}'"));
@@ -757,7 +609,9 @@ mod tests {
     }
 
     /// A non-default config as the serde-derived format wrote it
-    /// (`serde_json::to_string_pretty`).
+    /// (`serde_json::to_string_pretty`), when `ScubaParams` still had the
+    /// direction tolerance, the member-filter ablation and join-within
+    /// threads.
     const SERDE_FIXTURE: &str = r#"{
   "city": {
     "extent": 5000.0,
@@ -841,11 +695,8 @@ mod tests {
                 theta_s: 8.0,
                 grid_cells: 50,
                 delta: 3,
-                cnloc_tolerance: 1e-6,
                 shedding: SheddingMode::Partial { eta: 0.5 },
-                member_filter: false,
                 entity_ttl: Some(30),
-                parallelism: 2,
                 validation: ValidationPolicy::Reject,
                 deadline_us: Some(2500),
                 shards: 1,
@@ -855,27 +706,96 @@ mod tests {
     }
 
     #[test]
-    fn serde_shaped_fixture_loads_and_is_written_back_unchanged() {
-        let config = SimConfig::from_json(SERDE_FIXTURE).unwrap();
-        assert_eq!(config, fixture_config());
-        assert_eq!(config.to_json(), SERDE_FIXTURE);
+    fn serde_shaped_fixture_loads() {
+        assert_eq!(
+            SimConfig::from_json(SERDE_FIXTURE).unwrap(),
+            fixture_config()
+        );
     }
 
+    /// Every field of every config struct, named once: a field added to
+    /// any of them fails to compile here until this test — and the
+    /// matching `read_*` — covers it. Each value differs from its default,
+    /// so a key `read_*` skips fails the comparison.
     #[test]
-    fn json_roundtrip() {
-        for config in [SimConfig::default(), fixture_config()] {
-            let parsed = SimConfig::from_json(&config.to_json()).unwrap();
-            assert_eq!(parsed, config);
-        }
-        let full = SimConfig {
+    fn every_field_is_read() {
+        let fixture = fixture_config();
+        let expected = SimConfig {
             params: ScubaParams {
-                shedding: SheddingMode::Full,
-                validation: ValidationPolicy::Abort,
-                ..ScubaParams::default()
+                shards: 2,
+                ..fixture.params
             },
-            ..SimConfig::default()
+            ..fixture
         };
-        assert_eq!(SimConfig::from_json(&full.to_json()).unwrap(), full);
+        let SimConfig {
+            city,
+            workload,
+            params,
+            duration,
+        } = expected;
+        let CityConfig {
+            extent,
+            blocks,
+            highway_every,
+            diagonal_shortcuts,
+            jitter,
+            seed: city_seed,
+        } = city;
+        let WorkloadConfig {
+            num_objects,
+            num_queries,
+            skew,
+            update_fraction,
+            query_range_side,
+            speed_min,
+            speed_max,
+            speed_jitter,
+            group_spread,
+            dwell_ticks,
+            hotspot_count,
+            hotspot_radius,
+            hotspot_intensity,
+            query_churn_rate,
+            query_lifetime_mean,
+            route_metric,
+            seed: workload_seed,
+        } = workload;
+        let ScubaParams {
+            theta_d,
+            theta_s,
+            grid_cells,
+            delta,
+            shedding,
+            entity_ttl,
+            validation,
+            deadline_us,
+            shards,
+        } = params;
+        let shedding = match shedding {
+            SheddingMode::Partial { eta } => format!(r#"{{"Partial": {{"eta": {eta:?}}}}}"#),
+            other => format!("\"{other:?}\""),
+        };
+        let json = format!(
+            r#"{{
+                "city": {{"extent": {extent:?}, "blocks": {blocks}, "highway_every": {highway_every},
+                    "diagonal_shortcuts": {diagonal_shortcuts}, "jitter": {jitter:?}, "seed": {city_seed}}},
+                "workload": {{"num_objects": {num_objects}, "num_queries": {num_queries}, "skew": {skew},
+                    "update_fraction": {update_fraction:?}, "query_range_side": {query_range_side:?},
+                    "speed_min": {speed_min:?}, "speed_max": {speed_max:?}, "speed_jitter": {speed_jitter:?},
+                    "group_spread": {group_spread:?}, "dwell_ticks": {dwell_ticks},
+                    "hotspot_count": {hotspot_count}, "hotspot_radius": {hotspot_radius:?},
+                    "hotspot_intensity": {hotspot_intensity:?}, "query_churn_rate": {query_churn_rate:?},
+                    "query_lifetime_mean": {query_lifetime_mean:?}, "route_metric": "{route_metric:?}",
+                    "seed": {workload_seed}}},
+                "params": {{"theta_d": {theta_d:?}, "theta_s": {theta_s:?}, "grid_cells": {grid_cells},
+                    "delta": {delta}, "shedding": {shedding}, "entity_ttl": {}, "validation": "{validation:?}",
+                    "deadline_us": {}, "shards": {shards}}},
+                "duration": {duration}
+            }}"#,
+            entity_ttl.map_or("null".into(), |t| t.to_string()),
+            deadline_us.map_or("null".into(), |t| t.to_string()),
+        );
+        assert_eq!(SimConfig::from_json(&json).unwrap(), expected);
     }
 
     #[test]
@@ -897,22 +817,24 @@ mod tests {
     #[test]
     fn retired_ingest_knobs_in_json_are_ignored() {
         // Params, configs and snapshots written before the batch sharder,
-        // the adaptive grid, the wide join kernel, the join cache and the
-        // probe-scope and radius-tightening ablations were deleted still
-        // carry their knobs; they must keep loading. Configs written before
-        // a knob existed lack it and load its default.
+        // the adaptive grid, the wide join kernel, the join cache, the
+        // probe-scope and radius-tightening ablations, join-within threads,
+        // the member-filter ablation and the direction tolerance were
+        // deleted still carry their knobs; they must keep loading. Configs
+        // written before a knob existed lack it and load its default.
         let empty = SimConfig::from_json(r#"{"params": {}}"#).unwrap();
         assert_eq!(empty.params, ScubaParams::default());
         for params in [
-            r#"{"parallelism": 2, "ingest_shards": 8, "batch_ingest": false}"#,
-            r#"{"parallelism": 2, "index": "adaptive", "split_threshold": 16, "merge_threshold": 4}"#,
-            r#"{"parallelism": 2, "kernel": "simd"}"#,
-            r#"{"parallelism": 2, "join_cache": false}"#,
-            r#"{"parallelism": 2, "probe_scope": "OwnCell", "tighten_radii": false}"#,
+            r#"{"shards": 2, "ingest_shards": 8, "batch_ingest": false}"#,
+            r#"{"shards": 2, "index": "adaptive", "split_threshold": 16, "merge_threshold": 4}"#,
+            r#"{"shards": 2, "kernel": "simd"}"#,
+            r#"{"shards": 2, "join_cache": false}"#,
+            r#"{"shards": 2, "probe_scope": "OwnCell", "tighten_radii": false}"#,
+            r#"{"shards": 2, "parallelism": 8, "member_filter": false, "cnloc_tolerance": 0.5}"#,
         ] {
             let old = SimConfig::from_json(&format!(r#"{{"params": {params}}}"#))
                 .expect("unknown keys are ignored");
-            assert_eq!(old.params, ScubaParams::default().with_parallelism(2));
+            assert_eq!(old.params, ScubaParams::default().with_shards(2));
         }
     }
 
@@ -931,7 +853,6 @@ mod tests {
             (r#"{"workload": {"skew": 4294967296}}"#, "skew: integer"),
             (r#"{"city": {"extent": true}}"#, "extent: expected a number"),
             (r#"{"city": []}"#, "city: expected an object"),
-            (r#"{"params": {"member_filter": 1}}"#, "expected a boolean"),
             (r#"{"params": {"entity_ttl": "soon"}}"#, "entity_ttl"),
             (
                 r#"{"params": {"validation": "Sometimes"}}"#,

@@ -100,10 +100,8 @@ OPTIONS (all commands):
     --seed <N>           workload seed
     --theta-d <F>        clustering distance threshold
     --theta-s <F>        clustering speed threshold
-    --parallelism <N>    join-within workers (same results at any value)
     --shards <N>         stripe-owned executor shards (1 = single store;
-                         the way to ingest in parallel; composes with
-                         --parallelism inside each shard)
+                         the way to ingest in parallel)
     --validate <POLICY>  ingestion hardening: off|reject|clamp|abort
     --deadline-us <N>    per-evaluation deadline budget in µs; misses
                          escalate load shedding adaptively (simulate)

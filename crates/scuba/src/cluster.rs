@@ -31,6 +31,13 @@
 use scuba_motion::{EntityRef, LocationUpdate};
 use scuba_spatial::{Circle, Point, Time, Vector};
 
+/// How far apart two connection nodes may be and still count as the same
+/// direction (`o.cnloc == m.cnloc`, §3.2 step 3). Both sides are `f64`
+/// positions that come from identical arithmetic on the same network node,
+/// so equal nodes agree to the last bit; the tolerance only keeps the test
+/// from hinging on exact `f64` equality.
+pub const CNLOC_TOLERANCE: f64 = 1e-6;
+
 /// Identifier of a moving cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterId(pub u64);
@@ -272,15 +279,9 @@ impl MovingCluster {
     /// Checks the three §3.2 step-3 conditions for absorbing an update:
     /// same direction, within Θ_D of the centroid, speed within Θ_S of the
     /// cluster average.
-    pub fn can_absorb(
-        &self,
-        update: &LocationUpdate,
-        theta_d: f64,
-        theta_s: f64,
-        cnloc_tolerance: f64,
-    ) -> bool {
+    pub fn can_absorb(&self, update: &LocationUpdate, theta_d: f64, theta_s: f64) -> bool {
         // 1. Same direction: identical destination connection node.
-        if update.cn_loc.distance_sq(&self.cn_loc) > cnloc_tolerance * cnloc_tolerance {
+        if update.cn_loc.distance_sq(&self.cn_loc) > CNLOC_TOLERANCE * CNLOC_TOLERANCE {
             return false;
         }
         // 2. Distance: ||o.loc − m.loc|| ≤ Θ_D.
@@ -616,25 +617,25 @@ mod tests {
     fn can_absorb_checks_all_three_conditions() {
         let c = founder();
         let good = obj_update(2, Point::new(50.0, 0.0), 35.0, CN);
-        assert!(c.can_absorb(&good, 100.0, 10.0, 1e-6));
+        assert!(c.can_absorb(&good, 100.0, 10.0));
 
         // Wrong direction.
         let wrong_cn = obj_update(2, Point::new(50.0, 0.0), 35.0, Point::new(0.0, 1000.0));
-        assert!(!c.can_absorb(&wrong_cn, 100.0, 10.0, 1e-6));
+        assert!(!c.can_absorb(&wrong_cn, 100.0, 10.0));
 
         // Too far.
         let far = obj_update(2, Point::new(150.0, 0.0), 35.0, CN);
-        assert!(!c.can_absorb(&far, 100.0, 10.0, 1e-6));
+        assert!(!c.can_absorb(&far, 100.0, 10.0));
 
         // Too fast.
         let fast = obj_update(2, Point::new(50.0, 0.0), 45.0, CN);
-        assert!(!c.can_absorb(&fast, 100.0, 10.0, 1e-6));
+        assert!(!c.can_absorb(&fast, 100.0, 10.0));
 
         // Boundary cases are inclusive.
         let at_theta_d = obj_update(2, Point::new(100.0, 0.0), 30.0, CN);
-        assert!(c.can_absorb(&at_theta_d, 100.0, 10.0, 1e-6));
+        assert!(c.can_absorb(&at_theta_d, 100.0, 10.0));
         let at_theta_s = obj_update(2, Point::new(50.0, 0.0), 40.0, CN);
-        assert!(c.can_absorb(&at_theta_s, 100.0, 10.0, 1e-6));
+        assert!(c.can_absorb(&at_theta_s, 100.0, 10.0));
     }
 
     #[test]

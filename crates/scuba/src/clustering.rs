@@ -346,12 +346,9 @@ impl ClusterEngine {
         // The one probe: upsert the attribute row and read the home.
         let home = self.entities.upsert(update);
         let ScubaParams {
-            theta_d,
-            theta_s,
-            cnloc_tolerance,
-            ..
+            theta_d, theta_s, ..
         } = self.params;
-        let fits = |c: &MovingCluster| c.can_absorb(update, theta_d, theta_s, cnloc_tolerance);
+        let fits = |c: &MovingCluster| c.can_absorb(update, theta_d, theta_s);
 
         // An entity already in a cluster either refreshes in place or
         // leaves before re-clustering.

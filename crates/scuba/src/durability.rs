@@ -251,7 +251,9 @@ fn encode_params(out: &mut Vec<u8>, p: &ScubaParams) {
     put_f64(out, p.theta_s);
     put_u32(out, p.grid_cells);
     put_u64(out, p.delta);
-    put_f64(out, p.cnloc_tolerance);
+    // Slots of knobs that no longer exist keep their last default values,
+    // so the layout (and `FORMAT_VERSION`) is unchanged.
+    put_f64(out, 1e-6); // was cnloc_tolerance
     match p.shedding {
         SheddingMode::None => put_u8(out, 0),
         SheddingMode::Partial { eta } => {
@@ -260,13 +262,11 @@ fn encode_params(out: &mut Vec<u8>, p: &ScubaParams) {
         }
         SheddingMode::Full => put_u8(out, 2),
     }
-    // Slots of knobs that no longer exist keep their default values, so
-    // the layout (and `FORMAT_VERSION`) is unchanged.
     put_u8(out, 0); // was probe_scope (Θ_D disk)
-    put_bool(out, p.member_filter);
+    put_bool(out, true); // was member_filter
     put_bool(out, true); // was tighten_radii
     put_opt_u64(out, p.entity_ttl);
-    put_u64(out, p.parallelism as u64);
+    put_u64(out, 1); // was parallelism
     put_bool(out, true); // was join_cache
     put_u64(out, 0); // was ingest_shards
     put_bool(out, true); // was batch_ingest
@@ -294,27 +294,29 @@ fn decode_params(r: &mut &[u8]) -> Result<ScubaParams, SnapshotError> {
     let theta_s = read_f64(r)?;
     let grid_cells = read_u32(r)?;
     let delta = read_u64(r)?;
-    let cnloc_tolerance = read_f64(r)?;
+    read_f64(r)?; // the retired direction tolerance
     let shedding = match read_u8(r)? {
         0 => SheddingMode::None,
         1 => SheddingMode::Partial { eta: read_f64(r)? },
         2 => SheddingMode::Full,
         t => return Err(SnapshotError::Inconsistent(format!("bad shedding tag {t}"))),
     };
-    // The retired probe scope (0 Θ_D disk, 1 own cell) and radius
-    // tightening flag: any valid value decodes to the same engine.
+    // The retired probe scope (0 Θ_D disk, 1 own cell), member-filter
+    // and radius-tightening flags: any valid value decodes to the same
+    // engine.
     let probe = read_u8(r)?;
     if probe > 1 {
         return Err(SnapshotError::Inconsistent(format!(
             "bad probe-scope tag {probe}"
         )));
     }
-    let member_filter = read_bool(r)?;
+    read_bool(r)?;
     read_bool(r)?;
     let entity_ttl = read_opt_u64(r)?;
-    let parallelism = read_u64(r)? as usize;
-    // The three retired slots (the cache flag, then the two ingest knobs):
-    // whatever valid value an older writer put there is skipped.
+    // The four retired slots (the join-within worker count, the cache
+    // flag, then the two ingest knobs): whatever valid value an older
+    // writer put there is skipped.
+    read_u64(r)?;
     read_bool(r)?;
     read_u64(r)?;
     read_bool(r)?;
@@ -354,11 +356,8 @@ fn decode_params(r: &mut &[u8]) -> Result<ScubaParams, SnapshotError> {
         theta_s,
         grid_cells,
         delta,
-        cnloc_tolerance,
         shedding,
-        member_filter,
         entity_ttl,
-        parallelism,
         validation,
         deadline_us,
         shards,
@@ -2071,7 +2070,6 @@ mod tests {
             validation: ValidationPolicy::Reject,
             deadline_us: Some(12_345),
             shards: 2,
-            member_filter: false,
             ..ScubaParams::default()
         };
         let mut out = Vec::new();
@@ -2884,8 +2882,11 @@ mod tests {
         // three retired index slots, one with the since-deleted wide join
         // kernel wrote 1 into the retired kernel slot, and one with the
         // since-deleted own-cell probe and untightened radii wrote 1 / 0
-        // into the retired probe-scope and tighten slots; such checkpoints
-        // must resume as the same engine as one holding today's constants.
+        // into the retired probe-scope and tighten slots, and one with
+        // since-deleted join-within threads, member-filter ablation and
+        // direction tolerance wrote 8 / 0 / 0.5 into those three slots;
+        // such checkpoints must resume as the same engine as one holding
+        // today's constants.
         let stripes = vec![busy_snapshot()];
         let new = encode_checkpoint(6, &stripes, &QueryRegistry::new());
         // Default params put 50 bytes ahead of the ingest slots: Θ_D, Θ_S,
@@ -2898,8 +2899,15 @@ mod tests {
         // The tags/flags are shedding, probe scope, member filter and
         // tighten, in that order, right after the 36 bytes of scalars.
         let probe = CKPT_HEADER + 8 + 37;
+        let member_filter = probe + 1;
         let tighten = probe + 2;
         assert_eq!(new[probe..=tighten], [0, 1, 1]);
+        // The tolerance is the last of the scalars, the worker count
+        // follows the absent TTL.
+        let tolerance = probe - 9..probe - 1;
+        assert_eq!(new[tolerance.clone()], 1e-6f64.to_le_bytes());
+        let parallelism = tighten + 2;
+        assert_eq!(new[parallelism..cache], [1, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(new[at..at + 9], [0, 0, 0, 0, 0, 0, 0, 0, 1]);
         // Validation (1) and an absent deadline (1) follow; then the index
         // tag and both thresholds, still the old defaults (0, 32, 8).
@@ -2925,6 +2933,10 @@ mod tests {
         let mut own_cell = new.clone();
         own_cell[probe] = 1;
         own_cell[tighten] = 0;
+        let mut threaded = new.clone();
+        threaded[parallelism] = 8;
+        threaded[member_filter] = 0;
+        threaded[tolerance].copy_from_slice(&0.5f64.to_le_bytes());
         for at in [cache, idx, kernel, probe] {
             let mut corrupt = new.clone();
             corrupt[at] = 2;
@@ -2936,7 +2948,7 @@ mod tests {
         let new = decode_checkpoint(&new).unwrap();
         let engine =
             |s: &CheckpointState| EngineSnapshot::capture(&s.stripes[0].restore().unwrap());
-        for old in [uncached, sharded, adaptive, wide, own_cell] {
+        for old in [uncached, sharded, adaptive, wide, own_cell, threaded] {
             let old = decode_checkpoint(&reseal(old)).unwrap();
             assert_eq!(old, new);
             assert_eq!(engine(&old), engine(&new));

@@ -418,8 +418,6 @@ impl ContinuousOperator for ScubaOperator {
             store: self.engine.store(),
             grid: self.engine.grid(),
             queries: self.engine.queries(),
-            member_filter: self.engine.params().member_filter,
-            parallelism: self.engine.params().parallelism,
         };
         let mut join = ctx.run(&mut self.scratch);
         phases.extend(std::mem::take(&mut join.stages));

@@ -17,11 +17,11 @@
 //! 3. **join-within** (Algorithm 3) — the exact object×query join over the
 //!    members of both clusters. Every surviving pair is computed from
 //!    scratch each Δ: the clusters it needs are materialised once into a
-//!    flat SoA arena and the exact join runs over them, partitioned across
-//!    scoped worker threads (work-stealing over an atomic cursor) when
-//!    [`JoinContext::parallelism`] > 1;
-//! 4. **result merge** — radix sort + dedup of the worker outputs, which
-//!    makes the result set independent of thread count and of pair order.
+//!    flat SoA arena and the exact join runs over them, one pair after
+//!    another;
+//! 4. **result merge** — radix sort + dedup of the raw matches, which
+//!    puts the result set in its canonical `(query, object)` order,
+//!    independent of pair order.
 //!
 //! The per-tick path is hash-free: pairs are slot pairs and the arena
 //! index is a dense stamped per-slot table. No state survives a round
@@ -56,8 +56,6 @@
 //! collapses accuracy to ~13 % on the default workload, far below the ~79 %
 //! the paper reports at η = 50 %, so the centroid reading is the one
 //! consistent with the paper's own measurements; see DESIGN.md.)
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scuba_motion::{ObjectId, QueryId};
 use scuba_spatial::{Circle, Point, Rect};
@@ -114,23 +112,14 @@ pub struct JoinContext<'a> {
     pub grid: &'a ClusterGrid,
     /// Query attributes (range extents).
     pub queries: &'a QueriesTable,
-    /// Whether to apply the member-vs-cluster reach filter inside
-    /// join-within (sound either way; `false` reverts to Algorithm 3's
-    /// plain nested loop for ablation).
-    pub member_filter: bool,
-    /// Worker threads for the join-within stage. 1 runs the serial path;
-    /// n > 1 lets n scoped threads steal surviving pairs from a shared
-    /// atomic cursor. The result set and all work counters are identical
-    /// for every value.
-    pub parallelism: usize,
 }
 
 /// Reusable working memory for the joining phase, owned by the operator
 /// and handed to [`JoinContext::run`] every epoch.
 ///
 /// Holds the packed pair-key buffer of stage 1, the pair/task lists, the
-/// SoA materialisation arena of stage 3 and one scratch block per worker
-/// thread. In steady state an epoch performs no allocation: every buffer
+/// SoA materialisation arena of stage 3 and the join-within output block.
+/// In steady state an epoch performs no allocation: every buffer
 /// is cleared (length 0) but keeps its capacity, and nothing here carries
 /// per-cluster state across rounds.
 #[derive(Debug, Default)]
@@ -145,8 +134,8 @@ pub struct JoinScratch {
     tasks: Vec<(ClusterSlot, ClusterSlot)>,
     /// Per-epoch SoA materialisation of member positions.
     arena: MatArena,
-    /// One scratch block per join-within worker.
-    workers: Vec<WorkerScratch>,
+    /// Join-within output: raw matches, active queries, work counters.
+    within: WithinScratch,
 }
 
 impl JoinScratch {
@@ -157,7 +146,7 @@ impl JoinScratch {
 
     /// Bytes of heap currently reserved across every scratch buffer —
     /// pair keys, radix scatter buffers, task lists, the materialisation
-    /// arena and all worker blocks.
+    /// arena and the join-within block.
     ///
     /// The steady-state contract is that this value stops changing once
     /// the workload shape settles: an epoch clears lengths but never
@@ -177,19 +166,13 @@ impl JoinScratch {
             + arena.group_qids.capacity() * size_of::<QueryId>()
             + arena.pending_groups.capacity() * size_of::<(u32, QueryId)>()
             + arena.group_counts.capacity() * size_of::<u32>();
-        let workers: usize = self
-            .workers
-            .iter()
-            .map(|w| {
-                w.results.capacity() * size_of::<QueryMatch>()
-                    + w.active.capacity() * size_of::<u32>()
-            })
-            .sum();
+        let within = self.within.results.capacity() * size_of::<QueryMatch>()
+            + self.within.active.capacity() * size_of::<u32>();
         (self.pairs.capacity() + self.pairs_tmp.capacity()) * size_of::<u64>()
             + self.merge_tmp.capacity() * size_of::<QueryMatch>()
             + self.tasks.capacity() * size_of::<(ClusterSlot, ClusterSlot)>()
             + arena_bytes
-            + workers
+            + within
     }
 }
 
@@ -295,10 +278,10 @@ impl MatArena {
     }
 }
 
-/// Per-worker working memory: raw matches and the active-query index
+/// Join-within working memory: raw matches and the active-query index
 /// buffer, plus work counters.
 #[derive(Debug, Default)]
-struct WorkerScratch {
+struct WithinScratch {
     results: Vec<QueryMatch>,
     /// Indices into `MatArena::queries` of the partner queries that
     /// survived the reach filter for the current object cluster.
@@ -307,7 +290,7 @@ struct WorkerScratch {
     reach_tests: u64,
 }
 
-impl WorkerScratch {
+impl WithinScratch {
     fn reset(&mut self) {
         self.results.clear();
         self.active.clear();
@@ -355,30 +338,28 @@ impl<'a> JoinContext<'a> {
         );
 
         // Stage 3 — join-within: materialise every cluster a surviving
-        // pair needs, exactly once, serially, into the shared SoA arena
-        // (the workers only read it), then run the exact member join
-        // (Algorithm 3) over every pair.
-        let used = {
-            let JoinScratch {
-                tasks,
-                arena,
-                workers,
-                ..
-            } = &mut *scratch;
-            arena.clear(self.store.capacity());
-            for &(left, right) in tasks.iter() {
-                self.materialize_into(left, arena);
-                if right != left {
-                    self.materialize_into(right, arena);
-                }
+        // pair needs, exactly once, into the SoA arena, then run the exact
+        // member join (Algorithm 3) over every pair.
+        let JoinScratch {
+            tasks,
+            arena,
+            within,
+            ..
+        } = &mut *scratch;
+        arena.clear(self.store.capacity());
+        for &(left, right) in tasks.iter() {
+            self.materialize_into(left, arena);
+            if right != left {
+                self.materialize_into(right, arena);
             }
-            self.join_tasks(tasks, arena, workers)
-        };
-        for ws in scratch.workers.iter().take(used) {
-            out.comparisons += ws.comparisons;
-            out.prefilter_tests += ws.reach_tests;
-            out.results.extend_from_slice(&ws.results);
         }
+        within.reset();
+        for &(left, right) in tasks.iter() {
+            self.join_pair(arena, left, right, within);
+        }
+        out.comparisons += within.comparisons;
+        out.prefilter_tests += within.reach_tests;
+        out.results.extend_from_slice(&within.results);
         let raw = out.results.len() as u64;
         out.stages.push(
             StageStats::join(STAGE_JOIN_WITHIN)
@@ -387,8 +368,8 @@ impl<'a> JoinContext<'a> {
                 .with_tests(out.comparisons + (out.prefilter_tests - between_tests)),
         );
 
-        // Stage 4 — result merge: radix sort + dedup, which also erases
-        // any worker-interleaving of the raw matches.
+        // Stage 4 — result merge: radix sort + dedup into the canonical
+        // `(query, object)` order.
         radix::sort_dedup(&mut out.results, &mut scratch.merge_tmp);
         out.stages.push(
             StageStats::join(STAGE_RESULT_MERGE)
@@ -435,55 +416,6 @@ impl<'a> JoinContext<'a> {
         (entries_walked, candidates)
     }
 
-    /// Stage 3 kernel: runs the member join over every surviving pair,
-    /// serially or across `parallelism` scoped worker threads stealing
-    /// tasks from a shared atomic cursor. Returns how many worker scratch
-    /// blocks hold output.
-    ///
-    /// Parallel execution is deterministic in everything the caller can
-    /// observe: the task list is fixed before dispatch, per-pair
-    /// comparison and reach-test counts do not depend on which worker
-    /// handles the pair (all read the same arena), the counters merge
-    /// commutatively, and the raw matches are sorted and deduped by the
-    /// merge stage.
-    fn join_tasks(
-        &self,
-        tasks: &[(ClusterSlot, ClusterSlot)],
-        arena: &MatArena,
-        workers: &mut Vec<WorkerScratch>,
-    ) -> usize {
-        let used = self.parallelism.max(1).min(tasks.len().max(1));
-        if workers.len() < used {
-            workers.resize_with(used, WorkerScratch::default);
-        }
-        for ws in workers.iter_mut() {
-            ws.reset();
-        }
-        if used <= 1 {
-            let ws = &mut workers[0];
-            for &(left, right) in tasks {
-                self.join_pair(arena, left, right, ws);
-            }
-            return 1;
-        }
-
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for ws in workers.iter_mut().take(used) {
-                let ctx = *self;
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(left, right)) = tasks.get(i) else {
-                        break;
-                    };
-                    ctx.join_pair(arena, left, right, ws);
-                });
-            }
-        });
-        used
-    }
-
     /// Joins one surviving pair: the same-cluster join for `(c, c)`
     /// tasks, otherwise L-objects × R-queries and R-objects × L-queries.
     fn join_pair(
@@ -491,7 +423,7 @@ impl<'a> JoinContext<'a> {
         arena: &MatArena,
         left: ClusterSlot,
         right: ClusterSlot,
-        ws: &mut WorkerScratch,
+        ws: &mut WithinScratch,
     ) {
         if let (Some(&m_l), Some(&m_r)) = (arena.entry(left), arena.entry(right)) {
             if left == right {
@@ -522,15 +454,14 @@ impl<'a> JoinContext<'a> {
         arena: &MatArena,
         objects_of: &MatEntry,
         queries_of: &MatEntry,
-        ws: &mut WorkerScratch,
+        ws: &mut WithinScratch,
     ) {
         if !objects_of.has_objects() || !queries_of.has_queries() {
             return;
         }
-        // The reach filters are no-ops within a single cluster (every
-        // member is inside its own region by construction), and disabled
-        // entirely when ablating.
-        let skip_filters = objects_of.slot == queries_of.slot || !self.member_filter;
+        // The reach filters are no-ops within a single cluster: every
+        // member is inside its own region by construction.
+        let skip_filters = objects_of.slot == queries_of.slot;
 
         // Exact queries that can reach the object cluster at all.
         ws.active.clear();
@@ -781,8 +712,6 @@ mod tests {
             store: engine.store(),
             grid: engine.grid(),
             queries: engine.queries(),
-            member_filter: engine.params().member_filter,
-            parallelism: engine.params().parallelism,
         }
     }
 
@@ -1000,33 +929,6 @@ mod tests {
             within.tests + between.tests,
             out.comparisons + out.prefilter_tests
         );
-    }
-
-    #[test]
-    fn parallel_join_matches_serial() {
-        // A dozen object/query convoys scattered along a line: several
-        // surviving pairs to partition across workers.
-        let params = ScubaParams::default().with_grid_cells(8);
-        let mut e = ClusterEngine::new(params, Rect::square(1000.0));
-        for i in 0..12u64 {
-            let x = 80.0 * i as f64 + 40.0;
-            e.process_update(&obj(i, x, 500.0, 30.0, CN_EAST));
-            e.process_update(&obj(100 + i, x + 5.0, 505.0, 30.0, CN_EAST));
-            e.process_update(&qry(i, x + 2.0, 502.0, 30.0, CN_WEST, 60.0));
-        }
-        e.build_index();
-        let serial = run(&e);
-        assert!(!serial.results.is_empty());
-        for workers in [2usize, 4, 8] {
-            let mut parallel_ctx = ctx(&e);
-            parallel_ctx.parallelism = workers;
-            let parallel = parallel_ctx.run(&mut JoinScratch::new());
-            assert_eq!(parallel.results, serial.results, "workers={workers}");
-            assert_eq!(parallel.comparisons, serial.comparisons);
-            assert_eq!(parallel.prefilter_tests, serial.prefilter_tests);
-            assert_eq!(parallel.pairs_joined, serial.pairs_joined);
-            assert_eq!(parallel.pairs_pruned, serial.pairs_pruned);
-        }
     }
 
     /// The radix scatter buffers are scratch like the rest: counted by

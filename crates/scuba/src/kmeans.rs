@@ -67,13 +67,11 @@ pub struct KMeansOutcome {
 
 impl KMeansOutcome {
     /// Runs the standard SCUBA join over the offline-built clusters.
-    pub fn join(&self, params: &ScubaParams) -> JoinOutput {
+    pub fn join(&self) -> JoinOutput {
         JoinContext {
             store: &self.clusters,
             grid: &self.grid,
             queries: &self.queries,
-            member_filter: params.member_filter,
-            parallelism: params.parallelism,
         }
         .run(&mut JoinScratch::new())
     }
@@ -295,7 +293,7 @@ mod tests {
             &params,
             Rect::square(1000.0),
         );
-        let join = outcome.join(&params);
+        let join = outcome.join();
         // Query 1 covers objects within ±10 of (105, 100): objects 0..10
         // are at x = 100..110 → several matches; query 2 symmetric.
         assert!(!join.results.is_empty());
@@ -362,7 +360,7 @@ mod tests {
             Rect::square(10.0),
         );
         assert!(outcome.clusters.is_empty());
-        assert_eq!(outcome.join(&ScubaParams::default()).results, vec![]);
+        assert_eq!(outcome.join().results, vec![]);
     }
 
     #[test]

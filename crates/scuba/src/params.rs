@@ -24,10 +24,6 @@ pub enum ParamsError {
     /// Partial shedding needs η ∈ \[0, 1\]; equivalently the nucleus
     /// radius Θ_N = η·Θ_D must not exceed Θ_D (§5: "0 ≤ Θ_N ≤ Θ_D").
     EtaOutOfRange(f64),
-    /// The connection-node comparison tolerance must be non-negative.
-    NegativeCnlocTolerance(f64),
-    /// Join-within needs at least one worker thread.
-    ZeroParallelism,
     /// The sharded executor needs at least one stripe-owning shard.
     ZeroShards,
     /// The overload deadline budget must be at least one microsecond.
@@ -49,10 +45,6 @@ impl std::fmt::Display for ParamsError {
                 f,
                 "shedding eta must be in [0, 1] (nucleus radius within theta_d), got {v}"
             ),
-            ParamsError::NegativeCnlocTolerance(v) => {
-                write!(f, "cnloc_tolerance must be non-negative, got {v}")
-            }
-            ParamsError::ZeroParallelism => write!(f, "parallelism must be >= 1"),
             ParamsError::ZeroShards => write!(f, "shards must be >= 1"),
             ParamsError::ZeroDeadline => write!(f, "deadline_us must be >= 1 when set"),
         }
@@ -86,26 +78,12 @@ pub struct ScubaParams {
     pub grid_cells: u32,
     /// Evaluation interval Δ in time units.
     pub delta: TimeDelta,
-    /// Tolerance when comparing connection-node positions for the
-    /// direction check (`o.cnloc == m.cnloc`); positions are `f64` produced
-    /// by identical arithmetic, so a tight tolerance suffices.
-    pub cnloc_tolerance: f64,
     /// Load-shedding policy (§5). `SheddingMode::None` by default.
     pub shedding: SheddingMode,
-    /// Whether join-within applies the member-vs-cluster reach filter
-    /// before the nested loop (ablation knob; default `true`; never
-    /// changes results, only work).
-    pub member_filter: bool,
     /// Entities silent for more than this many time units are evicted
     /// during post-join maintenance (`None` disables TTL eviction — the
     /// paper's setting, where 100 % of entities report every time unit).
     pub entity_ttl: Option<u64>,
-    /// Join-within workers: threads for the join-within stage of the
-    /// evaluation pipeline, and nothing else — ingestion never reads it,
-    /// so engine state is independent of it. Default 1 — the serial path.
-    /// Any value yields the same results and work counters; only
-    /// wall-clock time changes.
-    pub parallelism: usize,
     /// Ingestion hardening policy: how the operator treats malformed
     /// location updates (NaN/out-of-region coordinates, time regressions,
     /// duplicate keys). [`ValidationPolicy::Off`] — the default — trusts
@@ -121,12 +99,11 @@ pub struct ScubaParams {
     /// ([`crate::shard::ShardedScubaOperator`]): the coverage area is split
     /// into this many contiguous column stripes, each owned by a worker
     /// thread with its own `ClusterStore` and region grid. Default 1 —
-    /// the single-store engine. This is the one way to ingest in parallel:
-    /// the executor routes updates to owner shards, each of which ingests
-    /// its slice update by update;
-    /// [`parallelism`](ScubaParams::parallelism) sets join-within workers
-    /// *inside each shard*. Results are bit-identical to the single-shard
-    /// engine at any shard count, provided load shedding stays off.
+    /// the single-store engine. This is the one way to use more than one
+    /// core: the executor routes updates to owner shards, each of which
+    /// ingests and joins its slice. Results are bit-identical to the
+    /// single-shard engine at any shard count, provided load shedding
+    /// stays off.
     pub shards: usize,
 }
 
@@ -137,11 +114,8 @@ impl Default for ScubaParams {
             theta_s: 10.0,
             grid_cells: 100,
             delta: 2,
-            cnloc_tolerance: 1e-6,
             shedding: SheddingMode::None,
-            member_filter: true,
             entity_ttl: None,
-            parallelism: 1,
             validation: ValidationPolicy::Off,
             deadline_us: None,
             shards: 1,
@@ -161,15 +135,6 @@ impl ScubaParams {
     /// Returns the params with a different shedding mode.
     pub fn with_shedding(self, shedding: SheddingMode) -> Self {
         ScubaParams { shedding, ..self }
-    }
-
-    /// Returns the params with a different join-within worker count
-    /// (clamped to at least 1).
-    pub fn with_parallelism(self, parallelism: usize) -> Self {
-        ScubaParams {
-            parallelism: parallelism.max(1),
-            ..self
-        }
     }
 
     /// Returns the params with different clustering thresholds.
@@ -225,12 +190,6 @@ impl ScubaParams {
         if self.delta == 0 {
             return Err(ParamsError::ZeroDelta);
         }
-        if self.cnloc_tolerance.is_nan() || self.cnloc_tolerance < 0.0 {
-            return Err(ParamsError::NegativeCnlocTolerance(self.cnloc_tolerance));
-        }
-        if self.parallelism == 0 {
-            return Err(ParamsError::ZeroParallelism);
-        }
         if self.shards == 0 {
             return Err(ParamsError::ZeroShards);
         }
@@ -253,7 +212,6 @@ mod tests {
         assert_eq!(p.grid_cells, 100);
         assert_eq!(p.delta, 2);
         assert_eq!(p.shedding, SheddingMode::None);
-        assert_eq!(p.parallelism, 1, "serial join-within is the default");
         assert!(p.validate().is_ok());
     }
 
@@ -284,11 +242,6 @@ mod tests {
         assert!(p.validate().is_err());
         let p = ScubaParams {
             theta_d: f64::NAN,
-            ..ScubaParams::default()
-        };
-        assert!(p.validate().is_err());
-        let p = ScubaParams {
-            parallelism: 0,
             ..ScubaParams::default()
         };
         assert!(p.validate().is_err());
@@ -376,11 +329,5 @@ mod tests {
             ParamsError::ZeroShards
         );
         assert!(ParamsError::ZeroShards.to_string().contains("shards"));
-    }
-
-    #[test]
-    fn parallelism_builder_clamps_to_one() {
-        assert_eq!(ScubaParams::default().with_parallelism(0).parallelism, 1);
-        assert_eq!(ScubaParams::default().with_parallelism(4).parallelism, 4);
     }
 }

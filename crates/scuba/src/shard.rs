@@ -692,7 +692,6 @@ impl ShardedScubaOperator {
         self.route_wall = Duration::ZERO;
 
         let k = self.shards.len();
-        let params = self.params;
         let barrier = EpochBarrier::new(k);
         // Global maximum effective cluster radius this Δ, as non-negative
         // f64 bits (bit order == value order for non-negative floats).
@@ -727,7 +726,6 @@ impl ShardedScubaOperator {
                                     s,
                                     state,
                                     now,
-                                    &params,
                                     barrier,
                                     max_reach_bits,
                                     mailboxes,
@@ -852,7 +850,6 @@ fn shard_evaluate(
     s: usize,
     state: &mut ShardState,
     now: Time,
-    params: &ScubaParams,
     barrier: &EpochBarrier,
     max_reach_bits: &AtomicU64,
     mailboxes: &[Vec<Mutex<Vec<Ghost>>>],
@@ -942,8 +939,6 @@ fn shard_evaluate(
         store: engine.store(),
         grid: engine.grid(),
         queries: engine.queries(),
-        member_filter: engine.params().member_filter,
-        parallelism: engine.params().parallelism,
     };
     let mut join = ctx.run(&mut state.scratch);
     phases.extend(std::mem::take(&mut join.stages));
@@ -970,13 +965,7 @@ fn shard_evaluate(
                 let view = views
                     .entry(slot)
                     .or_insert_with(|| build_ghost(cluster, engine.queries()));
-                cross_join(
-                    view,
-                    ghost,
-                    params.member_filter,
-                    &mut join.results,
-                    &mut counters,
-                );
+                cross_join(view, ghost, &mut join.results, &mut counters);
             }
         }
     }
@@ -1066,25 +1055,17 @@ fn build_ghost(cluster: &MovingCluster, queries: &QueriesTable) -> Ghost {
 
 /// Joins a surviving cross-stripe cluster pair in both member directions,
 /// with the same predicate and sound reach filters as join-within.
-fn cross_join(
-    a: &Ghost,
-    b: &Ghost,
-    member_filter: bool,
-    out: &mut Vec<QueryMatch>,
-    counters: &mut CrossCounters,
-) {
-    join_direction(a, b, member_filter, out, counters);
-    join_direction(b, a, member_filter, out, counters);
+fn cross_join(a: &Ghost, b: &Ghost, out: &mut Vec<QueryMatch>, counters: &mut CrossCounters) {
+    join_direction(a, b, out, counters);
+    join_direction(b, a, out, counters);
 }
 
 /// `objects_of`'s objects against `queries_of`'s queries — the scalar
 /// join-within member loop ([`crate::join`]) over ghost views. The reach
-/// filters are sound (they only skip pairs the exact predicate rejects),
-/// so results are independent of `member_filter`.
+/// filters are sound: they only skip pairs the exact predicate rejects.
 fn join_direction(
     objects_of: &Ghost,
     queries_of: &Ghost,
-    member_filter: bool,
     out: &mut Vec<QueryMatch>,
     counters: &mut CrossCounters,
 ) {
@@ -1097,28 +1078,23 @@ fn join_direction(
     // Exact queries that can reach the object cluster at all.
     let mut active: Vec<usize> = Vec::with_capacity(queries_of.queries.len());
     for (qi, q) in queries_of.queries.iter().enumerate() {
-        if member_filter {
-            counters.prefilter_tests += 1;
-            let reach = Circle::new(
-                objects_of.region.center,
-                objects_of.region.radius + q.bounding_radius,
-            );
-            if !reach.contains(&q.pos) {
-                continue;
-            }
+        counters.prefilter_tests += 1;
+        let reach = Circle::new(
+            objects_of.region.center,
+            objects_of.region.radius + q.bounding_radius,
+        );
+        if reach.contains(&q.pos) {
+            active.push(qi);
         }
-        active.push(qi);
     }
 
     // 1. Exact objects × exact queries.
     if !active.is_empty() {
         let query_reach = Circle::new(queries_of.region.center, queries_of.reach);
         for &(oid, p) in &objects_of.objs {
-            if member_filter {
-                counters.prefilter_tests += 1;
-                if !query_reach.contains(&p) {
-                    continue;
-                }
+            counters.prefilter_tests += 1;
+            if !query_reach.contains(&p) {
+                continue;
             }
             for &qi in &active {
                 let q = &queries_of.queries[qi];

@@ -337,8 +337,6 @@ mod tests {
                 store: e.store(),
                 grid: e.grid(),
                 queries: e.queries(),
-                member_filter: e.params().member_filter,
-                parallelism: e.params().parallelism,
             }
             .run(&mut JoinScratch::new())
             .results

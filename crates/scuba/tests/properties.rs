@@ -269,7 +269,7 @@ fn radius_is_bounded() {
 /// reports twice, heading first for (500, 1000) and then for (0, 500),
 /// around a range query it sits inside both times. Replayed verbatim
 /// through the single-interval checks above at every grid size they draw
-/// from, with and without zero-η shedding and join-within parallelism.
+/// from, with and without zero-η shedding.
 #[test]
 fn recorded_failure_object_rereports_inside_query() {
     let north = Point::new(500.0, 1000.0);
@@ -305,11 +305,7 @@ fn recorded_failure_object_rereports_inside_query() {
     assert_eq!(truth, [QueryMatch::new(QueryId(0), ObjectId(0))]);
     for grid_cells in 1..40u32 {
         let base = ScubaParams::default().with_grid_cells(grid_cells);
-        let variants = [
-            base,
-            base.with_shedding(SheddingMode::Partial { eta: 0.0 }),
-            base.with_parallelism(4),
-        ];
+        let variants = [base, base.with_shedding(SheddingMode::Partial { eta: 0.0 })];
         for params in variants {
             let mut scuba = ScubaOperator::new(params, area());
             for u in &updates {
@@ -407,100 +403,62 @@ fn full_shedding_exact_on_point_clusters() {
     });
 }
 
-/// The store-backed engine's reports are a pure function of the
-/// durable entity state: parallelism {1, 2, 4} agree on every tick of
-/// a multi-tick run in which only some entities re-report — the dense
-/// slot tables and the sorted pair dedup change work, never answers.
+/// Within-tick delivery order changes no answer: an engine fed each tick
+/// in generator order and one fed the same tick Fisher–Yates-shuffled (what
+/// a reordering transport delivers) answer alike at every tick. Each tick
+/// keeps one report per entity (the last), so the shuffle cannot change
+/// which report is current, and every entity seen so far reports every
+/// tick, as in the paper's §6.1 model: an entity that skips a tick is
+/// placed by its cluster's motion, and which cluster that is depends on
+/// arrival order. Engine state is not compared, for the same reason.
 #[test]
-fn parallelism_does_not_change_results_across_ticks() {
-    check(
-        "parallelism_does_not_change_results_across_ticks",
-        CASES,
-        |rng| {
-            let batches = vec(rng, 1..3, |r| updates(r, 40));
-            let configs: Vec<ScubaParams> = [1usize, 2, 4]
-                .iter()
-                .map(|&p| ScubaParams::default().with_parallelism(p))
-                .collect();
-            let mut ops: Vec<ScubaOperator> = configs
-                .iter()
-                .map(|&params| ScubaOperator::new(params, area()))
-                .collect();
-            for (tick, batch) in batches.iter().enumerate() {
-                let now = (tick as u64 + 1) * 2;
-                let mut reference: Option<Vec<QueryMatch>> = None;
-                for (op, params) in ops.iter_mut().zip(&configs) {
-                    for u in batch {
-                        op.process_update(u);
-                    }
-                    let results = op.evaluate(now).results;
-                    match &reference {
-                        None => reference = Some(results),
-                        Some(expected) => assert_eq!(
-                            &results, expected,
-                            "tick {}: parallelism {} diverged",
-                            tick, params.parallelism
-                        ),
-                    }
-                }
+fn within_tick_reorder_changes_no_answer() {
+    check("within_tick_reorder_changes_no_answer", CASES, |rng| {
+        use scuba_stream::{FaultInjector, FaultPlan};
+        let mut current: BTreeMap<EntityRef, LocationUpdate> = BTreeMap::new();
+        let batches = vec(rng, 1..4, |r| {
+            let fresh = updates(r, 40);
+            let mut last = BTreeMap::new();
+            for (i, u) in fresh.iter().enumerate() {
+                last.insert(u.entity, i);
             }
-        },
-    );
-}
-
-/// `parallelism` sets join-within workers and nothing else: ticks
-/// delivered in any within-tick order (what a reordering transport
-/// produces) leave the same answers *and* the same engine state at
-/// parallelism {1, 2, 4}.
-#[test]
-fn parallelism_does_not_change_engine_state_on_shuffled_ticks() {
-    check(
-        "parallelism_does_not_change_engine_state_on_shuffled_ticks",
-        CASES,
-        |rng| {
-            use scuba::EngineSnapshot;
-            use scuba_stream::{FaultInjector, FaultPlan};
-            let batches = vec(rng, 1..4, |r| updates(r, 40));
-            let seed = rng.next_u64();
-            // The injector Fisher–Yates-shuffles every tick it delivers.
-            let mut transport = FaultInjector::new(FaultPlan {
-                seed,
-                reorder_prob: 1.0,
-                ..FaultPlan::default()
-            });
-            let batches: Vec<_> = batches
+            // Fresh reports in generator order, then every other known
+            // entity's previous report again.
+            let mut batch: Vec<LocationUpdate> = fresh
                 .into_iter()
-                .map(|b| transport.apply_tick(b))
+                .enumerate()
+                .filter(|(i, u)| last[&u.entity] == *i)
+                .map(|(_, u)| u)
                 .collect();
-            let mut ops: Vec<ScubaOperator> = [1usize, 2, 4]
-                .iter()
-                .map(|&p| ScubaOperator::new(ScubaParams::default().with_parallelism(p), area()))
-                .collect();
-            for (tick, batch) in batches.iter().enumerate() {
-                let now = (tick as u64 + 1) * 2;
-                let mut reference = None;
-                for op in &mut ops {
-                    op.process_batch(batch);
-                    let results = op.evaluate(now).results;
-                    // The worker count itself is part of a snapshot's params.
-                    let state = EngineSnapshot {
-                        params: ScubaParams::default(),
-                        ..EngineSnapshot::capture(op.engine())
-                    };
-                    match &reference {
-                        None => reference = Some((results, state)),
-                        Some(expected) => assert_eq!(
-                            &(results, state),
-                            expected,
-                            "tick {}: parallelism {} diverged",
-                            tick,
-                            op.engine().params().parallelism
-                        ),
-                    }
-                }
+            batch.extend(
+                current
+                    .values()
+                    .filter(|u| !last.contains_key(&u.entity))
+                    .copied(),
+            );
+            for u in &batch {
+                current.insert(u.entity, *u);
             }
-        },
-    );
+            batch
+        });
+        let mut transport = FaultInjector::new(FaultPlan {
+            seed: rng.next_u64(),
+            reorder_prob: 1.0,
+            ..FaultPlan::default()
+        });
+        let mut in_order = ScubaOperator::new(ScubaParams::default(), area());
+        let mut shuffled = ScubaOperator::new(ScubaParams::default(), area());
+        for (tick, batch) in batches.into_iter().enumerate() {
+            let now = (tick as u64 + 1) * 2;
+            in_order.process_batch(&batch);
+            shuffled.process_batch(&transport.apply_tick(batch));
+            assert_eq!(
+                in_order.evaluate(now).results,
+                shuffled.evaluate(now).results,
+                "tick {tick}"
+            );
+        }
+    });
 }
 
 /// Partial shedding with η = 0 behaves exactly like no shedding.
@@ -540,33 +498,6 @@ fn accuracy_report_axioms() {
         } else {
             assert_eq!(empty_cmp.accuracy(), 0.0);
         }
-    });
-}
-
-/// Ablation soundness: disabling the member-level reach filter changes
-/// work, never answers.
-#[test]
-fn ablation_knobs_do_not_change_results() {
-    check("ablation_knobs_do_not_change_results", CASES, |rng| {
-        let updates = updates(rng, 60);
-        let base = ScubaParams::default();
-        let mut plain = ScubaOperator::new(base, area());
-        let mut unfiltered = ScubaOperator::new(
-            ScubaParams {
-                member_filter: false,
-                ..base
-            },
-            area(),
-        );
-        for u in &updates {
-            plain.process_update(u);
-            unfiltered.process_update(u);
-        }
-        let truth = plain.evaluate(2);
-        let unf = unfiltered.evaluate(2);
-        assert_eq!(&truth.results, &unf.results);
-        // The filter can only reduce exact comparisons.
-        assert!(truth.comparisons <= unf.comparisons);
     });
 }
 
@@ -672,7 +603,7 @@ fn kmeans_join_is_exact() {
             &params,
             area(),
         );
-        let via_kmeans = outcome.join(&params).results;
+        let via_kmeans = outcome.join().results;
 
         let mut regular = RegularGridOperator::new(params.grid_cells, area());
         // K-means dedups to the latest update per entity; feed the baseline
@@ -685,46 +616,11 @@ fn kmeans_join_is_exact() {
     });
 }
 
-/// Join-within parallelism is invisible: every worker count yields the
-/// identical sorted result set and identical work counters — the merge
-/// stage erases thread interleaving, and the per-pair counters are
-/// independent of which worker ran the pair.
+/// Pinned regression for the staged pipeline: on a fixed seeded workload
+/// SCUBA must keep reproducing the exact grid-baseline answers (the
+/// pre-pipeline behaviour).
 #[test]
-fn parallelism_does_not_change_results() {
-    check("parallelism_does_not_change_results", CASES, |rng| {
-        let updates = updates(rng, 60);
-        let base = ScubaParams::default();
-        let mut serial = ScubaOperator::new(base.with_parallelism(1), area());
-        let mut parallel: Vec<(usize, ScubaOperator)> = [2usize, 4, 8]
-            .iter()
-            .map(|&w| (w, ScubaOperator::new(base.with_parallelism(w), area())))
-            .collect();
-        for u in &updates {
-            serial.process_update(u);
-            for (_, op) in &mut parallel {
-                op.process_update(u);
-            }
-        }
-        let truth = serial.evaluate(2);
-        for (workers, op) in &mut parallel {
-            let report = op.evaluate(2);
-            assert_eq!(&truth.results, &report.results, "workers {}", workers);
-            assert_eq!(truth.comparisons, report.comparisons, "workers {}", workers);
-            assert_eq!(
-                truth.prefilter_tests, report.prefilter_tests,
-                "workers {}",
-                workers
-            );
-        }
-    });
-}
-
-/// Pinned regression for the staged pipeline: at the default
-/// `parallelism = 1` the join-within runs the serial path, and on a fixed
-/// seeded workload SCUBA must keep reproducing the exact grid-baseline
-/// answers (the pre-pipeline behaviour).
-#[test]
-fn parallelism_one_matches_baseline_on_seeded_workload() {
+fn scuba_matches_baseline_on_seeded_workload() {
     let nodes = [
         Point::new(0.0, 500.0),
         Point::new(1000.0, 500.0),
@@ -740,7 +636,7 @@ fn parallelism_one_matches_baseline_on_seeded_workload() {
         (state >> 33) % bound
     };
 
-    let params = ScubaParams::default().with_parallelism(1);
+    let params = ScubaParams::default();
     let mut scuba = ScubaOperator::new(params, area());
     let mut regular = RegularGridOperator::new(params.grid_cells, area());
     // One guaranteed co-located object/query pair so the run is never

@@ -3,8 +3,7 @@
 //! The store hands out dense [`scuba::ClusterSlot`] handles that are
 //! **reused** after a dissolution, while the durable [`scuba::ClusterId`]
 //! stays the public identity. Nothing observable may depend on the slot
-//! layout: reports keep their canonical order, parallelism changes
-//! nothing, and a snapshot taken across a dissolve→respawn cycle restores
+//! layout: reports keep their canonical order, and a snapshot taken across a dissolve→respawn cycle restores
 //! to a state indistinguishable from the uninterrupted run.
 
 use scuba::clustering::ClusterEngine;
@@ -55,8 +54,8 @@ fn convoy(engine: &mut ClusterEngine, tag: u64, time: u64) {
     ));
 }
 
-/// Runs the join at a given parallelism.
-fn joined(engine: &mut ClusterEngine, parallelism: usize) -> JoinOutput {
+/// Runs the join.
+fn joined(engine: &mut ClusterEngine) -> JoinOutput {
     // The region grid is rebuilt once per Δ, right before the join — here
     // that is this helper's job.
     engine.build_index();
@@ -65,8 +64,6 @@ fn joined(engine: &mut ClusterEngine, parallelism: usize) -> JoinOutput {
         store: engine.store(),
         grid: engine.grid(),
         queries: engine.queries(),
-        member_filter: engine.params().member_filter,
-        parallelism,
     };
     ctx.run(&mut JoinScratch::new())
 }
@@ -85,9 +82,8 @@ fn dissolve_convoy(engine: &mut ClusterEngine, tag: u64) -> scuba::ClusterSlot {
 
 /// Report order and content are functions of the *durable* identities
 /// only: an engine whose slots were churned by dissolve→respawn reports
-/// exactly what a churn-free engine with the same live population does,
-/// at every parallelism — and the order is canonical
-/// (sorted), not slot-layout order.
+/// exactly what a churn-free engine with the same live population does —
+/// and the order is canonical (sorted), not slot-layout order.
 #[test]
 fn reports_are_slot_layout_independent() {
     // Churned: convoys 1..=4, then convoy 2 dissolves and convoy 5
@@ -112,7 +108,7 @@ fn reports_are_slot_layout_independent() {
         convoy(&mut pristine, tag, 0);
     }
 
-    let reference = joined(&mut churned, 1);
+    let reference = joined(&mut churned);
     assert!(!reference.results.is_empty());
     let mut sorted = reference.results.clone();
     sorted.sort();
@@ -120,17 +116,10 @@ fn reports_are_slot_layout_independent() {
     assert_eq!(reference.results, sorted, "report order is canonical");
 
     assert_eq!(
-        joined(&mut pristine, 1).results,
+        joined(&mut pristine).results,
         reference.results,
         "slot layout leaked into the report"
     );
-    for parallelism in [2, 4] {
-        assert_eq!(
-            joined(&mut churned, parallelism).results,
-            reference.results,
-            "parallelism {parallelism} changed the report"
-        );
-    }
 }
 
 /// A snapshot taken right after a dissolve→respawn cycle restores into an
@@ -164,8 +153,8 @@ fn snapshot_roundtrip_across_slot_reuse() {
         );
     }
     assert_eq!(
-        joined(&mut live, 1).results,
-        joined(&mut restored, 1).results,
+        joined(&mut live).results,
+        joined(&mut restored).results,
         "restored engine diverged from the uninterrupted run"
     );
     assert_eq!(
