@@ -203,7 +203,7 @@ impl ClusterEngine {
     }
 
     /// Rebuilds the region grid from the store: every live cluster is
-    /// listed in each cell its current effective region overlaps.
+    /// listed in each cell of its current effective region's bounding box.
     /// [`crate::engine::ScubaOperator`] calls this once per Δ, after the
     /// optional radius tightening and before the joining phase.
     pub fn build_index(&mut self) {
@@ -1220,12 +1220,12 @@ mod tests {
         let spec = *e.grid().spec();
         let region = e.cluster_at(slot).unwrap().effective_region();
         let expected: Vec<usize> = spec
-            .cells_overlapping_circle(&region)
+            .cells_overlapping_rect(&region.bounding_rect())
             .map(|idx| spec.linear(idx))
             .collect();
         assert_eq!(cells_of(&e, slot), expected);
         assert_eq!(e.grid().cluster_count(), 1, "the vacant slot is not listed");
-        let listed: usize = e.grid().iter_nonempty().map(<[ClusterSlot]>::len).sum();
+        let listed: usize = e.grid().iter_nonempty().map(|(_, s)| s.len()).sum();
         assert_eq!(listed, expected.len());
         e.check_invariants();
     }

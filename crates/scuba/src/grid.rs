@@ -10,17 +10,24 @@
 //! reads it during ingest, so nothing keeps it current there: it is a pure
 //! function of the regions handed to [`ClusterGrid::build`].
 //!
+//! A region is listed in every cell of its bounding box, clamped to the
+//! area — the cells of a rectangle `(lo, hi)` of cell indices, which the
+//! grid keeps per slot. That box is what lets pair discovery emit each
+//! pair once: two boxes that share a cell share exactly one lowest cell,
+//! [`ClusterGrid::lowest_cell`] of both taken per axis (see
+//! [`crate::join`]).
+//!
 //! The layout is one flat cell array: cell `c` lists the dense
-//! [`ClusterSlot`] handles of the clusters overlapping it as
-//! `slots[offsets[c]..offsets[c + 1]]`. A build enumerates each region's
-//! covered cells once into a reused scratch, then counting-sorts by cell.
+//! [`ClusterSlot`] handles of the clusters covering it as
+//! `slots[offsets[c]..offsets[c + 1]]`. A build counts per cell while it
+//! records each region's box, then counting-sorts the slots by cell.
 //! Every buffer keeps its capacity across builds, so a steady-state Δ
 //! allocates nothing, and the heap footprint follows the live
 //! registrations rather than the number of cells times a `Vec` header.
 //! Clustering does not read this grid at all — its step-1 probe runs on the
 //! engine's private centroid index (see [`crate::clustering`]).
 
-use scuba_spatial::{Circle, GridSpec};
+use scuba_spatial::{CellIdx, Circle, GridSpec};
 
 use crate::store::ClusterSlot;
 
@@ -33,12 +40,14 @@ pub struct ClusterGrid {
     offsets: Vec<u32>,
     /// Every cell's slots, cell after cell.
     slots: Vec<ClusterSlot>,
-    /// Build scratch: the linear index of every cell each region covers,
-    /// region after region.
-    cell_ids: Vec<u32>,
-    /// Build scratch: each region's slot and the start of its run in
-    /// `cell_ids`.
-    runs: Vec<(ClusterSlot, u32)>,
+    /// Build scratch: the slots listed in at least one cell, in input
+    /// order.
+    listed: Vec<ClusterSlot>,
+    /// Each listed slot's cell box `(lo, hi)`, indexed by slot. Entries of
+    /// slots not listed in the last build are stale and never read.
+    boxes: Vec<(CellIdx, CellIdx)>,
+    /// Regions in the last build, listed or not.
+    regions: usize,
 }
 
 impl ClusterGrid {
@@ -48,8 +57,9 @@ impl ClusterGrid {
             spec,
             offsets: vec![0; spec.cell_count() + 1],
             slots: Vec::new(),
-            cell_ids: Vec::new(),
-            runs: Vec::new(),
+            listed: Vec::new(),
+            boxes: Vec::new(),
+            regions: 0,
         }
     }
 
@@ -63,12 +73,14 @@ impl ClusterGrid {
     /// area that occupy no cell.
     #[inline]
     pub fn cluster_count(&self) -> usize {
-        self.runs.len()
+        self.regions
     }
 
     /// Replaces the contents with `regions`: each slot is listed in every
-    /// cell its circle overlaps, and in no other. A cell lists its slots in
-    /// the order they were given, so slots given in ascending order (as
+    /// cell of its region's bounding box clamped to the area, and in no
+    /// other. A box that misses the area, or has a NaN coordinate, is
+    /// listed nowhere. A cell lists its slots in the order they were
+    /// given, so slots given in ascending order (as
     /// [`crate::store::ClusterStore::iter`] yields them) come out strictly
     /// ascending in every cell.
     pub fn build(&mut self, regions: impl IntoIterator<Item = (ClusterSlot, Circle)>) {
@@ -76,31 +88,47 @@ impl ClusterGrid {
             spec,
             offsets,
             slots,
-            cell_ids,
-            runs,
+            listed,
+            boxes,
+            regions: count,
         } = self;
-        // Count per cell, enumerating each region's cells exactly once.
+        let area = spec.area();
+        let n = spec.cells_per_side() as usize;
+        // Count per cell and record each listed slot's box.
         offsets.fill(0);
-        cell_ids.clear();
-        runs.clear();
+        listed.clear();
+        *count = 0;
         for (slot, region) in regions {
-            runs.push((slot, cell_ids.len() as u32));
-            for idx in spec.cells_overlapping_circle(&region) {
-                let cell = spec.linear(idx);
-                offsets[cell] += 1;
-                cell_ids.push(cell as u32);
+            *count += 1;
+            let b = region.bounding_rect();
+            // `cell_of` clamps, so a box off the area must be caught here;
+            // written as `!(… >= …)` so that a NaN is caught too.
+            if !(b.max.x >= area.min.x
+                && area.max.x >= b.min.x
+                && b.max.y >= area.min.y
+                && area.max.y >= b.min.y)
+            {
+                continue;
+            }
+            let (lo, hi) = (spec.cell_of(&b.min), spec.cell_of(&b.max));
+            if boxes.len() <= slot.index() {
+                boxes.resize(slot.index() + 1, (lo, hi));
+            }
+            boxes[slot.index()] = (lo, hi);
+            listed.push(slot);
+            for row in lo.row as usize..=hi.row as usize {
+                for c in &mut offsets[row * n + lo.col as usize..=row * n + hi.col as usize] {
+                    *c += 1;
+                }
             }
         }
-        // Every run start, count and offset is at most this length.
-        assert!(
-            u32::try_from(cell_ids.len()).is_ok(),
-            "more region-cell entries than a u32 offset can address"
-        );
         // Inclusive prefix sums: `offsets[c]` becomes the end of cell c (the
         // trailing entry counted nothing, so it becomes the total).
         let mut total = 0u32;
         for offset in offsets.iter_mut() {
-            total += *offset;
+            total = total
+                .checked_add(*offset)
+                .expect("more region-cell entries than a u32 offset can address");
             *offset = total;
         }
         // Scatter back to front: each placement pulls its cell's end down
@@ -108,14 +136,14 @@ impl ClusterGrid {
         // input order once done — and `offsets[c]` ends at the start of c.
         slots.clear();
         slots.resize(total as usize, ClusterSlot(0));
-        let mut end = cell_ids.len();
-        for &(slot, start) in runs.iter().rev() {
-            for &cell in &cell_ids[start as usize..end] {
-                let at = &mut offsets[cell as usize];
-                *at -= 1;
-                slots[*at as usize] = slot;
+        for &slot in listed.iter().rev() {
+            let (lo, hi) = boxes[slot.index()];
+            for row in lo.row as usize..=hi.row as usize {
+                for at in &mut offsets[row * n + lo.col as usize..=row * n + hi.col as usize] {
+                    *at -= 1;
+                    slots[*at as usize] = slot;
+                }
             }
-            end = start as usize;
         }
     }
 
@@ -125,22 +153,35 @@ impl ClusterGrid {
         &self.slots[self.offsets[linear] as usize..self.offsets[linear + 1] as usize]
     }
 
-    /// Iterates over the non-empty cells' cluster lists in cell order — the
-    /// outer loop of the joining phase (Algorithm 1, step 8: "for c = 0 to
-    /// MAX_GRID_CELL").
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = &[ClusterSlot]> + '_ {
+    /// The lowest cell (smallest column and row) of the box of a slot
+    /// listed in the last build. Meaningless for any other slot.
+    #[inline]
+    pub fn lowest_cell(&self, slot: ClusterSlot) -> CellIdx {
+        self.boxes[slot.index()].0
+    }
+
+    /// Iterates over the non-empty cells and their cluster lists in cell
+    /// order — the outer loop of the joining phase (Algorithm 1, step 8:
+    /// "for c = 0 to MAX_GRID_CELL").
+    pub fn iter_nonempty(&self) -> impl Iterator<Item = (CellIdx, &[ClusterSlot])> + '_ {
         self.offsets
             .windows(2)
-            .filter(|run| run[0] != run[1])
-            .map(move |run| &self.slots[run[0] as usize..run[1] as usize])
+            .enumerate()
+            .filter(|(_, run)| run[0] != run[1])
+            .map(move |(linear, run)| {
+                (
+                    self.spec.from_linear(linear),
+                    &self.slots[run[0] as usize..run[1] as usize],
+                )
+            })
     }
 
     /// Estimated heap footprint in bytes: the cell array and the build
     /// scratch.
     pub fn estimated_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.slots.capacity() + self.cell_ids.capacity())
+        (self.offsets.capacity() + self.slots.capacity() + self.listed.capacity())
             * std::mem::size_of::<u32>()
-            + self.runs.capacity() * std::mem::size_of::<(ClusterSlot, u32)>()
+            + self.boxes.capacity() * std::mem::size_of::<(CellIdx, CellIdx)>()
     }
 }
 
@@ -195,8 +236,14 @@ mod tests {
             .collect()
     }
 
+    /// The cells of the region's bounding box, or none when the box misses
+    /// the area.
     fn expected_cells(spec: &GridSpec, region: &Circle) -> Vec<u32> {
-        spec.cells_overlapping_circle(region)
+        let (b, a) = (region.bounding_rect(), spec.area());
+        if !(b.max.x >= a.min.x && b.min.x <= a.max.x && b.max.y >= a.min.y && b.min.y <= a.max.y) {
+            return Vec::new();
+        }
+        spec.cells_overlapping_rect(&b)
             .map(|idx| spec.linear(idx) as u32)
             .collect()
     }
@@ -208,16 +255,26 @@ mod tests {
         g.build(circles.iter().copied());
         assert_eq!(g.cluster_count(), circles.len());
         let spec = *g.spec();
+        let mut missed = 0;
         for (slot, region) in &circles {
-            assert_eq!(
-                cells_of(&g, *slot),
-                expected_cells(&spec, region),
-                "{slot:?}"
-            );
+            let expected = expected_cells(&spec, region);
+            missed += usize::from(expected.is_empty());
+            assert_eq!(cells_of(&g, *slot), expected, "{slot:?}");
+            if let Some(&first) = expected.first() {
+                assert_eq!(spec.linear(g.lowest_cell(*slot)), first as usize);
+            }
         }
+        assert!(missed > 0, "some background circle lies off the area");
         // A circle centred on a 4-corner junction sits in all four cells.
         g.build([(ClusterSlot(2), Circle::new(Point::new(50.0, 50.0), 5.0))]);
         assert_eq!(cells_of(&g, ClusterSlot(2)), [44, 45, 54, 55]);
+        // The box's corner cell (4, 4) is listed although the disc misses
+        // it: its nearest point (50, 50) is 11.3 from the centre.
+        g.build([(ClusterSlot(2), Circle::new(Point::new(58.0, 58.0), 9.0))]);
+        assert_eq!(
+            cells_of(&g, ClusterSlot(2)),
+            [44, 45, 46, 54, 55, 56, 64, 65, 66]
+        );
     }
 
     #[test]
@@ -225,7 +282,7 @@ mod tests {
         let mut g = grid();
         g.build(scatter(96));
         let mut listed = 0;
-        for cell in g.iter_nonempty() {
+        for (_, cell) in g.iter_nonempty() {
             assert!(cell.windows(2).all(|w| w[0] < w[1]), "{cell:?}");
             listed += cell.len();
         }
@@ -240,7 +297,7 @@ mod tests {
         let circles = scatter(64);
         g.build(circles.iter().copied());
         let mut pairs = Vec::new();
-        for cell in g.iter_nonempty() {
+        for (_, cell) in g.iter_nonempty() {
             for (i, &a) in cell.iter().enumerate() {
                 for &b in &cell[i..] {
                     pairs.push((a.0.min(b.0), a.0.max(b.0)));
@@ -270,19 +327,32 @@ mod tests {
 
     /// Post-join relocation can carry a cluster past the grid bounds before
     /// the maintenance pass that dissolves it: it still counts as built,
-    /// but no cell lists it.
+    /// but no cell lists it. `cell_of` clamps, so each way of missing the
+    /// area is checked: both axes, one axis, and a NaN centre or radius.
+    /// A box that only touches the border is listed, in the border cells.
     #[test]
     fn out_of_area_region_occupies_no_cell_but_counts() {
         let mut g = grid();
+        let nan_radius = Circle {
+            center: Point::new(50.0, 50.0),
+            radius: f64::NAN,
+        };
         g.build([
             (ClusterSlot(1), Circle::new(Point::new(55.0, 55.0), 3.0)),
             (ClusterSlot(3), Circle::new(Point::new(500.0, 500.0), 2.0)),
+            (ClusterSlot(4), Circle::new(Point::new(50.0, 120.0), 5.0)),
+            (ClusterSlot(5), Circle::new(Point::new(105.0, 50.0), 5.0)),
+            (ClusterSlot(6), Circle::new(Point::new(f64::NAN, 50.0), 2.0)),
+            (ClusterSlot(7), nan_radius),
         ]);
-        assert_eq!(g.cluster_count(), 2);
-        assert!(cells_of(&g, ClusterSlot(3)).is_empty());
+        assert_eq!(g.cluster_count(), 6);
+        for slot in [3, 4, 6, 7] {
+            assert!(cells_of(&g, ClusterSlot(slot)).is_empty(), "slot {slot}");
+        }
+        assert_eq!(cells_of(&g, ClusterSlot(5)), [49, 59]);
         assert_eq!(
-            g.iter_nonempty().collect::<Vec<_>>(),
-            [&[ClusterSlot(1)][..]]
+            g.iter_nonempty().map(|(_, s)| s).collect::<Vec<_>>(),
+            [&[ClusterSlot(5)][..], &[ClusterSlot(1)], &[ClusterSlot(5)]]
         );
     }
 
@@ -318,9 +388,9 @@ mod tests {
         g.build(scatter(64));
         let settled = g.estimated_bytes();
         assert!(settled > empty);
-        let entries: usize = g.iter_nonempty().map(<[ClusterSlot]>::len).sum();
+        let entries: usize = g.iter_nonempty().map(|(_, s)| s.len()).sum();
         assert!(
-            settled >= empty + 2 * entries * 4 + 64 * 8,
+            settled >= empty + entries * 4 + g.listed.len() * (4 + 16),
             "scratch counted"
         );
         let before = g.clone();

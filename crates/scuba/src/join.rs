@@ -3,11 +3,10 @@
 //! The phase runs as an explicit four-stage pipeline, each stage emitting
 //! a [`StageStats`] record:
 //!
-//! 1. **pair discovery** — the ClusterGrid cell walk, materialising the
-//!    unique cluster-slot pairs sharing at least one cell. Each candidate
-//!    pair packs into one `u64` key; sorting + dedup of the reused key
-//!    buffer replaces the old retained hash table, so the stage holds *no*
-//!    cross-round state that could accumulate keys for dissolved clusters;
+//! 1. **pair discovery** — the ClusterGrid cell walk, emitting every
+//!    cluster-slot pair that shares at least one cell exactly once, into a
+//!    reused pair buffer. The stage holds *no* cross-round state that
+//!    could accumulate pairs for dissolved clusters;
 //! 2. **join-between** (Algorithm 2) — the circle/circle overlap
 //!    pre-filter, evaluated as a sweep over the [`ClusterStore`]'s SoA
 //!    centroid/radius columns (no per-pair pointer chase). Pairs whose
@@ -21,7 +20,9 @@
 //!    another;
 //! 4. **result merge** — radix sort + dedup of the raw matches, which
 //!    puts the result set in its canonical `(query, object)` order,
-//!    independent of pair order.
+//!    independent of pair order. The dedup finds nothing to remove: each
+//!    entity lives in one cluster and each pair is joined once, so no
+//!    match is produced twice (debug builds assert it).
 //!
 //! The per-tick path is hash-free: pairs are slot pairs and the arena
 //! index is a dense stamped per-slot table. No state survives a round
@@ -36,11 +37,15 @@
 //!   additionally runs a same-cluster join-within for mixed clusters — with
 //!   the union semantics intra-cluster pairs would be compared once per
 //!   overlapping partner. We compare *cross* pairs in the pair join and
-//!   intra pairs exactly once in the same-cluster join; combined with the
-//!   final dedup this produces the identical result set with fewer
-//!   comparisons.
+//!   intra pairs exactly once in the same-cluster join, which produces the
+//!   identical result set with fewer comparisons.
 //! * Clusters sharing several grid cells would be joined once per shared
-//!   cell; the sorted key dedup collapses the duplicates.
+//!   cell. Each cluster is listed in the cells of its bounding box, so two
+//!   clusters that share a cell share a rectangle of cells, and the pair
+//!   is emitted only in that rectangle's lowest cell: the cell whose
+//!   column and row are the larger of the two boxes' lowest ones (the
+//!   reference-point method of Dittrich & Seeger, ICDE 2000). Nothing is
+//!   emitted twice, so nothing needs a sort to deduplicate.
 //!
 //! Load shedding (§5) surfaces here: members whose relative position was
 //! discarded are approximated **by their cluster centroid** — "individual
@@ -62,12 +67,12 @@ use scuba_spatial::{Circle, Point, Rect};
 use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
 use crate::grid::ClusterGrid;
-use crate::kernel::{self, pack_pair};
+use crate::kernel;
 use crate::radix;
 use crate::store::{ClusterSlot, ClusterStore};
 use crate::tables::QueriesTable;
 
-/// Stage name: grid cell walk + sorted pair dedup.
+/// Stage name: grid cell walk emitting each co-resident pair once.
 pub const STAGE_PAIR_DISCOVERY: &str = "pair-discovery";
 /// Stage name: cluster-pair overlap pre-filter (Algorithm 2).
 pub const STAGE_JOIN_BETWEEN: &str = "join-between";
@@ -75,10 +80,6 @@ pub const STAGE_JOIN_BETWEEN: &str = "join-between";
 pub const STAGE_JOIN_WITHIN: &str = "join-within";
 /// Stage name: sort + dedup of raw matches.
 pub const STAGE_RESULT_MERGE: &str = "result-merge";
-
-/// Candidate pair keys the stage-1 buffer holds (1 MiB) before pair
-/// discovery folds duplicates away instead of growing it.
-const PAIR_COMPACT_MIN: usize = 1 << 17;
 
 /// What one joining phase produced and how much work it did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -117,18 +118,18 @@ pub struct JoinContext<'a> {
 /// Reusable working memory for the joining phase, owned by the operator
 /// and handed to [`JoinContext::run`] every epoch.
 ///
-/// Holds the packed pair-key buffer of stage 1, the pair/task lists, the
-/// SoA materialisation arena of stage 3 and the join-within output block.
+/// Holds the pair and task lists, the radix scatter buffer of the result
+/// merge, the SoA materialisation arena of stage 3 and the join-within
+/// output block.
 /// In steady state an epoch performs no allocation: every buffer
 /// is cleared (length 0) but keeps its capacity, and nothing here carries
 /// per-cluster state across rounds.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    /// Stage-1 buffer: packed candidate pair keys, sorted + deduped in
-    /// place each round.
-    pairs: Vec<u64>,
-    /// Radix scatter buffers of stage 1 (pair keys) and stage 4 (matches).
-    pairs_tmp: Vec<u64>,
+    /// Stage-1 output: every co-resident slot pair, once, smaller slot
+    /// first.
+    pairs: Vec<(ClusterSlot, ClusterSlot)>,
+    /// Radix scatter buffer of stage 4 (matches).
     merge_tmp: Vec<QueryMatch>,
     /// Stage-2 output, stage-3 input: pairs surviving join-between.
     tasks: Vec<(ClusterSlot, ClusterSlot)>,
@@ -145,7 +146,7 @@ impl JoinScratch {
     }
 
     /// Bytes of heap currently reserved across every scratch buffer —
-    /// pair keys, radix scatter buffers, task lists, the materialisation
+    /// pair and task lists, the radix scatter buffer, the materialisation
     /// arena and the join-within block.
     ///
     /// The steady-state contract is that this value stops changing once
@@ -168,9 +169,8 @@ impl JoinScratch {
             + arena.group_counts.capacity() * size_of::<u32>();
         let within = self.within.results.capacity() * size_of::<QueryMatch>()
             + self.within.active.capacity() * size_of::<u32>();
-        (self.pairs.capacity() + self.pairs_tmp.capacity()) * size_of::<u64>()
+        (self.pairs.capacity() + self.tasks.capacity()) * size_of::<(ClusterSlot, ClusterSlot)>()
             + self.merge_tmp.capacity() * size_of::<QueryMatch>()
-            + self.tasks.capacity() * size_of::<(ClusterSlot, ClusterSlot)>()
             + arena_bytes
             + within
     }
@@ -309,8 +309,8 @@ impl<'a> JoinContext<'a> {
         let mut out = JoinOutput::default();
         let mut sw = Stopwatch::start();
 
-        // Stage 1 — pair discovery: cell walk + sorted pair dedup.
-        let (entries_walked, candidates) = self.discover_pairs(scratch);
+        // Stage 1 — pair discovery: the cell walk, each pair once.
+        let (entries_walked, candidates) = self.discover_pairs(&mut scratch.pairs);
         let discovered = scratch.pairs.len() as u64;
         out.stages.push(
             StageStats::join(STAGE_PAIR_DISCOVERY)
@@ -369,8 +369,10 @@ impl<'a> JoinContext<'a> {
         );
 
         // Stage 4 — result merge: radix sort + dedup into the canonical
-        // `(query, object)` order.
+        // `(query, object)` order. No match comes from two tasks, so the
+        // dedup removes nothing.
         radix::sort_dedup(&mut out.results, &mut scratch.merge_tmp);
+        debug_assert_eq!(raw, out.results.len() as u64, "a match was produced twice");
         out.stages.push(
             StageStats::join(STAGE_RESULT_MERGE)
                 .with_wall(sw.lap())
@@ -379,40 +381,33 @@ impl<'a> JoinContext<'a> {
         out
     }
 
-    /// Stage 1: walks the grid cell by cell, packing each co-resident slot
-    /// pair (self-pairs included) into a `u64` key, then radix-sorts +
-    /// dedups the reused key buffer.
+    /// Stage 1: walks the grid cell by cell and fills `pairs` with every
+    /// co-resident slot pair (self-pairs included), each exactly once.
     /// Returns `(entries_walked, candidates)`.
     ///
-    /// Two clusters that share k cells are pushed k times, and on a grid
-    /// much finer than Θ_D k runs to hundreds. So that the buffer is sized
-    /// by the *distinct* pairs and not by that multiple, a full buffer of
-    /// at least [`PAIR_COMPACT_MIN`] keys is deduplicated in place before it
-    /// may grow; it then doubles only if more than half of it was distinct.
-    fn discover_pairs(&self, scratch: &mut JoinScratch) -> (u64, u64) {
-        let JoinScratch {
-            pairs, pairs_tmp, ..
-        } = &mut *scratch;
+    /// A pair `(A, B)` is emitted only in its reference cell, the lowest
+    /// cell of the intersection of the two boxes:
+    /// `(max(lo_A.col, lo_B.col), max(lo_A.row, lo_B.row))`. Both boxes
+    /// cover every cell of that intersection and no cell outside it is
+    /// shared, so every pair that shares a cell meets its reference cell
+    /// exactly once. Cells list slots ascending, so `A ≤ B`.
+    fn discover_pairs(&self, pairs: &mut Vec<(ClusterSlot, ClusterSlot)>) -> (u64, u64) {
         pairs.clear();
         let mut entries_walked = 0u64;
         let mut candidates = 0u64;
-        for cell in self.grid.iter_nonempty() {
-            entries_walked += cell.len() as u64;
-            let incoming = cell.len() * (cell.len() + 1) / 2;
-            if pairs.capacity() >= PAIR_COMPACT_MIN && pairs.len() + incoming > pairs.capacity() {
-                radix::sort_dedup(pairs, pairs_tmp);
-                if pairs.len() > pairs.capacity() / 2 {
-                    pairs.reserve(pairs.capacity());
-                }
-            }
-            for (i, &left) in cell.iter().enumerate() {
-                for &right in &cell[i..] {
-                    candidates += 1;
-                    pairs.push(pack_pair(left, right));
+        for (cell, slots) in self.grid.iter_nonempty() {
+            entries_walked += slots.len() as u64;
+            candidates += (slots.len() * (slots.len() + 1) / 2) as u64;
+            for (i, &left) in slots.iter().enumerate() {
+                let lo = self.grid.lowest_cell(left);
+                for &right in &slots[i..] {
+                    let other = self.grid.lowest_cell(right);
+                    if lo.col.max(other.col) == cell.col && lo.row.max(other.row) == cell.row {
+                        pairs.push((left, right));
+                    }
                 }
             }
         }
-        radix::sort_dedup(pairs, pairs_tmp);
         (entries_walked, candidates)
     }
 
@@ -668,9 +663,11 @@ mod tests {
     use crate::clustering::ClusterEngine;
     use crate::params::ScubaParams;
     use crate::shedding::SheddingMode;
+    use crate::store::ClusterStore;
     use scuba_motion::{LocationUpdate, ObjectAttrs, QueryAttrs, QuerySpec};
-    use scuba_spatial::Rect;
+    use scuba_spatial::{CellIdx, GridSpec, Rect};
     use scuba_stream::PhaseKind;
+    use scuba_testkit::{check, Xoshiro256};
 
     const CN_EAST: Point = Point {
         x: 1000.0,
@@ -807,7 +804,7 @@ mod tests {
     #[test]
     fn pair_spanning_multiple_cells_joined_once() {
         // Big query range and a coarse-ish grid: both clusters overlap
-        // several cells; the sorted key dedup must collapse them.
+        // several cells; the pair is emitted in one of them only.
         let params = ScubaParams::default().with_grid_cells(4);
         let mut e = ClusterEngine::new(params, Rect::square(1000.0));
         for i in 0..5 {
@@ -931,12 +928,12 @@ mod tests {
         );
     }
 
-    /// The radix scatter buffers are scratch like the rest: counted by
+    /// The radix scatter buffer is scratch like the rest: counted by
     /// `capacity_bytes`, grown during warm-up, never after.
     #[test]
     fn radix_buffers_are_counted_and_stop_growing() {
-        // One cell and one wide query over 400 objects: enough candidate
-        // keys and raw matches for both sorts to take the radix path.
+        // One cell and one wide query over 400 objects: enough raw matches
+        // for the result merge to take the radix path.
         let params = ScubaParams::default().with_grid_cells(1);
         let mut e = ClusterEngine::new(params, Rect::square(1000.0));
         for i in 0..400u64 {
@@ -948,12 +945,11 @@ mod tests {
         e.build_index();
         let first = ctx(&e).run(&mut scratch);
         assert_eq!(first.results.len(), 400);
-        assert!(scratch.pairs_tmp.capacity() >= scratch.pairs.len());
         assert!(scratch.merge_tmp.capacity() >= 400);
         let settled = scratch.capacity_bytes();
         assert!(
-            settled >= scratch.pairs_tmp.capacity() * 8 + scratch.merge_tmp.capacity() * 16,
-            "the scatter buffers are part of the reported footprint"
+            settled >= scratch.merge_tmp.capacity() * 16,
+            "the scatter buffer is part of the reported footprint"
         );
         for _ in 0..3 {
             let again = run(&e); // fresh scratch: same answer
@@ -963,33 +959,129 @@ mod tests {
         }
     }
 
-    /// On a grid much finer than the regions on it, one cluster pair is
-    /// pushed once per shared cell. The key buffer must follow the distinct
-    /// pairs, not that multiple: it is deduplicated in place when full
-    /// instead of growing to the raw count.
-    #[test]
-    fn pair_buffer_is_sized_by_distinct_pairs() {
-        // 48 singleton query clusters stacked on one point (speeds > Θ_S
-        // apart keep them separate), each registered in the ~700 ten-unit
-        // cells its 200-wide range reaches.
-        let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
-        for i in 0..48u64 {
-            e.process_update(&qry(i, 500.0, 500.0, 20.0 * (i + 1) as f64, CN_EAST, 200.0));
+    /// One region of a pair-discovery scatter over `area`: hotspot discs, discs whose box touches the border
+    /// exactly, zero-radius points on cell corners, regions off the area
+    /// (on one axis, both, or NaN), and wide discs spanning many cells.
+    /// Radii and coordinates are dyadic, so box edges land exactly.
+    fn scatter_region(rng: &mut Xoshiro256, area: Rect, hotspots: &[Point]) -> Circle {
+        let (w, h) = (area.width(), area.height());
+        let r = [0.0, 0.5, 1.0, 2.5, 4.0][rng.gen_range(0..5usize)];
+        match rng.gen_range(0..5u32) {
+            0 => {
+                let hot = hotspots[rng.gen_range(0..hotspots.len())];
+                let d = |rng: &mut Xoshiro256| rng.gen_range(-6.0..6.0);
+                Circle::new(Point::new(hot.x + d(rng), hot.y + d(rng)), r)
+            }
+            1 => {
+                let along = rng.gen_range(0.0..1.0);
+                let c = match rng.gen_range(0..4u32) {
+                    0 => Point::new(area.min.x - r, area.min.y + along * h),
+                    1 => Point::new(area.max.x + r, area.min.y + along * h),
+                    2 => Point::new(area.min.x + along * w, area.min.y - r),
+                    _ => Point::new(area.min.x + along * w, area.max.y + r),
+                };
+                Circle::new(c, r)
+            }
+            2 => {
+                let n = rng.gen_range(0..=8u64) as f64 / 8.0;
+                let m = rng.gen_range(0..=8u64) as f64 / 8.0;
+                Circle::new(Point::new(area.min.x + n * w, area.min.y + m * h), 0.0)
+            }
+            3 => {
+                let inside = Point::new(area.min.x + w / 2.0, area.min.y + h / 2.0);
+                let off = 2.0 * w + 10.0 * r;
+                let c = match rng.gen_range(0..4u32) {
+                    0 => Point::new(inside.x, area.max.y + off),
+                    1 => Point::new(area.min.x - off, inside.y),
+                    2 => Point::new(area.max.x + off, area.min.y - off),
+                    _ => Point::new(f64::NAN, inside.y),
+                };
+                Circle::new(c, r)
+            }
+            _ => Circle::new(
+                Point::new(
+                    area.min.x + rng.gen_range(0.0..w),
+                    area.min.y + rng.gen_range(0.0..h),
+                ),
+                rng.gen_range(0.0..w / 3.0),
+            ),
         }
-        assert_eq!(e.cluster_count(), 48);
-        e.build_index();
-        let mut scratch = JoinScratch::new();
-        let (_, raw) = ctx(&e).discover_pairs(&mut scratch);
-        assert_eq!(scratch.pairs.len(), 48 * 49 / 2, "every pair, once");
-        assert!(raw as usize > 4 * PAIR_COMPACT_MIN, "raw keys: {raw}");
-        assert!(
-            scratch.pairs.capacity() < 2 * PAIR_COMPACT_MIN,
-            "buffer grew to {} keys for {} distinct pairs",
-            scratch.pairs.capacity(),
-            scratch.pairs.len()
+    }
+
+    /// The clamped cell box of a region, or `None` when its box misses
+    /// the area (NaN included).
+    fn cell_box(spec: &GridSpec, region: &Circle) -> Option<(CellIdx, CellIdx)> {
+        let (b, a) = (region.bounding_rect(), spec.area());
+        let hits =
+            b.max.x >= a.min.x && b.min.x <= a.max.x && b.max.y >= a.min.y && b.min.y <= a.max.y;
+        hits.then(|| (spec.cell_of(&b.min), spec.cell_of(&b.max)))
+    }
+
+    /// Pair discovery emits each pair of clamped boxes that share a cell
+    /// exactly once, and so every pair of overlapping listed circles.
+    #[test]
+    fn pair_discovery_emits_each_box_sharing_pair_once() {
+        check(
+            "pair_discovery_emits_each_box_sharing_pair_once",
+            256,
+            |rng| {
+                let area = if rng.gen_bool(0.5) {
+                    Rect::square(100.0)
+                } else {
+                    Rect::from_corners(Point::new(-64.0, 16.0), Point::new(96.0, 80.0))
+                };
+                let spec = GridSpec::new(area, rng.gen_range(1..13u32));
+                let hotspots: Vec<Point> = (0..rng.gen_range(1..4usize))
+                    .map(|_| {
+                        Point::new(
+                            area.min.x + rng.gen_range(0.0..area.width()),
+                            area.min.y + rng.gen_range(0.0..area.height()),
+                        )
+                    })
+                    .collect();
+                let mut next = 0u32;
+                let regions: Vec<(ClusterSlot, Circle)> = (0..rng.gen_range(0..60usize))
+                    .map(|_| {
+                        next += rng.gen_range(1..4u32);
+                        (ClusterSlot(next), scatter_region(rng, area, &hotspots))
+                    })
+                    .collect();
+                let mut grid = ClusterGrid::new(spec);
+                grid.build(regions.iter().copied());
+                let (store, queries) = (ClusterStore::new(), QueriesTable::new());
+                let ctx = JoinContext {
+                    store: &store,
+                    grid: &grid,
+                    queries: &queries,
+                };
+                let mut pairs = Vec::new();
+                ctx.discover_pairs(&mut pairs);
+
+                let mut distinct = pairs.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), pairs.len(), "a pair was emitted twice");
+
+                let mut expected = Vec::new();
+                for (i, &(a, ra)) in regions.iter().enumerate() {
+                    for &(b, rb) in &regions[i..] {
+                        let (Some((lo_a, hi_a)), Some((lo_b, hi_b))) =
+                            (cell_box(&spec, &ra), cell_box(&spec, &rb))
+                        else {
+                            continue;
+                        };
+                        if lo_a.col.max(lo_b.col) <= hi_a.col.min(hi_b.col)
+                            && lo_a.row.max(lo_b.row) <= hi_a.row.min(hi_b.row)
+                        {
+                            expected.push((a, b));
+                        } else {
+                            assert!(!ra.overlaps(&rb), "{a:?}/{b:?} overlap, boxes apart");
+                        }
+                    }
+                }
+                expected.sort_unstable();
+                assert_eq!(distinct, expected);
+            },
         );
-        let settled = scratch.capacity_bytes();
-        ctx(&e).discover_pairs(&mut scratch);
-        assert_eq!(scratch.capacity_bytes(), settled);
     }
 }

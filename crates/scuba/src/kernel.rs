@@ -1,31 +1,17 @@
 //! The join-between pre-filter (Algorithm 2) over the SoA cluster
 //! columns.
 //!
-//! Pair discovery hands this stage a sorted, deduplicated stream of packed
-//! slot-pair keys ([`pack_pair`]). [`join_between_filter`] walks it once,
-//! pair at a time: same-slot pairs survive only for mixed clusters, cross
-//! pairs must pass the joinable-kind check on the count columns and then
-//! the circle-overlap test with the query side inflated by its widest
-//! range. Survivors land on the task list in key order, which is the order
-//! join-within consumes them in.
+//! Pair discovery hands this stage every co-resident slot pair exactly
+//! once, smaller slot first, in cell order. [`join_between_filter`] walks
+//! them once, pair at a time: same-slot pairs survive only for mixed
+//! clusters, cross pairs must pass the joinable-kind check on the count
+//! columns and then the circle-overlap test with the query side inflated
+//! by its widest range. Survivors land on the task list in the order they
+//! came, which is the order join-within consumes them in.
 
 use scuba_spatial::{Circle, Point};
 
 use crate::store::{ClusterSlot, StoreColumns};
-
-/// Packs an unordered slot pair into one sortable key (min slot in the
-/// high half, so sorted keys group by the smaller slot first).
-#[inline]
-pub fn pack_pair(a: ClusterSlot, b: ClusterSlot) -> u64 {
-    let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    ((lo as u64) << 32) | hi as u64
-}
-
-/// Inverse of [`pack_pair`].
-#[inline]
-pub fn unpack_pair(key: u64) -> (ClusterSlot, ClusterSlot) {
-    (ClusterSlot((key >> 32) as u32), ClusterSlot(key as u32))
-}
 
 /// Work and selectivity counters of one join-between pre-filter pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,17 +25,16 @@ pub struct PrefilterStats {
     pub joined: u64,
 }
 
-/// Filters sorted, deduplicated pair keys down to the pairs join-within
-/// must run, clearing and filling `tasks` with them in key order.
+/// Filters the discovered pairs down to the pairs join-within must run,
+/// clearing and filling `tasks` with them in input order.
 pub fn join_between_filter(
     cols: &StoreColumns<'_>,
-    keys: &[u64],
+    pairs: &[(ClusterSlot, ClusterSlot)],
     tasks: &mut Vec<(ClusterSlot, ClusterSlot)>,
 ) -> PrefilterStats {
     tasks.clear();
     let mut stats = PrefilterStats::default();
-    for &key in keys {
-        let (left, right) = unpack_pair(key);
+    for &(left, right) in pairs {
         let (li, ri) = (left.index(), right.index());
 
         if left == right {
@@ -132,16 +117,10 @@ mod tests {
         MovingCluster::found(ClusterId(id), &u, false)
     }
 
-    fn all_pair_keys(n: u32) -> Vec<u64> {
-        let mut keys = Vec::new();
-        for a in 0..n {
-            for b in a..n {
-                keys.push(pack_pair(ClusterSlot(a), ClusterSlot(b)));
-            }
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+    fn all_pairs(n: u32) -> Vec<(ClusterSlot, ClusterSlot)> {
+        (0..n)
+            .flat_map(|a| (a..n).map(move |b| (ClusterSlot(a), ClusterSlot(b))))
+            .collect()
     }
 
     /// Degenerate geometry: zero-radius clusters and coincident centroids
@@ -155,9 +134,8 @@ mod tests {
             obj_cluster(3, 500.0, 500.0),
         ]);
         let cols = store.columns();
-        let keys = all_pair_keys(4);
         let mut tasks = Vec::new();
-        let stats = join_between_filter(&cols, &keys, &mut tasks);
+        let stats = join_between_filter(&cols, &all_pairs(4), &mut tasks);
         // Only the coincident zero-radius pair survives (distance 0 ≤ 0);
         // the separated zero-reach pair and both far pairs are pruned.
         assert_eq!(tasks, vec![(ClusterSlot(0), ClusterSlot(1))]);
@@ -187,9 +165,9 @@ mod tests {
         let store = store_with(vec![obj_cluster(0, eff, 0.0), q]);
         let cols = store.columns();
         assert_eq!(cols.eff_radius[1], eff);
-        let keys = vec![pack_pair(ClusterSlot(0), ClusterSlot(1))];
+        let pairs = [(ClusterSlot(0), ClusterSlot(1))];
         let mut tasks = Vec::new();
-        let stats = join_between_filter(&cols, &keys, &mut tasks);
+        let stats = join_between_filter(&cols, &pairs, &mut tasks);
         // d² = eff² exactly (axis-aligned, dy = 0), so ≤ admits the pair.
         assert_eq!(tasks, vec![(ClusterSlot(0), ClusterSlot(1))]);
         assert_eq!(
@@ -200,16 +178,5 @@ mod tests {
                 joined: 1,
             }
         );
-    }
-
-    #[test]
-    fn pair_keys_pack_and_unpack() {
-        let a = ClusterSlot(7);
-        let b = ClusterSlot(3);
-        let key = pack_pair(a, b);
-        assert_eq!(key, pack_pair(b, a), "keys are order-insensitive");
-        assert_eq!(unpack_pair(key), (ClusterSlot(3), ClusterSlot(7)));
-        let self_key = pack_pair(a, a);
-        assert_eq!(unpack_pair(self_key), (a, a));
     }
 }

@@ -29,17 +29,17 @@
 //! |--------|---------------|----------|
 //! | [`params`] | §3.1, §6.1 | Θ_D, Θ_S, Δ, grid granularity, shedding policy |
 //! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members as Cartesian offsets, velocity, expiry |
-//! | [`grid`] | §4.1 | `ClusterGrid`: the N×N cell array of cluster regions, rebuilt once per Δ |
+//! | [`grid`] | §4.1 | `ClusterGrid`: the N×N cell array of cluster-region bounding boxes, rebuilt once per Δ |
 //! | [`store`] | §4.1 | [`ClusterStore`]: slab + SoA hot columns |
 //! | [`tables`] | §4.1 | `EntityTable`: ObjectsTable + QueriesTable rows, each carrying its cluster-home entry |
 //! | [`clustering`] | §3.2 | the five-step incremental (Leader–Follower) clusterer |
-//! | [`join`] | §4, Algs 1–3 | join-between + join-within |
+//! | [`join`] | §4, Algs 1–3 | pair discovery (each pair once) + join-between + join-within |
 //! | [`kernel`] | §4.2 | join-between pre-filter |
 //! | [`engine`] | §4.2 | the three-phase [`ScubaOperator`] |
 //! | [`baseline`] | §6 | the regular grid-based operator SCUBA is compared to |
 //! | [`registry`] | §8 | [`QueryRegistry`]: the durable active query set, fed by the `ControlOp` stream |
 //! | [`shard`] | §8 | [`ShardedScubaOperator`]: stripe-owned stores with boundary-ghost handoff |
-//! | [`snapshot`] | — | JSON-safe engine checkpoint/restore (restart without re-learning clusters) |
+//! | [`snapshot`] | — | engine capture/restore, stored as a binary checkpoint (restart without re-learning clusters) |
 //! | [`shedding`] | §5 | nucleus-based load-shedding policy |
 //! | [`overload`] | §5 | deadline-driven controller escalating/relaxing the shedding mode |
 //! | [`accuracy`] | §6.6 | false-positive/negative accounting vs. unshed truth |

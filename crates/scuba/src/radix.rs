@@ -1,40 +1,25 @@
-//! LSD radix sort + dedup for the fixed-width keys of the result path:
-//! [`QueryMatch`] batches (result merge, stripe merge) and packed `u64`
-//! slot-pair keys (pair discovery).
+//! LSD radix sort + dedup for the [`QueryMatch`] batches of the result
+//! path: the result merge of the joining phase and the stripe merge.
 //!
-//! Ids and slots are dense small integers, so most key bytes are constant
-//! across a batch; only the bytes that vary get a counting pass. Batches
-//! too small to amortise the histograms, or whose keys vary in so many
-//! bytes that the passes would cost more than a comparison sort, fall back
-//! to `sort_unstable`. Either way the output is exactly
-//! `sort_unstable` + `dedup`.
+//! Ids are dense small integers, so most key bytes are constant across a
+//! batch; only the bytes that vary get a counting pass. Batches too small
+//! to amortise the histograms, or whose keys vary in so many bytes that
+//! the passes would cost more than a comparison sort, fall back to
+//! `sort_unstable`. Either way the output is exactly `sort_unstable` +
+//! `dedup`.
 
 use scuba_stream::QueryMatch;
 
-/// A key made of 64-bit words, least significant first, whose word-wise
-/// order equals the type's `Ord`.
-pub(crate) trait RadixKey: Copy + Ord {
-    const WORDS: usize;
-    fn word(&self, w: usize) -> u64;
-}
+/// Key words of a match, least significant first: their word-wise order
+/// equals `QueryMatch`'s `Ord` (query, then object).
+const WORDS: usize = 2;
 
-impl RadixKey for u64 {
-    const WORDS: usize = 1;
-    #[inline(always)]
-    fn word(&self, _w: usize) -> u64 {
-        *self
-    }
-}
-
-impl RadixKey for QueryMatch {
-    const WORDS: usize = 2;
-    #[inline(always)]
-    fn word(&self, w: usize) -> u64 {
-        if w == 0 {
-            self.object.0
-        } else {
-            self.query.0
-        }
+#[inline(always)]
+fn word(m: &QueryMatch, w: usize) -> u64 {
+    if w == 0 {
+        m.object.0
+    } else {
+        m.query.0
     }
 }
 
@@ -44,14 +29,14 @@ const RADIX_MIN: usize = 256;
 /// Sorts `v` ascending and removes duplicates. `tmp` is the scatter
 /// buffer: it only ever grows, so a caller that keeps it allocates nothing
 /// in steady state.
-pub(crate) fn sort_dedup<T: RadixKey>(v: &mut Vec<T>, tmp: &mut Vec<T>) {
+pub(crate) fn sort_dedup(v: &mut Vec<QueryMatch>, tmp: &mut Vec<QueryMatch>) {
     let n = v.len();
     // Bits that differ anywhere in the batch, per key word.
-    let mut varying = [0u64; 2];
+    let mut varying = [0u64; WORDS];
     if n >= RADIX_MIN {
-        for (w, bits) in varying.iter_mut().enumerate().take(T::WORDS) {
+        for (w, bits) in varying.iter_mut().enumerate() {
             let (or, and) = v.iter().fold((0, u64::MAX), |(or, and), x| {
-                (or | x.word(w), and & x.word(w))
+                (or | word(x, w), and & word(x, w))
             });
             *bits = or ^ and;
         }
@@ -71,18 +56,18 @@ pub(crate) fn sort_dedup<T: RadixKey>(v: &mut Vec<T>, tmp: &mut Vec<T>) {
         tmp.resize(n.next_power_of_two(), v[0]);
     }
     let (mut src, mut dst) = (&mut v[..], &mut tmp[..n]);
-    for w in 0..T::WORDS {
+    for w in 0..WORDS {
         for shift in digits(varying[w]) {
             let mut next = [0usize; 256];
             for x in src.iter() {
-                next[(x.word(w) >> shift) as u8 as usize] += 1;
+                next[(word(x, w) >> shift) as u8 as usize] += 1;
             }
             let mut sum = 0;
             for c in &mut next {
                 sum += std::mem::replace(c, sum);
             }
             for x in src.iter() {
-                let digit = (x.word(w) >> shift) as u8 as usize;
+                let digit = (word(x, w) >> shift) as u8 as usize;
                 dst[next[digit]] = *x;
                 next[digit] += 1;
             }
@@ -98,12 +83,10 @@ pub(crate) fn sort_dedup<T: RadixKey>(v: &mut Vec<T>, tmp: &mut Vec<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::pack_pair;
-    use crate::store::ClusterSlot;
     use scuba_motion::{ObjectId, QueryId};
-    use scuba_testkit::{vec, Xoshiro256};
+    use scuba_testkit::Xoshiro256;
 
-    fn check<T: RadixKey + std::fmt::Debug>(mut v: Vec<T>, tmp: &mut Vec<T>) {
+    fn check(mut v: Vec<QueryMatch>, tmp: &mut Vec<QueryMatch>) {
         let mut expected = v.clone();
         expected.sort_unstable();
         expected.dedup();
@@ -142,33 +125,24 @@ mod tests {
         });
     }
 
-    #[test]
-    fn pair_keys_sort_like_sort_unstable_dedup() {
-        scuba_testkit::check("pair_keys_sort_like_sort_unstable_dedup", 96, |rng| {
-            let slots = vec(rng, 0..1_500, |r| {
-                (r.gen_range(0..40u32), r.gen_range(0..40u32))
-            });
-            let offset = [0u32, 1 << 24, u32::MAX - 40][rng.gen_range(0..3usize)];
-            let keys = slots
-                .iter()
-                .map(|&(a, b)| pack_pair(ClusterSlot(a + offset), ClusterSlot(b + offset)))
-                .collect();
-            check(keys, &mut Vec::new());
-        });
+    /// One query's matches with the given object ids: only the object
+    /// word varies.
+    fn objects(ids: impl Iterator<Item = u64>) -> Vec<QueryMatch> {
+        ids.map(|o| QueryMatch::new(QueryId(1), ObjectId(o)))
+            .collect()
     }
 
     #[test]
     fn edge_batches() {
         let mut tmp = Vec::new();
-        check(Vec::<u64>::new(), &mut tmp);
+        check(Vec::new(), &mut tmp);
         for n in [RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1, 5_000] {
-            check(vec![7u64; n], &mut tmp); // all equal: zero passes
-            check((0..n as u64).rev().collect(), &mut tmp);
-            check((0..n as u64).map(|i| (i % 3) << 40).collect(), &mut tmp); // one pass (odd)
+            let n = n as u64;
+            check(objects((0..n).map(|_| 7)), &mut tmp); // all equal: zero passes
+            check(objects((0..n).rev()), &mut tmp);
+            check(objects((0..n).map(|i| (i % 3) << 40)), &mut tmp); // one pass (odd)
             check(
-                (0..n as u64)
-                    .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                    .collect(),
+                objects((0..n).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))),
                 &mut tmp,
             );
         }

@@ -478,6 +478,38 @@ fn zero_eta_is_exact() {
     });
 }
 
+/// Each entity lives in one cluster and pair discovery emits each cluster
+/// pair once, so no match is produced twice: the result merge's dedup
+/// removes nothing, with and without shedding, over several evaluations
+/// and grid sizes (1×1 up).
+#[test]
+fn result_merge_removes_nothing() {
+    check("result_merge_removes_nothing", CASES, |rng| {
+        let shedding = [
+            SheddingMode::None,
+            SheddingMode::Partial { eta: 0.5 },
+            SheddingMode::Full,
+        ][rng.gen_range(0..3usize)];
+        let params = ScubaParams::default()
+            .with_grid_cells(rng.gen_range(1..40u32))
+            .with_shedding(shedding);
+        let mut scuba = ScubaOperator::new(params, area());
+        for round in 0..rng.gen_range(1..4u64) {
+            for mut u in updates(rng, 60) {
+                u.time = 2 * round;
+                scuba.process_update(&u);
+            }
+            let report = scuba.evaluate(2 * round + 2);
+            let merge = report
+                .phases
+                .get(scuba::join::STAGE_RESULT_MERGE)
+                .expect("the result-merge stage reports");
+            assert_eq!(merge.items_in, merge.items_out, "{shedding:?}");
+            assert_eq!(merge.items_out, report.results.len() as u64);
+        }
+    });
+}
+
 /// Accuracy accounting: comparing any result set against itself is
 /// perfect, and against the empty set penalises every tuple.
 #[test]

@@ -5,17 +5,17 @@
 //!
 //! * the **regular** (baseline) operator hashes every object and query into
 //!   the grid by location and joins cell by cell (§6 intro);
-//! * SCUBA's **ClusterGrid** registers every moving cluster in each cell its
-//!   circular region overlaps (§4.1) and drives the join-between loop over
-//!   cells (Algorithm 1, step 8).
+//! * SCUBA's **ClusterGrid** (`scuba::grid`, its own flat cell array over a
+//!   [`GridSpec`]) lists every moving cluster in each cell of its region's
+//!   bounding box (§4.1) and drives the join-between loop over cells
+//!   (Algorithm 1, step 8).
 //!
 //! [`GridSpec`] is the pure geometry of the partitioning (cell-of-point,
-//! cell rectangles, cells-overlapping-shape); [`SpatialGrid`] adds per-cell
-//! payload storage. Keeping the spec separate lets SCUBA and the baseline
-//! share the exact same partitioning in experiments that vary the grid
-//! granularity (Fig. 9).
+//! cell rectangles, cells-overlapping-rectangle); [`SpatialGrid`] adds
+//! per-cell payload storage for the baseline. Keeping the spec separate
+//! lets SCUBA and the baseline share the exact same partitioning in
+//! experiments that vary the grid granularity (Fig. 9).
 
-use crate::circle::Circle;
 use crate::point::Point;
 use crate::rect::Rect;
 
@@ -47,10 +47,10 @@ impl CellIdx {
 /// let spec = GridSpec::new(Rect::square(10_000.0), 100);
 /// assert_eq!(spec.cell_width(), 100.0);
 ///
-/// // A Θ_D-sized probe around an update touches a handful of cells.
+/// // The box of a Θ_D-sized probe around an update covers 3×3 cells.
 /// let probe = Circle::new(Point::new(5_050.0, 5_050.0), 100.0);
-/// let cells = spec.cells_overlapping_circle(&probe).count();
-/// assert!(cells >= 4 && cells <= 9);
+/// let cells = spec.cells_overlapping_rect(&probe.bounding_rect()).count();
+/// assert_eq!(cells, 9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
@@ -165,18 +165,6 @@ impl GridSpec {
             .flat_map(move |row| (lo.col..=hi.col).map(move |col| CellIdx { col, row }))
     }
 
-    /// Iterates over the cells whose rectangles intersect the circle.
-    ///
-    /// Scans the bounding-box cell range and filters by the exact
-    /// circle/rect test, so corner cells outside the disk are skipped.
-    pub fn cells_overlapping_circle<'a>(
-        &'a self,
-        circle: &'a Circle,
-    ) -> impl Iterator<Item = CellIdx> + 'a {
-        self.cells_overlapping_rect(&circle.bounding_rect())
-            .filter(move |idx| self.cell_rect(*idx).intersects_circle(circle))
-    }
-
     /// Iterates over every cell index in row-major order.
     pub fn all_cells(&self) -> impl Iterator<Item = CellIdx> + '_ {
         let n = self.cells_per_side;
@@ -186,10 +174,8 @@ impl GridSpec {
 
 /// A grid index with a `Vec<T>` payload per cell.
 ///
-/// `T` is small and cheap to copy in practice (entity or cluster ids); a
-/// region insertion clones the value into every overlapped cell, exactly the
-/// "list of cluster ids of moving clusters that overlap with that cell"
-/// structure of §4.1.
+/// `T` is small and cheap to copy in practice (entity ids); a rectangle
+/// insertion clones the value into every overlapped cell.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid<T> {
     spec: GridSpec,
@@ -221,27 +207,6 @@ impl<T: Clone> SpatialGrid<T> {
         self.cells[linear].push(value);
         self.entries += 1;
         idx
-    }
-
-    /// Inserts a value into every cell the circle overlaps, returning how
-    /// many cells received a copy (≥ 1 for circles touching the area, 0 for
-    /// circles entirely outside).
-    pub fn insert_circle(&mut self, circle: &Circle, value: T) -> usize {
-        let mut count = 0;
-        // Collect first: we cannot hold an iterator borrowing `spec` while
-        // mutating `cells`; the per-circle cell count is tiny (clusters are
-        // compact relative to cells, §6.2).
-        let targets: Vec<usize> = self
-            .spec
-            .cells_overlapping_circle(circle)
-            .map(|idx| self.spec.linear(idx))
-            .collect();
-        for linear in targets {
-            self.cells[linear].push(value.clone());
-            count += 1;
-        }
-        self.entries += count;
-        count
     }
 
     /// Inserts a value into every cell the rectangle overlaps.
@@ -376,41 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn cells_overlapping_circle_skips_far_corners() {
-        let s = spec(10);
-        // Circle centred on a cell-corner junction, radius small enough to
-        // touch only the 4 cells around the corner even though the bbox
-        // covers them as well.
-        let c = Circle::new(Point::new(50.0, 50.0), 3.0);
-        let cells: Vec<_> = s.cells_overlapping_circle(&c).collect();
-        assert_eq!(cells.len(), 4);
-
-        // A big circle centred in a cell center: bbox spans 3x3 cells but
-        // the circle misses nothing at this radius.
-        let c2 = Circle::new(Point::new(55.0, 55.0), 10.0);
-        let bbox_cells = s.cells_overlapping_rect(&c2.bounding_rect()).count();
-        let circ_cells = s.cells_overlapping_circle(&c2).count();
-        assert!(circ_cells <= bbox_cells);
-        assert!(circ_cells >= 5);
-    }
-
-    #[test]
     fn insert_at_and_query() {
         let mut g: SpatialGrid<u64> = SpatialGrid::new(spec(10));
         let idx = g.insert_at(&Point::new(12.0, 34.0), 7);
         assert_eq!(idx, CellIdx::new(1, 3));
         assert_eq!(g.cell(idx), &[7]);
         assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn insert_circle_replicates_per_cell() {
-        let mut g: SpatialGrid<u64> = SpatialGrid::new(spec(10));
-        let n = g.insert_circle(&Circle::new(Point::new(50.0, 50.0), 3.0), 42);
-        assert_eq!(n, 4);
-        assert_eq!(g.len(), 4);
-        let found: usize = g.iter_nonempty().map(|(_, v)| v.len()).sum();
-        assert_eq!(found, 4);
     }
 
     #[test]
@@ -438,7 +374,7 @@ mod tests {
         let s = spec(1);
         assert_eq!(s.cell_of(&Point::new(99.0, 1.0)), CellIdx::new(0, 0));
         let mut g: SpatialGrid<u8> = SpatialGrid::new(s);
-        g.insert_circle(&Circle::new(Point::new(50.0, 50.0), 500.0), 1);
+        g.insert_rect(&Rect::square(1000.0), 1);
         assert_eq!(g.len(), 1);
     }
 

@@ -8,8 +8,9 @@
 //!   to 100 spatial units).
 //! * [`Rect`] / [`Circle`] — the region shapes used by range queries and
 //!   moving clusters, with the intersection predicates the join phases need.
-//! * [`SpatialGrid`] — the N×N uniform grid index used both by SCUBA's
-//!   `ClusterGrid` and by the regular grid-based baseline operator.
+//! * [`GridSpec`] / [`SpatialGrid`] — the N×N uniform partitioning that
+//!   SCUBA's `ClusterGrid` and the regular grid-based baseline operator
+//!   share, and the per-cell index the baseline stores its entities in.
 //! * [`fxhash`] — a local FxHash-style hasher for the hot integer-keyed
 //!   tables (the entity rows, the query registry, …), avoiding SipHash overhead
 //!   without adding a dependency.

@@ -6,7 +6,6 @@
 //! query` attribute (§2), i.e. a rectangle centred on the query's moving
 //! position.
 
-use crate::circle::Circle;
 use crate::point::Point;
 
 /// An axis-aligned rectangle given by its min/max corners.
@@ -99,22 +98,6 @@ impl Rect {
             && self.max.y >= other.max.y
     }
 
-    /// Whether the rectangle and a circle share any point.
-    ///
-    /// Used when a circular moving cluster must be registered in every grid
-    /// cell it overlaps ("for each grid cell, ClusterGrid maintains a list
-    /// of cluster ids of moving clusters that overlap with that cell",
-    /// paper §4.1).
-    #[inline]
-    pub fn intersects_circle(&self, c: &Circle) -> bool {
-        // Distance from the circle center to the rectangle (clamped point).
-        let nx = c.center.x.clamp(self.min.x, self.max.x);
-        let ny = c.center.y.clamp(self.min.y, self.max.y);
-        let dx = c.center.x - nx;
-        let dy = c.center.y - ny;
-        dx * dx + dy * dy <= c.radius * c.radius
-    }
-
     /// The point of `self` closest to `p`.
     #[inline]
     pub fn clamp_point(&self, p: &Point) -> Point {
@@ -171,21 +154,6 @@ mod tests {
         assert!(r.contains(&Point::new(10.0, 10.0)));
         assert!(r.contains(&Point::new(5.0, 5.0)));
         assert!(!r.contains(&Point::new(10.000001, 5.0)));
-    }
-
-    #[test]
-    fn circle_rect_intersection_cases() {
-        let r = Rect::square(10.0);
-        // Circle well inside.
-        assert!(r.intersects_circle(&Circle::new(Point::new(5.0, 5.0), 1.0)));
-        // Circle overlapping an edge from outside.
-        assert!(r.intersects_circle(&Circle::new(Point::new(11.0, 5.0), 1.5)));
-        // Circle touching a corner exactly.
-        assert!(r.intersects_circle(&Circle::new(Point::new(11.0, 11.0), 2.0_f64.sqrt())));
-        // Circle fully outside.
-        assert!(!r.intersects_circle(&Circle::new(Point::new(20.0, 20.0), 1.0)));
-        // Zero-radius circle at the boundary.
-        assert!(r.intersects_circle(&Circle::new(Point::new(10.0, 10.0), 0.0)));
     }
 
     #[test]
