@@ -78,6 +78,7 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
         let mut operator = ops.build(kind);
         let mut source = super::open_source(config, &opts.trace, Arc::clone(&network))?;
         runs.push((kind, executor.run(&mut source, operator.as_mut())));
+        source.check_replay()?;
     }
 
     let report_of = |kind: OperatorKind| -> &RunReport {

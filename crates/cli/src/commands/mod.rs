@@ -46,6 +46,27 @@ pub(crate) enum Source {
     Trace(scuba_stream::TraceReader<std::io::BufReader<std::fs::File>>),
 }
 
+impl Source {
+    /// Fails with `InvalidData`, naming the tick, when a trace replay
+    /// stopped at a torn or foreign trace instead of its clean end — a
+    /// run over part of a trace must not pass for a run over all of it.
+    pub(crate) fn check_replay(&self) -> std::io::Result<()> {
+        match self {
+            Source::Trace(reader) => match reader.error() {
+                Some(e) => Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "--trace replay failed after {} whole ticks: {e}",
+                        reader.ticks_read()
+                    ),
+                )),
+                None => Ok(()),
+            },
+            Source::Live { .. } => Ok(()),
+        }
+    }
+}
+
 impl scuba_stream::executor::UpdateSource for Source {
     fn next_tick(&mut self) -> Vec<scuba_motion::LocationUpdate> {
         match self {

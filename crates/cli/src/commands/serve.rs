@@ -371,6 +371,7 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
         &mut observer,
     )
     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    source.inner.check_replay()?;
     let io_error = observer.io_error.take();
     if let Some(e) = io_error {
         return Err(e);

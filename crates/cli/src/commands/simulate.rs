@@ -173,6 +173,7 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
         duration: config.duration,
     });
     let report = executor.run(&mut source, &mut operator);
+    source.check_replay()?;
 
     let mut tracker = DeltaTracker::new();
     let mut intervals = Vec::new();
@@ -209,17 +210,17 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
             dropped: s.dead_letters_dropped,
         }
     });
-    let overload = operator.overload().map(|c| {
-        let k = c.counters();
-        OverloadOut {
-            deadline_us: c.deadline().as_micros(),
+    let deadline_us = operator.engine().params().deadline_us;
+    let overload = deadline_us
+        .zip(operator.overload_counters())
+        .map(|(deadline_us, k)| OverloadOut {
+            deadline_us: deadline_us.into(),
             ticks: k.ticks,
             misses: k.misses,
             escalations: k.escalations,
             relaxations: k.relaxations,
             final_shedding: format!("{:?}", operator.current_shedding()),
-        }
-    });
+        });
     if let Some(path) = &opts.dead_letter_out {
         super::export_dead_letters(path, operator.validator())?;
     }
@@ -383,6 +384,7 @@ fn run_sharded(
         duration: config.duration,
     });
     let report = executor.run(&mut source, &mut operator);
+    source.check_replay()?;
 
     let mut tracker = DeltaTracker::new();
     let mut intervals = Vec::new();

@@ -103,11 +103,6 @@ impl Group {
             }
         }
     }
-
-    /// Number of trips generated so far.
-    pub fn trips_generated(&self) -> usize {
-        self.destinations.len()
-    }
 }
 
 /// Draws one node: with probability `plan.intensity()` from a hotspot's
@@ -165,11 +160,11 @@ mod tests {
     fn destination_sequence_is_stable_and_lazy() {
         let c = city();
         let mut g = Group::new(&c.network, 9, 0, 10.0, 50.0);
-        assert_eq!(g.trips_generated(), 0);
+        assert_eq!(g.destinations.len(), 0);
         let d3 = g.destination(3, &c.network);
-        assert_eq!(g.trips_generated(), 4);
+        assert_eq!(g.destinations.len(), 4);
         assert_eq!(g.destination(3, &c.network), d3);
-        assert_eq!(g.trips_generated(), 4);
+        assert_eq!(g.destinations.len(), 4);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl HotspotPlan {
         &self.centers
     }
 
-    /// Candidate nodes of hotspot `h`.
-    pub fn candidate_nodes(&self, h: usize) -> &[NodeId] {
-        &self.candidates[h]
-    }
-
     /// Whether `node` belongs to any hotspot's candidate set.
     pub fn contains_node(&self, node: NodeId) -> bool {
         self.candidates.iter().any(|c| c.contains(&node))
@@ -154,8 +149,8 @@ mod tests {
         let extent = net.extent().unwrap();
         for (h, c) in a.centers().iter().enumerate() {
             assert!(extent.contains(c), "centre {h} outside extent: {c:?}");
-            assert_eq!(a.candidate_nodes(h), b.candidate_nodes(h));
-            assert!(!a.candidate_nodes(h).is_empty(), "hotspot {h} has no nodes");
+            assert_eq!(a.candidates[h], b.candidates[h]);
+            assert!(!a.candidates[h].is_empty(), "hotspot {h} has no nodes");
         }
     }
 
@@ -165,7 +160,7 @@ mod tests {
         let radius = 120.0;
         let plan = HotspotPlan::build(&net, &skewed(4, radius, 1.0)).unwrap();
         for (h, center) in plan.centers().iter().enumerate() {
-            let nodes = plan.candidate_nodes(h);
+            let nodes = &plan.candidates[h];
             if nodes.len() > 1 {
                 for n in nodes {
                     let d = net.position(*n).unwrap().distance(center);
@@ -194,7 +189,7 @@ mod tests {
         let net = city();
         let plan = HotspotPlan::build(&net, &skewed(2, 1e-9, 1.0)).unwrap();
         for h in 0..plan.centers().len() {
-            assert_eq!(plan.candidate_nodes(h).len(), 1);
+            assert_eq!(plan.candidates[h].len(), 1);
         }
     }
 }

@@ -50,11 +50,6 @@ impl GeneratedEntity {
         self.speed
     }
 
-    /// Whether the entity is currently resting at a destination.
-    pub fn is_dwelling(&self) -> bool {
-        self.dwell_remaining > 0
-    }
-
     fn to_update(&self, time: Time) -> LocationUpdate {
         LocationUpdate {
             entity: self.entity,

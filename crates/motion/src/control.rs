@@ -49,18 +49,6 @@ pub enum ControlOp {
     Update(LocationUpdate),
 }
 
-impl ControlOp {
-    /// The query this operation concerns, when the carried update is a
-    /// query update (`None` for a malformed Register/Update carrying an
-    /// object — consumers treat those as dead letters).
-    pub fn query_id(&self) -> Option<QueryId> {
-        match self {
-            ControlOp::Register(u) | ControlOp::Update(u) => u.entity.as_query(),
-            ControlOp::Deregister(qid) => Some(*qid),
-        }
-    }
-}
-
 /// Encodes one control op, appending to `buf`.
 pub fn encode_into(op: &ControlOp, buf: &mut Vec<u8>) {
     match op {
@@ -180,14 +168,5 @@ mod tests {
         let mut bytes = vec![9];
         bytes.extend_from_slice(&1u64.to_le_bytes());
         assert_eq!(decode(&mut &bytes[..]), Err(DecodeError::BadTag(9)));
-    }
-
-    #[test]
-    fn query_id_resolves_per_variant() {
-        assert_eq!(sample_register().query_id(), Some(QueryId(11)));
-        assert_eq!(
-            ControlOp::Deregister(QueryId(3)).query_id(),
-            Some(QueryId(3))
-        );
     }
 }

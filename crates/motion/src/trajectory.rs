@@ -87,16 +87,6 @@ impl PiecewiseMotion {
         self.speed
     }
 
-    /// Changes the travel speed (e.g. when turning onto a different road
-    /// class).
-    pub fn set_speed(&mut self, speed: Speed) -> Result<(), MotionError> {
-        if !speed.is_finite() || speed < 0.0 {
-            return Err(MotionError::BadSpeed);
-        }
-        self.speed = speed;
-        Ok(())
-    }
-
     /// The connection node currently being approached — the entity's
     /// `cnloc`. After arrival this stays at the final waypoint (the paper's
     /// generator immediately re-routes arrived objects; until then the
@@ -258,14 +248,6 @@ mod tests {
             PiecewiseMotion::new(vec![Point::ORIGIN], f64::NAN),
             Err(MotionError::BadSpeed)
         );
-    }
-
-    #[test]
-    fn set_speed_validation() {
-        let mut m = l_shape();
-        assert!(m.set_speed(5.0).is_ok());
-        assert_eq!(m.speed(), 5.0);
-        assert_eq!(m.set_speed(f64::INFINITY), Err(MotionError::BadSpeed));
     }
 
     #[test]

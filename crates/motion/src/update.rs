@@ -181,11 +181,6 @@ impl LocationUpdate {
             EntityAttrs::Object(_) => None,
         }
     }
-
-    /// The query region at the reported position, for query updates.
-    pub fn query_region(&self) -> Option<Rect> {
-        self.query_spec().and_then(|s| s.region_at(self.loc))
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn query_region_centred_on_location() {
         let u = qry_update(8.0);
-        let r = u.query_region().unwrap();
+        let r = u.query_spec().unwrap().region_at(u.loc).unwrap();
         assert!(r.center().approx_eq(&u.loc));
         assert_eq!(r.width(), 8.0);
         assert_eq!(r.height(), 8.0);
@@ -242,7 +237,6 @@ mod tests {
 
     #[test]
     fn object_has_no_query_region() {
-        assert!(obj_update().query_region().is_none());
         assert!(obj_update().query_spec().is_none());
     }
 

@@ -89,7 +89,7 @@ impl RoadSegment {
     /// The endpoint opposite to `node`, or `None` if `node` is not an
     /// endpoint.
     #[inline]
-    pub fn opposite(&self, node: NodeId) -> Option<NodeId> {
+    fn opposite(&self, node: NodeId) -> Option<NodeId> {
         if node == self.from {
             Some(self.to)
         } else if node == self.to {
@@ -206,7 +206,7 @@ impl RoadNetwork {
 
     /// Segments incident to `node`.
     #[inline]
-    pub fn incident_edges(&self, node: NodeId) -> &[EdgeId] {
+    fn incident_edges(&self, node: NodeId) -> &[EdgeId] {
         self.adjacency
             .get(node.0 as usize)
             .map(Vec::as_slice)

@@ -19,7 +19,7 @@
 use scuba_spatial::rng::Xoshiro256;
 use scuba_spatial::Point;
 
-use crate::network::{NodeId, RoadClass, RoadNetwork};
+use crate::network::{RoadClass, RoadNetwork};
 
 /// Parameters of the synthetic city.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,20 +142,6 @@ impl SyntheticCity {
             config,
         }
     }
-
-    /// Nodes lying on a highway row or column — convenient spawn points for
-    /// convoy-style workloads.
-    pub fn highway_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .network
-            .edges()
-            .filter(|e| e.class == RoadClass::Highway)
-            .flat_map(|e| [e.from, e.to])
-            .collect();
-        nodes.sort();
-        nodes.dedup();
-        nodes
-    }
 }
 
 /// Classifies a street by its lattice index: every `highway_every`-th street
@@ -242,23 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn highway_nodes_nonempty_and_deduped() {
-        let city = SyntheticCity::build(CityConfig::small());
-        let nodes = city.highway_nodes();
-        assert!(!nodes.is_empty());
-        let mut sorted = nodes.clone();
-        sorted.dedup();
-        assert_eq!(sorted.len(), nodes.len());
-    }
-
-    #[test]
     fn no_highways_when_disabled() {
         let city = SyntheticCity::build(CityConfig {
             highway_every: 0,
             ..CityConfig::small()
         });
         assert!(city.network.edges().all(|e| e.class != RoadClass::Highway));
-        assert!(city.highway_nodes().is_empty());
     }
 
     #[test]

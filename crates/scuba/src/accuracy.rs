@@ -86,26 +86,6 @@ impl AccuracyReport {
         }
     }
 
-    /// Precision: `TP / (TP + FP)`; `1.0` when nothing was reported.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positives + self.false_positives;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// Recall: `TP / (TP + FN)`; `1.0` when the truth is empty.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
     /// Merges two reports (e.g. accumulated over evaluation intervals).
     pub fn merge(&self, other: &AccuracyReport) -> AccuracyReport {
         AccuracyReport {
@@ -133,8 +113,6 @@ mod tests {
         assert_eq!(r.false_positives, 0);
         assert_eq!(r.false_negatives, 0);
         assert_eq!(r.accuracy(), 1.0);
-        assert_eq!(r.precision(), 1.0);
-        assert_eq!(r.recall(), 1.0);
     }
 
     #[test]
@@ -146,8 +124,6 @@ mod tests {
         assert_eq!(r.false_positives, 1); // (2,9)
         assert_eq!(r.false_negatives, 1); // (1,1)
         assert!((r.accuracy() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((r.precision() - 0.5).abs() < 1e-12);
-        assert!((r.recall() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -167,11 +143,9 @@ mod tests {
         let r = AccuracyReport::compare(&[m(1, 1)], &[]);
         assert_eq!(r.false_negatives, 1);
         assert_eq!(r.accuracy(), 0.0);
-        assert_eq!(r.precision(), 1.0); // reported nothing wrong
         let r = AccuracyReport::compare(&[], &[m(1, 1)]);
         assert_eq!(r.false_positives, 1);
         assert_eq!(r.accuracy(), 0.0);
-        assert_eq!(r.recall(), 1.0); // missed nothing
     }
 
     #[test]

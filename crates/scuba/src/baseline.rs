@@ -25,16 +25,15 @@ use scuba_stream::{
 };
 
 /// Stage name: rebuilding the object/query grids (maintenance bucket).
-pub const STAGE_INDEX_REBUILD: &str = "index-rebuild";
+const STAGE_INDEX_REBUILD: &str = "index-rebuild";
 /// Stage name: the cell-by-cell object×query join.
-pub const STAGE_CELL_JOIN: &str = "cell-join";
+const STAGE_CELL_JOIN: &str = "cell-join";
 /// Stage name: sorting the raw matches for deterministic output.
 pub const STAGE_RESULT_MERGE: &str = "result-merge";
 
 /// The regular (non-clustered) grid-join operator.
 #[derive(Debug)]
 pub struct RegularGridOperator {
-    spec: GridSpec,
     /// Latest update per entity — the individually materialised state.
     latest: FxHashMap<EntityRef, LocationUpdate>,
     /// Objects hashed by position (rebuilt each evaluation).
@@ -51,22 +50,11 @@ impl RegularGridOperator {
     pub fn new(grid_cells: u32, area: Rect) -> Self {
         let spec = GridSpec::new(area, grid_cells.max(1));
         RegularGridOperator {
-            spec,
             latest: FxHashMap::default(),
             object_grid: SpatialGrid::new(spec),
             query_grid: SpatialGrid::new(spec),
             evaluations: 0,
         }
-    }
-
-    /// Number of tracked entities.
-    pub fn entity_count(&self) -> usize {
-        self.latest.len()
-    }
-
-    /// The grid partitioning in use.
-    pub fn grid_spec(&self) -> &GridSpec {
-        &self.spec
     }
 
     /// Number of evaluations performed.
@@ -285,7 +273,7 @@ mod tests {
         op.process_update(&obj(1, 900.0, 900.0));
         let report = op.evaluate(2);
         assert!(report.results.is_empty());
-        assert_eq!(op.entity_count(), 2);
+        assert_eq!(op.latest.len(), 2);
     }
 
     #[test]
@@ -330,6 +318,6 @@ mod tests {
     #[test]
     fn zero_cells_clamped() {
         let op = RegularGridOperator::new(0, Rect::square(10.0));
-        assert_eq!(op.spec.cells_per_side(), 1);
+        assert_eq!(op.object_grid.spec().cells_per_side(), 1);
     }
 }

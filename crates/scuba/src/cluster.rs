@@ -36,7 +36,7 @@ use scuba_spatial::{Circle, Point, Time, Vector};
 /// positions that come from identical arithmetic on the same network node,
 /// so equal nodes agree to the last bit; the tolerance only keeps the test
 /// from hinging on exact `f64` equality.
-pub const CNLOC_TOLERANCE: f64 = 1e-6;
+const CNLOC_TOLERANCE: f64 = 1e-6;
 
 /// Identifier of a moving cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -248,22 +248,8 @@ impl MovingCluster {
 
     /// The cluster's velocity vector: toward its destination node at the
     /// average member speed (zero once the destination is reached).
-    pub fn velocity(&self) -> Vector {
+    fn velocity(&self) -> Vector {
         (self.cn_loc - self.centroid).with_length(self.ave_speed)
-    }
-
-    /// Expiration time (`m.exptime`): "the time when the cluster reaches
-    /// the m.cnloc travelling at m.avespeed" (§3.1). `None` for clusters
-    /// that cannot make progress (zero average speed away from the node).
-    pub fn expiration_time(&self, now: Time) -> Option<f64> {
-        let dist = self.centroid.distance(&self.cn_loc);
-        if dist == 0.0 {
-            return Some(now as f64);
-        }
-        if self.ave_speed <= 0.0 {
-            return None;
-        }
-        Some(now as f64 + dist / self.ave_speed)
     }
 
     /// Whether advancing by `dt` time units would carry the cluster past
@@ -728,18 +714,6 @@ mod tests {
         assert!(c.passes_destination_within(2.0));
         c.advance(2.0);
         assert!(c.centroid().approx_eq(&CN));
-    }
-
-    #[test]
-    fn expiration_time() {
-        let c = founder(); // 1000 units at speed 30
-        let exp = c.expiration_time(10).unwrap();
-        assert!((exp - (10.0 + 1000.0 / 30.0)).abs() < 1e-9);
-
-        let mut stalled = founder();
-        remove_member(&mut stalled, EntityRef::Object(ObjectId(1)));
-        assert_eq!(stalled.ave_speed(), 0.0);
-        assert_eq!(stalled.expiration_time(0), None);
     }
 
     #[test]

@@ -522,7 +522,7 @@ impl ClusterEngine {
     /// (measured against `now`), dissolving clusters that empty out.
     /// Returns how many memberships were dropped. Attribute-table entries
     /// are removed too — a silent entity is gone, not merely mispositioned.
-    pub fn evict_stale(&mut self, now: Time, ttl: u64) -> usize {
+    fn evict_stale(&mut self, now: Time, ttl: u64) -> usize {
         let cutoff = now.saturating_sub(ttl);
         let mut stale: Vec<EntityRef> = Vec::new();
         for cluster in self.store.values() {

@@ -592,7 +592,7 @@ fn decode_registry(r: &mut &[u8]) -> Result<QueryRegistry, SnapshotError> {
 const CKPT_MAGIC: &[u8; 4] = b"SCBC";
 const JRNL_MAGIC: &[u8; 4] = b"SCBJ";
 /// On-disk format version of checkpoints and journal segments.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 const CKPT_HEADER: usize = 4 + 4 + 8 + 8 + 4;
 const JRNL_HEADER: usize = 4 + 4 + 8;
 
@@ -899,7 +899,7 @@ impl JournalWriter {
 /// it means the file is not a journal at all — and so is a frame that
 /// verifies but holds a retired query kind: that frame was written whole,
 /// and dropping it would silently change the answers.
-pub fn read_journal(path: &Path) -> Result<JournalSegment, DurabilityError> {
+fn read_journal(path: &Path) -> Result<JournalSegment, DurabilityError> {
     let mut bytes = Vec::new();
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -1298,7 +1298,7 @@ impl DurableOperator {
 
     /// Attaches (or clears) the worker-panic injector; a no-op for the
     /// single-store shape, which has no workers to panic.
-    pub fn set_injector(&mut self, injector: Option<Arc<PanicInjector>>) {
+    fn set_injector(&mut self, injector: Option<Arc<PanicInjector>>) {
         if let DurableOperator::Sharded(op) = self {
             op.set_panic_injector(injector);
         }
@@ -1422,7 +1422,7 @@ impl DurableOperator {
     }
 
     /// Human-readable label of the shedding mode currently in effect.
-    pub fn shedding_label(&self) -> String {
+    fn shedding_label(&self) -> String {
         match self {
             DurableOperator::Single(op) => format!("{:?}", op.current_shedding()),
             DurableOperator::Sharded(_) => "n/a".to_string(),

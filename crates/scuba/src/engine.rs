@@ -21,10 +21,9 @@ use scuba_stream::{
 
 use crate::clustering::{ClusterEngine, ClusteringStats};
 use crate::join::{JoinContext, JoinScratch};
-use crate::overload::{OverloadConfig, OverloadController, OverloadCounters};
 use crate::params::ScubaParams;
 use crate::registry::{ControlGauges, QueryRegistry};
-use crate::shedding::AdaptiveShedder;
+use crate::shedding::{OverloadCounters, ShedLadder};
 
 /// Stage name: pre-join radius tightening (maintenance bucket).
 pub const STAGE_PRE_JOIN_TIGHTEN: &str = "pre-join-tighten";
@@ -35,10 +34,11 @@ pub const STAGE_POST_JOIN: &str = "post-join-maintenance";
 /// `items_out` = updates accepted (clamped repairs included), `tests` =
 /// updates rejected into the dead-letter buffer.
 pub const STAGE_VALIDATE: &str = "validate";
-/// Stage name: overload-control decision (maintenance bucket). `items_in`
-/// = the observed tick cost in µs, `items_out` = the deadline budget in
-/// µs, `tests` = 1 on a deadline miss, 0 on a clean tick.
-pub const STAGE_OVERLOAD: &str = "overload-control";
+/// Stage name: overload-control decision (maintenance bucket), present
+/// with a deadline trigger. `items_in` = the observed tick cost in µs,
+/// `items_out` = the deadline budget in µs, `tests` = 1 on a deadline
+/// miss, 0 on a clean tick.
+const STAGE_OVERLOAD: &str = "overload-control";
 /// Stage name: the per-Δ region-grid build (maintenance bucket),
 /// [`ClusterEngine::build_index`], between radius tightening and the
 /// joining phase.
@@ -67,8 +67,9 @@ pub struct ScubaOperator {
     engine: ClusterEngine,
     name: String,
     evaluations: u64,
-    /// Optional memory-budget controller (§5's escalation behaviour).
-    adaptive: Option<AdaptiveShedder>,
+    /// The shedding ladder, when a memory budget or a deadline
+    /// ([`ScubaParams::deadline_us`]) triggers it (§5's escalation).
+    ladder: Option<ShedLadder>,
     /// Reusable joining-phase buffers; steady-state epochs allocate
     /// nothing.
     scratch: JoinScratch,
@@ -78,12 +79,9 @@ pub struct ScubaOperator {
     /// Validation counters at the previous evaluation, for per-interval
     /// deltas in the stage breakdown.
     vstats_mark: ValidationStats,
-    /// Deadline-driven shedding controller, active when
-    /// [`ScubaParams::deadline_us`] is set.
-    overload: Option<OverloadController>,
     /// Ingest wall-time accumulated since the last evaluation; the
-    /// overload controller charges it against the deadline alongside the
-    /// evaluation itself. Only measured while a controller is attached.
+    /// deadline trigger charges it against the deadline alongside the
+    /// evaluation itself. Only measured while a deadline is set.
     tick_ingest: Duration,
     /// Scripted per-evaluation tick costs (tests): each evaluation pops
     /// one entry in preference to the wall clock, making controller
@@ -114,9 +112,9 @@ impl ScubaOperator {
         let name = operator_name(&params);
         let validator = (params.validation != ValidationPolicy::Off)
             .then(|| UpdateValidator::new(params.validation, engine.area()));
-        let overload = params.deadline_us.map(|us| {
-            OverloadController::new(OverloadConfig::with_deadline(Duration::from_micros(us)))
-        });
+        let ladder = params
+            .deadline_us
+            .map(|us| ShedLadder::default().with_deadline(Duration::from_micros(us)));
         // Seed the registry from the engine's query table so a
         // snapshot-restored operator reports a truthful `active_queries`
         // gauge even without a checkpointed registry (the durable restore
@@ -135,11 +133,10 @@ impl ScubaOperator {
             engine,
             name,
             evaluations: 0,
-            adaptive: None,
+            ladder,
             scratch: JoinScratch::new(),
             validator,
             vstats_mark: ValidationStats::default(),
-            overload,
             tick_ingest: Duration::ZERO,
             scripted_costs: VecDeque::new(),
             fatal: None,
@@ -148,27 +145,24 @@ impl ScubaOperator {
         }
     }
 
-    /// Attaches a memory-budget controller: after each evaluation the
-    /// operator compares its estimated footprint against `budget_bytes`
-    /// and escalates (or relaxes) the shedding mode accordingly,
-    /// immediately discarding nucleus positions on escalation.
+    /// Attaches the memory trigger of the shedding ladder: after each
+    /// evaluation the operator compares its estimated footprint against
+    /// `budget_bytes` and escalates (or relaxes) the shedding mode
+    /// accordingly, immediately discarding nucleus positions on a move to
+    /// an active rung. A deadline ([`ScubaParams::deadline_us`]) shares
+    /// the same ladder.
     pub fn with_memory_budget(mut self, budget_bytes: usize) -> Self {
-        self.adaptive = Some(AdaptiveShedder::new(budget_bytes));
+        self.ladder = Some(
+            self.ladder
+                .take()
+                .unwrap_or_default()
+                .with_memory_budget(budget_bytes),
+        );
         self.name = format!("{}(budget={budget_bytes}B)", self.name);
         self
     }
 
-    /// Attaches (or replaces) a deadline-driven overload controller with a
-    /// custom config — [`ScubaParams::deadline_us`] covers the common case.
-    pub fn with_overload(mut self, config: OverloadConfig) -> Self {
-        if self.engine.params().deadline_us.is_none() {
-            self.name = format!("{}(deadline={}us)", self.name, config.deadline.as_micros());
-        }
-        self.overload = Some(OverloadController::new(config));
-        self
-    }
-
-    /// Scripts the overload controller's observed per-evaluation costs
+    /// Scripts the deadline trigger's observed per-evaluation costs
     /// (tests, benchmarks): each evaluation pops one entry instead of
     /// reading the wall clock, so escalation behaviour is a pure function
     /// of the script. Once the script runs dry, measurement resumes.
@@ -177,7 +171,7 @@ impl ScubaOperator {
         self
     }
 
-    /// The currently active shedding mode (reflects adaptive escalation).
+    /// The currently active shedding mode (reflects the ladder's moves).
     pub fn current_shedding(&self) -> crate::shedding::SheddingMode {
         self.engine.params().shedding
     }
@@ -268,14 +262,18 @@ impl ScubaOperator {
         self.validator.as_ref()
     }
 
-    /// The deadline-driven overload controller, when one is attached.
-    pub fn overload(&self) -> Option<&OverloadController> {
-        self.overload.as_ref()
+    /// The shedding ladder's lifetime counters, when a deadline triggers
+    /// it.
+    pub fn overload_counters(&self) -> Option<OverloadCounters> {
+        self.ladder
+            .as_ref()
+            .filter(|l| l.deadline().is_some())
+            .map(ShedLadder::counters)
     }
 
-    /// The overload controller's lifetime counters, when one is attached.
-    pub fn overload_counters(&self) -> Option<OverloadCounters> {
-        self.overload.as_ref().map(|c| c.counters())
+    /// Whether ingest time is charged against a deadline.
+    fn timing_ingest(&self) -> bool {
+        self.ladder.as_ref().is_some_and(|l| l.deadline().is_some())
     }
 
     /// Screens one update through the validator (when active). `None`
@@ -312,7 +310,7 @@ impl ContinuousOperator for ScubaOperator {
         if self.fatal.is_some() {
             return;
         }
-        let sw = self.overload.is_some().then(Stopwatch::start);
+        let sw = self.timing_ingest().then(Stopwatch::start);
         if let Some(clean) = self.screen(update) {
             self.observe_queries(std::slice::from_ref(&clean));
             self.engine.process_update(&clean);
@@ -326,7 +324,7 @@ impl ContinuousOperator for ScubaOperator {
         if self.fatal.is_some() {
             return;
         }
-        let sw = self.overload.is_some().then(Stopwatch::start);
+        let sw = self.timing_ingest().then(Stopwatch::start);
         if self.validator.is_some() {
             let mut accepted = std::mem::take(&mut self.accepted_scratch);
             accepted.clear();
@@ -434,45 +432,38 @@ impl ContinuousOperator for ScubaOperator {
                 .retain(|qid, _| engine.queries().get(qid).is_some());
         }
         let mut memory_bytes = self.engine.estimated_bytes();
-        if let Some(adaptive) = &mut self.adaptive {
-            if let Some(mode) = adaptive.observe(memory_bytes) {
+        // The shedding ladder sees this evaluation's footprint and, with a
+        // deadline, its cost so far plus the interval's ingest time.
+        let mut overload_row = None;
+        if let Some(ladder) = &mut self.ladder {
+            let deadline = ladder.deadline();
+            let mut cost = Duration::ZERO;
+            if deadline.is_some() {
+                let measured = sw_tick.elapsed() + std::mem::take(&mut self.tick_ingest);
+                cost = self.scripted_costs.pop_front().unwrap_or(measured);
+            }
+            let step = ladder.observe(memory_bytes, cost);
+            if let Some(mode) = step.moved_to {
                 self.engine.set_shedding(mode);
-                // Escalation takes effect immediately: discard nucleus
+                // A move takes effect immediately: discard nucleus
                 // positions now rather than waiting for fresh updates.
                 if mode.is_active() {
                     self.engine.shed_now();
                     memory_bytes = self.engine.estimated_bytes();
                 }
             }
+            overload_row = deadline.map(|deadline| {
+                StageStats::maintenance(STAGE_OVERLOAD)
+                    .with_items(cost.as_micros() as u64, deadline.as_micros() as u64)
+                    .with_tests(step.missed as u64)
+            });
         }
         phases.push(
             StageStats::maintenance(STAGE_POST_JOIN)
                 .with_wall(sw.elapsed())
                 .with_items(clusters_before, self.engine.cluster_count() as u64),
         );
-
-        // Overload control: charge this evaluation plus the interval's
-        // ingest time against the deadline and walk the shedding ladder.
-        if let Some(ctrl) = &mut self.overload {
-            let measured = sw_tick.elapsed() + self.tick_ingest;
-            let cost = self.scripted_costs.pop_front().unwrap_or(measured);
-            self.tick_ingest = Duration::ZERO;
-            let decision = ctrl.observe(cost);
-            if decision.changed() {
-                self.engine.set_shedding(decision.mode_after);
-                // Escalation takes effect immediately, like the memory
-                // controller above.
-                if decision.escalated() && decision.mode_after.is_active() {
-                    self.engine.shed_now();
-                    memory_bytes = self.engine.estimated_bytes();
-                }
-            }
-            phases.push(
-                StageStats::maintenance(STAGE_OVERLOAD)
-                    .with_items(cost.as_micros() as u64, ctrl.deadline().as_micros() as u64)
-                    .with_tests(decision.missed as u64),
-            );
-        }
+        phases.extend(overload_row);
 
         EvaluationReport {
             now,
@@ -753,14 +744,12 @@ mod tests {
     #[test]
     fn overload_controller_escalates_and_relaxes_on_scripted_costs() {
         use crate::SheddingMode;
-        let budget = Duration::from_micros(100);
         let slow = Duration::from_micros(500);
         let fast = Duration::from_micros(10);
         let params = ScubaParams::default().with_deadline_us(Some(100));
         let mut op = ScubaOperator::new(params, Rect::square(1000.0))
             .with_scripted_tick_costs(vec![slow, slow, fast, fast, fast]);
         assert!(op.name().contains("deadline=100us"));
-        assert_eq!(op.overload().unwrap().deadline(), budget);
         for round in 0..5u64 {
             op.process_update(&obj(round, 100.0 + round as f64, 100.0));
             let report = op.evaluate((round + 1) * 2);

@@ -28,7 +28,7 @@
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
 //! | [`params`] | §3.1, §6.1 | Θ_D, Θ_S, Δ, grid granularity, shedding policy |
-//! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members as Cartesian offsets, velocity, expiry |
+//! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members as Cartesian offsets, velocity |
 //! | [`grid`] | §4.1 | `ClusterGrid`: the N×N cell array of cluster-region bounding boxes, rebuilt once per Δ |
 //! | [`store`] | §4.1 | [`ClusterStore`]: slab + SoA hot columns |
 //! | [`tables`] | §4.1 | `EntityTable`: ObjectsTable + QueriesTable rows, each carrying its cluster-home entry |
@@ -40,8 +40,7 @@
 //! | [`registry`] | §8 | [`QueryRegistry`]: the durable active query set, fed by the `ControlOp` stream |
 //! | [`shard`] | §8 | [`ShardedScubaOperator`]: stripe-owned stores with boundary-ghost handoff |
 //! | [`snapshot`] | — | engine capture/restore, stored as a binary checkpoint (restart without re-learning clusters) |
-//! | [`shedding`] | §5 | nucleus-based load-shedding policy |
-//! | [`overload`] | §5 | deadline-driven controller escalating/relaxing the shedding mode |
+//! | [`shedding`] | §5 | nucleus-based load-shedding policy; [`ShedLadder`], one ladder escalated by a memory budget and/or a per-evaluation deadline |
 //! | [`accuracy`] | §6.6 | false-positive/negative accounting vs. unshed truth |
 //! | [`delta`] | §8 | incremental result output (added/removed per interval) |
 //! | [`kmeans`] | §6.4 | non-incremental K-means clustering extension |
@@ -90,7 +89,6 @@ pub mod join;
 pub mod kernel;
 pub mod kmeans;
 pub mod ops;
-pub mod overload;
 pub mod params;
 pub(crate) mod radix;
 pub mod registry;
@@ -112,11 +110,10 @@ pub use durability::{
 pub use engine::ScubaOperator;
 pub use join::{JoinContext, JoinScratch};
 pub use ops::{OperatorKind, OpsConfig};
-pub use overload::{OverloadConfig, OverloadController, OverloadCounters, OverloadDecision};
 pub use params::{ParamsError, ScubaParams};
 pub use registry::{ControlGauges, QueryRecord, QueryRegistry};
 pub use shard::{ShardedScubaOperator, WorkerFailure};
-pub use shedding::{AdaptiveShedder, SheddingMode};
+pub use shedding::{LadderStep, OverloadCounters, ShedLadder, SheddingMode};
 pub use snapshot::{EngineSnapshot, SnapshotError};
 pub use store::{ClusterSlot, ClusterStore, StoreColumns};
 

@@ -89,11 +89,11 @@ pub struct ScubaParams {
     /// duplicate keys). [`ValidationPolicy::Off`] — the default — trusts
     /// the source, matching the paper's setting.
     pub validation: ValidationPolicy,
-    /// Per-evaluation wall-time budget in microseconds for the adaptive
-    /// overload controller ([`crate::overload::OverloadController`]):
+    /// Per-evaluation wall-time budget in microseconds, the deadline
+    /// trigger of the shedding ladder ([`crate::shedding::ShedLadder`]):
     /// when evaluation + ingest time repeatedly exceeds it, the operator
     /// escalates load shedding; when load drops, it relaxes with
-    /// hysteresis. `None` — the default — disables the controller.
+    /// hysteresis. `None` — the default — disables the trigger.
     pub deadline_us: Option<u64>,
     /// Stripe-owning shards of the region for the multi-worker executor
     /// ([`crate::shard::ShardedScubaOperator`]): the coverage area is split

@@ -114,13 +114,6 @@ impl QueryRegistry {
         }
     }
 
-    /// Updates the owner stripe of an active query (entity migration).
-    pub fn set_owner(&mut self, qid: QueryId, owner: Option<u16>) {
-        if let Some(rec) = self.active.get_mut(&qid) {
-            rec.owner = owner;
-        }
-    }
-
     /// Deregisters `qid`, returning its record if it was active. Unknown
     /// deregisters are **not** counted here — callers decide whether the
     /// entity was known to any layer before calling

@@ -367,19 +367,13 @@ impl ShardedScubaOperator {
         }
     }
 
-    /// Attaches a deterministic worker-panic injector: each worker asks
-    /// `injector.arm(now, shard)` once per evaluation (right before the
-    /// ghost exchange, after the engine has already been mutated by
-    /// tightening — so surviving an injected panic genuinely requires a
-    /// restore) and panics when it fires.
-    pub fn with_panic_injector(mut self, injector: Arc<PanicInjector>) -> Self {
-        self.panics = Some(injector);
-        self
-    }
-
-    /// Attaches (or detaches, with `None`) the panic injector in place —
-    /// the supervised loop re-attaches the shared injector after restoring
-    /// an operator from durable state, so re-armed fault sites keep firing
+    /// Attaches (or detaches, with `None`) a deterministic worker-panic
+    /// injector: each worker asks `injector.arm(now, shard)` once per
+    /// evaluation (right before the ghost exchange, after the engine has
+    /// already been mutated by tightening — so surviving an injected panic
+    /// genuinely requires a restore) and panics when it fires. The
+    /// supervised loop re-attaches the shared injector after restoring an
+    /// operator from durable state, so re-armed fault sites keep firing
     /// across restarts.
     pub fn set_panic_injector(&mut self, injector: Option<Arc<PanicInjector>>) {
         self.panics = injector;
@@ -1324,8 +1318,8 @@ mod tests {
             panic_prob: 1.0,
             rearm: false,
         }));
-        let mut sharded =
-            ShardedScubaOperator::new(params, area()).with_panic_injector(Arc::clone(&injector));
+        let mut sharded = ShardedScubaOperator::new(params, area());
+        sharded.set_panic_injector(Some(Arc::clone(&injector)));
         for i in 0..40u64 {
             let x = 30.0 + (i * 37 % 940) as f64;
             sharded.process_update(&obj(i, x, 500.0));
@@ -1349,7 +1343,8 @@ mod tests {
             panic_prob: 1.0,
             rearm: true,
         }));
-        let mut sharded = ShardedScubaOperator::new(params, area()).with_panic_injector(injector);
+        let mut sharded = ShardedScubaOperator::new(params, area());
+        sharded.set_panic_injector(Some(injector));
         sharded.process_update(&obj(1, 100.0, 500.0));
         assert_eq!(sharded.fault(), None);
         let report = sharded.evaluate(2);

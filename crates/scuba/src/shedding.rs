@@ -7,6 +7,11 @@
 //! shed." A member whose position falls inside the nucleus has its relative
 //! position discarded; during join-within it is answered from the nucleus
 //! region instead of an exact point.
+//!
+//! [`ShedLadder`] walks the modes under load: one ladder, triggered by a
+//! memory budget (§5) and/or a per-evaluation deadline.
+
+use std::time::Duration;
 
 /// How aggressively member positions are shed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -82,98 +87,202 @@ impl SheddingMode {
     }
 }
 
-/// Escalating memory-budget controller (§5: "If the system is about to run
-/// out of memory, SCUBA begins load shedding of cluster member positions…
-/// If memory requirements are still high, then SCUBA load sheds positions
-/// of all cluster members").
+/// The shedding ladder, least → most aggressive.
+const RUNGS: [SheddingMode; 5] = [
+    SheddingMode::None,
+    SheddingMode::Partial { eta: 0.25 },
+    SheddingMode::Partial { eta: 0.5 },
+    SheddingMode::Partial { eta: 0.75 },
+    SheddingMode::Full,
+];
+
+/// The memory trigger votes to relax below this fraction of the budget.
+const RELAX_FRACTION: f64 = 0.7;
+/// Consecutive deadline misses before the deadline trigger votes to climb
+/// (a single slow tick — a GC pause, a cold cache — sheds nothing).
+const ESCALATE_AFTER_MISSES: u32 = 2;
+/// Consecutive clean ticks before the deadline trigger votes to relax.
+const RELAX_AFTER_CLEAN: u32 = 3;
+
+/// Lifetime counters of a [`ShedLadder`] with a deadline trigger, for
+/// reports and `--json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OverloadCounters {
+    /// Ticks observed.
+    pub ticks: u64,
+    /// Ticks whose cost exceeded the deadline.
+    pub misses: u64,
+    /// Rung increases (None → Partial, Partial → Full, …).
+    pub escalations: u64,
+    /// Rung decreases.
+    pub relaxations: u64,
+}
+
+/// One trigger's verdict on one observation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Vote {
+    Climb,
+    Hold,
+    Relax,
+}
+
+/// The deadline trigger's streaks.
+#[derive(Debug, Clone, PartialEq)]
+struct DeadlineTrigger {
+    deadline: Duration,
+    consecutive_misses: u32,
+    consecutive_clean: u32,
+}
+
+impl DeadlineTrigger {
+    fn vote(&mut self, missed: bool) -> Vote {
+        if missed {
+            self.consecutive_clean = 0;
+            self.consecutive_misses += 1;
+            if self.consecutive_misses >= ESCALATE_AFTER_MISSES {
+                self.consecutive_misses = 0;
+                return Vote::Climb;
+            }
+        } else {
+            self.consecutive_misses = 0;
+            self.consecutive_clean += 1;
+            if self.consecutive_clean >= RELAX_AFTER_CLEAN {
+                self.consecutive_clean = 0;
+                return Vote::Relax;
+            }
+        }
+        Vote::Hold
+    }
+}
+
+/// What one [`ShedLadder::observe`] did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LadderStep {
+    /// Whether the tick cost exceeded the deadline (`false` without a
+    /// deadline trigger).
+    pub missed: bool,
+    /// The new mode, when the ladder moved a rung.
+    pub moved_to: Option<SheddingMode>,
+}
+
+/// The escalating shedding controller: one ladder
+/// `None → η=0.25 → η=0.5 → η=0.75 → Full`, one level, and up to two
+/// triggers.
 ///
-/// The controller walks a ladder of increasingly aggressive modes: it
-/// escalates whenever the observed footprint exceeds the budget and
-/// de-escalates when the footprint falls below `RELAX_FRACTION` of the
-/// budget (hysteresis, so the mode does not oscillate around the budget).
+/// * **memory** (§5: "If the system is about to run out of memory, SCUBA
+///   begins load shedding of cluster member positions… If memory
+///   requirements are still high, then SCUBA load sheds positions of all
+///   cluster members"): votes to climb on every observation over the
+///   budget and to relax below 70 % of it;
+/// * **deadline**: votes to climb on the 2nd consecutive tick whose cost
+///   exceeds the deadline and to relax on the 3rd consecutive clean tick
+///   (hysteresis, so the mode does not oscillate around the deadline).
+///
+/// The ladder climbs one rung when any attached trigger votes to climb,
+/// and relaxes one rung only when every attached trigger votes to relax
+/// on the same observation. With one trigger attached it is that
+/// trigger's controller alone. It is a pure state machine over observed
+/// footprints and durations — it never reads a clock itself — so tests
+/// drive it with scripted values.
+///
 /// # Examples
 ///
 /// ```
-/// use scuba::{AdaptiveShedder, SheddingMode};
+/// use scuba::{SheddingMode, ShedLadder};
+/// use std::time::Duration;
 ///
-/// let mut controller = AdaptiveShedder::new(1_000_000);
-/// assert_eq!(controller.current(), SheddingMode::None);
+/// let mut ladder = ShedLadder::default().with_memory_budget(1_000_000);
+/// assert_eq!(ladder.current(), SheddingMode::None);
 ///
-/// // Memory over budget: escalate one rung.
-/// assert_eq!(
-///     controller.observe(1_500_000),
-///     Some(SheddingMode::Partial { eta: 0.25 })
-/// );
+/// // Memory over budget: climb one rung.
+/// let step = ladder.observe(1_500_000, Duration::ZERO);
+/// assert_eq!(step.moved_to, Some(SheddingMode::Partial { eta: 0.25 }));
 /// // Well under budget: relax again.
-/// assert_eq!(controller.observe(500_000), Some(SheddingMode::None));
+/// let step = ladder.observe(500_000, Duration::ZERO);
+/// assert_eq!(step.moved_to, Some(SheddingMode::None));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveShedder {
-    budget_bytes: usize,
-    ladder: Vec<SheddingMode>,
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShedLadder {
     level: usize,
+    budget_bytes: Option<usize>,
+    deadline: Option<DeadlineTrigger>,
+    counters: OverloadCounters,
 }
 
-/// De-escalate only when memory drops below this fraction of the budget.
-const RELAX_FRACTION: f64 = 0.7;
-
-impl AdaptiveShedder {
-    /// Creates a controller with the default ladder
-    /// `None → η=0.25 → η=0.5 → η=0.75 → Full`.
-    pub fn new(budget_bytes: usize) -> Self {
-        AdaptiveShedder {
-            budget_bytes,
-            ladder: vec![
-                SheddingMode::None,
-                SheddingMode::Partial { eta: 0.25 },
-                SheddingMode::Partial { eta: 0.5 },
-                SheddingMode::Partial { eta: 0.75 },
-                SheddingMode::Full,
-            ],
-            level: 0,
-        }
+impl ShedLadder {
+    /// Attaches the memory trigger with a budget in bytes.
+    pub fn with_memory_budget(mut self, budget_bytes: usize) -> Self {
+        self.budget_bytes = Some(budget_bytes);
+        self
     }
 
-    /// Creates a controller with a custom ladder (ordered least → most
-    /// aggressive; must be non-empty).
-    pub fn with_ladder(budget_bytes: usize, ladder: Vec<SheddingMode>) -> Self {
-        assert!(!ladder.is_empty(), "shedding ladder must be non-empty");
-        AdaptiveShedder {
-            budget_bytes,
-            ladder,
-            level: 0,
-        }
+    /// Attaches the deadline trigger: the per-evaluation wall-time budget
+    /// (evaluation + ingest since the previous evaluation).
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(DeadlineTrigger {
+            deadline,
+            consecutive_misses: 0,
+            consecutive_clean: 0,
+        });
+        self
     }
 
-    /// The memory budget in bytes.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
+    /// The deadline, when the deadline trigger is attached.
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline.as_ref().map(|d| d.deadline)
     }
 
     /// The currently selected mode.
     pub fn current(&self) -> SheddingMode {
-        self.ladder[self.level]
+        RUNGS[self.level]
     }
 
-    /// Feeds one memory observation; returns the new mode if it changed.
-    pub fn observe(&mut self, memory_bytes: usize) -> Option<SheddingMode> {
-        let before = self.level;
-        if memory_bytes > self.budget_bytes {
-            if self.level + 1 < self.ladder.len() {
-                self.level += 1;
+    /// Lifetime counters; `ticks` and `misses` count only while a deadline
+    /// trigger is attached.
+    pub fn counters(&self) -> OverloadCounters {
+        self.counters
+    }
+
+    /// Feeds one evaluation's memory footprint and tick cost; a trigger
+    /// that is not attached ignores its value.
+    pub fn observe(&mut self, memory_bytes: usize, tick_cost: Duration) -> LadderStep {
+        let memory = self.budget_bytes.map(|budget| {
+            if memory_bytes > budget {
+                Vote::Climb
+            } else if (memory_bytes as f64) < budget as f64 * RELAX_FRACTION {
+                Vote::Relax
+            } else {
+                Vote::Hold
             }
-        } else if (memory_bytes as f64) < self.budget_bytes as f64 * RELAX_FRACTION
+        });
+        let mut missed = false;
+        let deadline = self.deadline.as_mut().map(|trigger| {
+            missed = tick_cost > trigger.deadline;
+            trigger.vote(missed)
+        });
+        if deadline.is_some() {
+            self.counters.ticks += 1;
+            self.counters.misses += missed as u64;
+        }
+
+        let votes = [memory, deadline];
+        let before = self.level;
+        if votes.contains(&Some(Vote::Climb)) {
+            if self.level + 1 < RUNGS.len() {
+                self.level += 1;
+                self.counters.escalations += 1;
+            }
+        } else if votes.iter().flatten().all(|&v| v == Vote::Relax)
+            && votes.iter().any(Option::is_some)
             && self.level > 0
         {
             self.level -= 1;
+            self.counters.relaxations += 1;
         }
-        (self.level != before).then(|| self.current())
-    }
-
-    /// Whether the controller is at its most aggressive rung and memory is
-    /// still over budget — the point where shedding alone cannot help.
-    pub fn saturated(&self, memory_bytes: usize) -> bool {
-        self.level + 1 == self.ladder.len() && memory_bytes > self.budget_bytes
+        LadderStep {
+            missed,
+            moved_to: (self.level != before).then(|| self.current()),
+        }
     }
 }
 
@@ -243,52 +352,159 @@ mod tests {
         );
     }
 
+    #[derive(Debug, Clone, Copy)]
+    enum Trigger {
+        Memory,
+        Deadline,
+        Both,
+    }
+
+    /// A ladder with a 1000-byte budget and/or a 100 µs deadline.
+    fn ladder(trigger: Trigger) -> ShedLadder {
+        let memory = ShedLadder::default().with_memory_budget(1000);
+        let deadline = Duration::from_micros(100);
+        match trigger {
+            Trigger::Memory => memory,
+            Trigger::Deadline => ShedLadder::default().with_deadline(deadline),
+            Trigger::Both => memory.with_deadline(deadline),
+        }
+    }
+
+    /// Feeds one observation per character pair and returns the rung
+    /// (index into [`RUNGS`]) after each. Memory: `O` over budget (1500),
+    /// `B` in the hold band (900), `U` under 70 % (500); an empty script
+    /// is all `U`. Cost: `S` slow (150 µs), `F` fast (10 µs), `=` exactly
+    /// the deadline, `+` 1 µs over it; an empty script is all `F`.
+    fn run(l: &mut ShedLadder, memory: &str, cost: &str) -> String {
+        let len = memory.len().max(cost.len());
+        let memory = memory.chars().chain(std::iter::repeat('U'));
+        let cost = cost.chars().chain(std::iter::repeat('F'));
+        memory
+            .zip(cost)
+            .take(len)
+            .map(|(m, c)| {
+                let bytes = match m {
+                    'O' => 1500,
+                    'B' => 900,
+                    _ => 500,
+                };
+                let us = match c {
+                    'S' => 150,
+                    '=' => 100,
+                    '+' => 101,
+                    _ => 10,
+                };
+                l.observe(bytes, Duration::from_micros(us));
+                RUNGS
+                    .iter()
+                    .position(|&r| r == l.current())
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    }
+
+    /// (trigger, memory script, cost script, the rung after each step).
     #[test]
-    fn adaptive_starts_at_none() {
-        let a = AdaptiveShedder::new(1000);
-        assert_eq!(a.current(), SheddingMode::None);
-        assert_eq!(a.budget_bytes(), 1000);
+    fn ladder_walks_each_script() {
+        use Trigger::*;
+        let cases = [
+            // Memory: every observation over budget climbs; Full is the top.
+            (Memory, "OOOOO", "", "12344"),
+            // Memory: holds in the 70-100 % band, relaxes one rung below it.
+            (Memory, "OOBUUU", "", "122100"),
+            // Deadline: one miss does not climb; every 2nd consecutive does.
+            (Deadline, "", "S", "0"),
+            (Deadline, "", "SSSS", "0112"),
+            // Deadline: a clean tick breaks the miss streak.
+            (Deadline, "", "SFS", "000"),
+            // Deadline: the 3rd consecutive clean tick relaxes; a miss
+            // breaks the clean streak.
+            (Deadline, "", "SSFFF", "01110"),
+            (Deadline, "", "SSFFSFFF", "01111110"),
+            // Deadline: exactly the deadline is clean.
+            (Deadline, "", "==++", "0001"),
+            // Deadline: saturates at Full, floors at None.
+            (
+                Deadline,
+                "",
+                "SSSSSSSSFFFFFFFFFFFFFF",
+                "0112233444333222111000",
+            ),
+            // Both: an unmet budget holds the ladder up through clean
+            // ticks; the deadline's relax vote alone moves nothing.
+            (Both, "OOOOOOOOOOOO", "SSFFFFFFFFFF", "123444444444"),
+            // Both: the deadline climbs alone; relaxing waits for it ...
+            (Both, "UUUUU", "SSFFF", "01110"),
+            // ... and for memory, whose hold band blocks the relax.
+            (Both, "BBBBBBBB", "SSFFFFFF", "01111111"),
+        ];
+        for (trigger, memory, cost, rungs) in cases {
+            let mut l = ladder(trigger);
+            assert_eq!(
+                run(&mut l, memory, cost),
+                rungs,
+                "{trigger:?} {memory} {cost}"
+            );
+        }
     }
 
     #[test]
-    fn adaptive_escalates_over_budget() {
-        let mut a = AdaptiveShedder::new(1000);
-        assert_eq!(a.observe(1500), Some(SheddingMode::Partial { eta: 0.25 }));
-        assert_eq!(a.observe(1500), Some(SheddingMode::Partial { eta: 0.5 }));
-        assert_eq!(a.observe(1500), Some(SheddingMode::Partial { eta: 0.75 }));
-        assert_eq!(a.observe(1500), Some(SheddingMode::Full));
-        // At the top of the ladder: no further change, saturated.
-        assert_eq!(a.observe(1500), None);
-        assert!(a.saturated(1500));
-        assert!(!a.saturated(900));
+    fn ladder_starts_at_none_with_no_counts() {
+        for trigger in [Trigger::Memory, Trigger::Deadline, Trigger::Both] {
+            let l = ladder(trigger);
+            assert_eq!(l.current(), SheddingMode::None);
+            assert_eq!(l.counters(), OverloadCounters::default());
+        }
+        assert_eq!(ladder(Trigger::Memory).deadline(), None);
+        let deadline = ladder(Trigger::Deadline).deadline();
+        assert_eq!(deadline, Some(Duration::from_micros(100)));
     }
 
     #[test]
-    fn adaptive_deescalates_with_hysteresis() {
-        let mut a = AdaptiveShedder::new(1000);
-        a.observe(1500);
-        a.observe(1500);
-        assert_eq!(a.current(), SheddingMode::Partial { eta: 0.5 });
-        // In the hysteresis band (700..=1000): stay put.
-        assert_eq!(a.observe(900), None);
-        assert_eq!(a.current(), SheddingMode::Partial { eta: 0.5 });
-        // Well under budget: relax one rung at a time.
-        assert_eq!(a.observe(500), Some(SheddingMode::Partial { eta: 0.25 }));
-        assert_eq!(a.observe(500), Some(SheddingMode::None));
-        assert_eq!(a.observe(500), None);
+    fn a_ladder_without_triggers_never_moves() {
+        let mut l = ShedLadder::default();
+        assert_eq!(run(&mut l, "OUUU", "SFFF"), "0000");
+        assert_eq!(l.counters(), OverloadCounters::default());
     }
 
     #[test]
-    fn adaptive_custom_ladder() {
-        let mut a = AdaptiveShedder::with_ladder(100, vec![SheddingMode::None, SheddingMode::Full]);
-        assert_eq!(a.observe(200), Some(SheddingMode::Full));
-        assert_eq!(a.observe(200), None);
-        assert!(a.saturated(200));
+    fn steps_report_misses_and_moves() {
+        let mut l = ladder(Trigger::Deadline);
+        let slow = Duration::from_micros(150);
+        let step = l.observe(0, slow);
+        assert_eq!(
+            step,
+            LadderStep {
+                missed: true,
+                moved_to: None
+            }
+        );
+        assert_eq!(l.observe(0, slow).moved_to, Some(RUNGS[1]));
+        assert!(!l.observe(0, Duration::from_micros(100)).missed);
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn adaptive_empty_ladder_panics() {
-        let _ = AdaptiveShedder::with_ladder(100, vec![]);
+    fn counters_track_ticks_misses_and_moves() {
+        let mut l = ladder(Trigger::Deadline);
+        run(&mut l, "", "SFS");
+        assert_eq!((l.counters().ticks, l.counters().misses), (3, 2));
+
+        let mut l = ladder(Trigger::Deadline);
+        let rungs = run(&mut l, "", &format!("{}{}", "S".repeat(20), "F".repeat(40)));
+        assert!(rungs.starts_with("0112233444") && rungs.ends_with("000"));
+        let expected = OverloadCounters {
+            ticks: 60,
+            misses: 20,
+            escalations: 4,
+            relaxations: 4,
+        };
+        assert_eq!(l.counters(), expected, "four moves each way");
+
+        // Memory alone moves the ladder but counts no ticks.
+        let mut l = ladder(Trigger::Memory);
+        run(&mut l, "OOU", "");
+        let k = l.counters();
+        assert_eq!((k.ticks, k.escalations, k.relaxations), (0, 2, 1));
     }
 }

@@ -734,46 +734,57 @@ fn scuba_matches_baseline_on_seeded_workload() {
     assert_eq!(s.total_time(), s.join_time() + s.maintenance_time());
 }
 
-/// Adaptive shedding is a pure function of the observed tick costs:
-/// two controllers fed the identical timing stream take identical
-/// decisions at every tick and end with identical ledgers. This is
-/// what makes overload incidents replayable from a recorded trace.
+/// Adaptive shedding is a pure function of the observed footprints and
+/// tick costs: two ladders fed the identical stream take identical
+/// decisions at every tick and end with identical ledgers. This is what
+/// makes overload incidents replayable from a recorded trace.
 #[test]
 fn overload_controller_is_deterministic() {
     check("overload_controller_is_deterministic", CASES, |rng| {
-        use scuba::{OverloadConfig, OverloadController};
+        use scuba::ShedLadder;
         use std::time::Duration;
-        let costs = vec(rng, 1..64, |r| r.gen_range(0..5_000u64));
-        let deadline_us = rng.gen_range(1..2_500u64);
+        let observations = vec(rng, 1..64, |r| {
+            (r.gen_range(0..2_000usize), r.gen_range(0..5_000u64))
+        });
+        let deadline = Duration::from_micros(rng.gen_range(1..2_500u64));
+        let ladder = match rng.gen_range(0..3u32) {
+            0 => ShedLadder::default().with_deadline(deadline),
+            1 => ShedLadder::default().with_memory_budget(rng.gen_range(1..2_000usize)),
+            _ => ShedLadder::default()
+                .with_deadline(deadline)
+                .with_memory_budget(rng.gen_range(1..2_000usize)),
+        };
 
-        let config = OverloadConfig::with_deadline(Duration::from_micros(deadline_us));
-        let mut a = OverloadController::new(config.clone());
-        let mut b = OverloadController::new(config);
-        for &us in &costs {
+        let (mut a, mut b) = (ladder.clone(), ladder);
+        for &(mem, us) in &observations {
             let cost = Duration::from_micros(us);
-            assert_eq!(a.observe(cost), b.observe(cost));
+            assert_eq!(a.observe(mem, cost), b.observe(mem, cost));
             assert_eq!(a.current(), b.current());
         }
         assert_eq!(a.counters(), b.counters());
     });
 }
 
-/// A stream that always meets its deadline never sheds: the
-/// controller records only clean ticks and the mode stays `None`.
+/// A stream that always meets its deadline and its memory budget never
+/// sheds: the ladder records only clean ticks and the mode stays `None`.
 #[test]
 fn overload_controller_idles_on_clean_streams() {
     check("overload_controller_idles_on_clean_streams", CASES, |rng| {
-        use scuba::{OverloadConfig, OverloadController, SheddingMode};
+        use scuba::{ShedLadder, SheddingMode};
         use std::time::Duration;
-        let costs = vec(rng, 1..64, |r| r.gen_range(0..=1_000u64));
+        let observations = vec(rng, 1..64, |r| {
+            (r.gen_range(0..1_001usize), r.gen_range(0..=1_000u64))
+        });
 
-        let mut ctrl =
-            OverloadController::new(OverloadConfig::with_deadline(Duration::from_micros(1_000)));
-        for &us in &costs {
-            ctrl.observe(Duration::from_micros(us));
-            assert_eq!(ctrl.current(), SheddingMode::None);
+        let mut ladder = ShedLadder::default()
+            .with_deadline(Duration::from_micros(1_000))
+            .with_memory_budget(1_000);
+        for &(mem, us) in &observations {
+            ladder.observe(mem, Duration::from_micros(us));
+            assert_eq!(ladder.current(), SheddingMode::None);
         }
-        let k = ctrl.counters();
+        let k = ladder.counters();
+        assert_eq!(k.ticks, observations.len() as u64);
         assert_eq!(k.misses, 0);
         assert_eq!(k.escalations, 0);
     });

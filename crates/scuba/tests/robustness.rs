@@ -210,6 +210,48 @@ fn scripted_timings_make_shedding_deterministic() {
     assert_eq!(trajectories[0].1, trajectories[1].1);
 }
 
+/// A memory budget and a deadline walk one shared ladder. The budget here
+/// is unmeetable and the deadline is missed only twice, so the memory
+/// trigger keeps the ladder climbing through the clean ticks that follow:
+/// it climbs one rung per evaluation (the deadline's second miss moves it
+/// no further than the budget does) and stays at `Full`. Two controllers
+/// each writing the engine's mode would instead let the deadline's relax
+/// pull the mode back to `None` while the budget is still blown.
+#[test]
+fn memory_and_deadline_triggers_share_one_rung() {
+    let batches = build_batches(13, 40, 10, 20);
+    let mut costs = vec![Duration::from_micros(500); 2];
+    costs.extend(vec![Duration::from_micros(10); 18]);
+    let params = ScubaParams::default().with_deadline_us(Some(100));
+    let mut op = ScubaOperator::new(params, Rect::square(AREA))
+        .with_memory_budget(1)
+        .with_scripted_tick_costs(costs);
+    assert!(op.name().ends_with("(deadline=100us)(budget=1B)"));
+
+    let mut modes = Vec::new();
+    for (i, batch) in batches.iter().enumerate() {
+        op.process_batch(batch);
+        op.evaluate((i + 1) as Time);
+        modes.push(op.current_shedding());
+        op.engine().check_invariants();
+    }
+    let climb = [
+        SheddingMode::Partial { eta: 0.25 },
+        SheddingMode::Partial { eta: 0.5 },
+        SheddingMode::Partial { eta: 0.75 },
+    ];
+    assert_eq!(modes[..3], climb, "one rung per evaluation: {modes:?}");
+    assert!(
+        modes[3..].iter().all(|&m| m == SheddingMode::Full),
+        "the unmet budget holds the ladder at Full: {modes:?}"
+    );
+    let counters = op.overload_counters().expect("deadline attached");
+    assert_eq!(counters.ticks, 20);
+    assert_eq!(counters.misses, 2);
+    assert_eq!(counters.escalations, 4);
+    assert_eq!(counters.relaxations, 0);
+}
+
 /// Deadline escalation while TTL eviction runs in the same evaluations: a
 /// convoy that falls silent is evicted although the shedding ladder is
 /// climbing, its answers vanish, and the convoy that keeps reporting keeps

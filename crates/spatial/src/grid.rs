@@ -99,12 +99,6 @@ impl GridSpec {
         self.cell_w
     }
 
-    /// Height of one cell.
-    #[inline]
-    pub fn cell_height(&self) -> f64 {
-        self.cell_h
-    }
-
     /// The cell containing `p`. Points outside the area are clamped to the
     /// nearest border cell, so every point maps to a valid cell (objects can
     /// momentarily overshoot the map while travelling toward an off-grid
@@ -228,12 +222,6 @@ impl<T: Clone> SpatialGrid<T> {
     #[inline]
     pub fn cell(&self, idx: CellIdx) -> &[T] {
         &self.cells[self.spec.linear(idx)]
-    }
-
-    /// The payload of one cell by linear index.
-    #[inline]
-    pub fn cell_linear(&self, linear: usize) -> &[T] {
-        &self.cells[linear]
     }
 
     /// Iterates `(cell, payload)` over non-empty cells.

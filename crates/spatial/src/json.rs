@@ -106,14 +106,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// What kind of value this is, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -90,15 +90,6 @@ impl Point {
     pub fn approx_eq(&self, other: &Point) -> bool {
         approx_eq(self.x, other.x) && approx_eq(self.y, other.y)
     }
-
-    /// Vector pointing from `self` to `other`.
-    #[inline]
-    pub fn vector_to(&self, other: &Point) -> Vector {
-        Vector {
-            dx: other.x - self.x,
-            dy: other.y - self.y,
-        }
-    }
 }
 
 impl Vector {
@@ -117,22 +108,10 @@ impl Vector {
         (self.dx * self.dx + self.dy * self.dy).sqrt()
     }
 
-    /// Squared euclidean length.
-    #[inline]
-    pub fn norm_sq(&self) -> f64 {
-        self.dx * self.dx + self.dy * self.dy
-    }
-
-    /// Dot product with `other`.
-    #[inline]
-    pub fn dot(&self, other: &Vector) -> f64 {
-        self.dx * other.dx + self.dy * other.dy
-    }
-
     /// Returns the unit vector in this direction, or `None` for the zero
     /// vector.
     #[inline]
-    pub fn normalized(&self) -> Option<Vector> {
+    fn normalized(&self) -> Option<Vector> {
         let n = self.norm();
         if n == 0.0 {
             None
@@ -311,12 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn vector_norm_and_dot() {
-        let v = Vector::new(3.0, 4.0);
-        assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.norm_sq(), 25.0);
-        let w = Vector::new(-4.0, 3.0);
-        assert_eq!(v.dot(&w), 0.0);
+    fn vector_norm() {
+        assert_eq!(Vector::new(3.0, 4.0).norm(), 5.0);
     }
 
     #[test]
@@ -340,12 +315,5 @@ mod tests {
         assert!((v * 0.5).approx_eq(&Vector::new(1.0, -3.0)));
         assert!((v / 2.0).approx_eq(&Vector::new(1.0, -3.0)));
         assert!((-v).approx_eq(&Vector::new(-2.0, 6.0)));
-    }
-
-    #[test]
-    fn vector_to_points_at_target() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(4.0, 5.0);
-        assert!((a + a.vector_to(&b)).approx_eq(&b));
     }
 }

@@ -17,8 +17,7 @@ use crate::operator::{ContinuousOperator, EvaluationReport, PhaseBreakdown};
 /// Anything that yields one tick's worth of location updates.
 ///
 /// Implemented for closures so a `WorkloadGenerator` plugs in as
-/// `|| generator.tick()`, and by [`crate::channel::StreamReceiver`] for
-/// threaded transport.
+/// `|| generator.tick()`, and by [`crate::TraceReader`] for replay.
 pub trait UpdateSource {
     /// Produces the updates of the next time unit.
     fn next_tick(&mut self) -> Vec<LocationUpdate>;

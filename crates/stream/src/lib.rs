@@ -13,12 +13,9 @@
 //!   metrics;
 //! * an [`Executor`] wiring an update source to an operator and collecting
 //!   per-interval [`EvaluationReport`]s;
-//! * a bounded std-channel transport ([`channel`]) that moves *encoded*
-//!   updates between a producer thread and the engine, modelling the
-//!   "location updates arrive via data streams" aspect of §2;
-//! * shared [`metrics`] describing join time, maintenance time, memory
-//!   consumption and result cardinality — the measured quantities of every
-//!   experiment in §6;
+//! * [`metrics`] aggregating join time, maintenance time, memory
+//!   consumption and result cardinality over a run — the measured
+//!   quantities of every experiment in §6;
 //! * a [`validate`] front-end quarantining malformed updates before they
 //!   can reach (and corrupt) operator state, under a configurable
 //!   [`ValidationPolicy`];
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod channel;
 pub mod executor;
 pub mod faults;
 pub mod metrics;
@@ -40,7 +36,7 @@ pub mod validate;
 
 pub use executor::{Executor, ExecutorConfig, RunReport, UpdateSource};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, PanicInjector, PanicPlan};
-pub use metrics::{LatencyTrack, MetricsHub, Stopwatch};
+pub use metrics::{LatencyTrack, Stopwatch};
 pub use operator::{
     ContinuousOperator, EvaluationReport, PhaseBreakdown, PhaseKind, QueryMatch, StageRow,
     StageStats,

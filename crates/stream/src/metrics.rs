@@ -1,6 +1,5 @@
-//! Timing helpers and a thread-safe metrics hub.
+//! Timing helpers and run aggregates.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::operator::EvaluationReport;
@@ -52,10 +51,6 @@ pub struct AggregateStats {
     pub peak_memory_bytes: usize,
     /// Mean memory estimate.
     pub mean_memory_bytes: usize,
-    /// Fastest single evaluation's join time.
-    pub min_join_time: Duration,
-    /// Slowest single evaluation's join time.
-    pub max_join_time: Duration,
 }
 
 impl AggregateStats {
@@ -63,43 +58,20 @@ impl AggregateStats {
     pub fn from_reports<'a>(reports: impl IntoIterator<Item = &'a EvaluationReport>) -> Self {
         let mut stats = AggregateStats::default();
         let mut memory_sum: u128 = 0;
-        let mut min_join: Option<Duration> = None;
         for r in reports {
-            let join = r.join_time();
             stats.evaluations += 1;
-            stats.total_join_time += join;
+            stats.total_join_time += r.join_time();
             stats.total_maintenance_time += r.maintenance_time();
             stats.total_results += r.results.len();
             stats.total_comparisons += r.comparisons;
             stats.total_prefilter_tests += r.prefilter_tests;
             stats.peak_memory_bytes = stats.peak_memory_bytes.max(r.memory_bytes);
             memory_sum += r.memory_bytes as u128;
-            min_join = Some(min_join.map_or(join, |m: Duration| m.min(join)));
-            stats.max_join_time = stats.max_join_time.max(join);
         }
         if stats.evaluations > 0 {
             stats.mean_memory_bytes = (memory_sum / stats.evaluations as u128) as usize;
-            stats.min_join_time = min_join.unwrap_or_default();
         }
         stats
-    }
-
-    /// Mean join time per evaluation.
-    pub fn mean_join_time(&self) -> Duration {
-        if self.evaluations == 0 {
-            Duration::ZERO
-        } else {
-            self.total_join_time / self.evaluations as u32
-        }
-    }
-
-    /// Mean maintenance time per evaluation.
-    pub fn mean_maintenance_time(&self) -> Duration {
-        if self.evaluations == 0 {
-            Duration::ZERO
-        } else {
-            self.total_maintenance_time / self.evaluations as u32
-        }
     }
 }
 
@@ -152,69 +124,24 @@ impl LatencyTrack {
     }
 }
 
-/// A thread-safe collector of evaluation reports.
-///
-/// The executor can run the update source on another thread; operators push
-/// their reports here and analysis code reads a consistent snapshot.
-#[derive(Debug, Default)]
-pub struct MetricsHub {
-    reports: Mutex<Vec<EvaluationReport>>,
-}
-
-impl MetricsHub {
-    /// Creates an empty hub.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The report list. A recorder that panicked mid-push left the list
-    /// as it was before or after that push, so poisoning is ignored.
-    fn reports(&self) -> MutexGuard<'_, Vec<EvaluationReport>> {
-        self.reports.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records one report.
-    pub fn record(&self, report: EvaluationReport) {
-        self.reports().push(report);
-    }
-
-    /// Number of recorded reports.
-    pub fn len(&self) -> usize {
-        self.reports().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A copy of all reports recorded so far.
-    pub fn snapshot(&self) -> Vec<EvaluationReport> {
-        self.reports().clone()
-    }
-
-    /// Aggregate statistics over everything recorded so far.
-    pub fn aggregate(&self) -> AggregateStats {
-        AggregateStats::from_reports(self.reports().iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::QueryMatch;
+    use crate::operator::{PhaseBreakdown, QueryMatch, StageStats};
     use scuba_motion::{ObjectId, QueryId};
 
     fn report(join_ms: u64, maint_ms: u64, results: usize, mem: usize) -> EvaluationReport {
+        let mut phases = PhaseBreakdown::new();
+        phases.push(StageStats::join("join").with_wall(Duration::from_millis(join_ms)));
+        phases.push(
+            StageStats::maintenance("maintenance").with_wall(Duration::from_millis(maint_ms)),
+        );
         EvaluationReport {
             now: 0,
             results: (0..results)
                 .map(|i| QueryMatch::new(QueryId(i as u64), ObjectId(i as u64)))
                 .collect(),
-            phases: crate::PhaseBreakdown::from_totals(
-                Duration::from_millis(join_ms),
-                Duration::from_millis(maint_ms),
-            ),
+            phases,
             memory_bytes: mem,
             comparisons: results as u64 * 2,
             prefilter_tests: 1,
@@ -250,17 +177,13 @@ mod tests {
         assert_eq!(stats.total_prefilter_tests, 2);
         assert_eq!(stats.peak_memory_bytes, 300);
         assert_eq!(stats.mean_memory_bytes, 200);
-        assert_eq!(stats.mean_join_time(), Duration::from_millis(15));
-        assert_eq!(stats.mean_maintenance_time(), Duration::from_millis(5));
-        assert_eq!(stats.min_join_time, Duration::from_millis(10));
-        assert_eq!(stats.max_join_time, Duration::from_millis(20));
     }
 
     #[test]
     fn aggregate_empty_is_zero() {
         let stats = AggregateStats::from_reports(std::iter::empty());
         assert_eq!(stats.evaluations, 0);
-        assert_eq!(stats.mean_join_time(), Duration::ZERO);
+        assert_eq!(stats.total_join_time, Duration::ZERO);
         assert_eq!(stats.mean_memory_bytes, 0);
     }
 
@@ -287,42 +210,5 @@ mod tests {
         for p in [0.0, 50.0, 99.0, 100.0] {
             assert_eq!(track.percentile(p), Duration::from_micros(7));
         }
-    }
-
-    #[test]
-    fn hub_is_shareable_across_threads() {
-        use std::sync::Arc;
-        let hub = Arc::new(MetricsHub::new());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let hub = Arc::clone(&hub);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..25 {
-                    hub.record(report(t, 0, 1, 10));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(hub.len(), 100);
-        assert_eq!(hub.aggregate().total_results, 100);
-        assert!(!hub.is_empty());
-    }
-
-    #[test]
-    fn hub_survives_a_holder_that_panicked() {
-        let hub = MetricsHub::new();
-        hub.record(report(1, 0, 1, 10));
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = hub.reports();
-            panic!("recorder dies holding the lock");
-        }));
-        assert!(poisoned.is_err());
-        assert!(hub.reports.is_poisoned());
-        hub.record(report(2, 0, 2, 20));
-        assert_eq!(hub.len(), 2);
-        assert_eq!(hub.snapshot().len(), 2);
-        assert_eq!(hub.aggregate().total_results, 3);
     }
 }

@@ -161,15 +161,6 @@ impl PhaseBreakdown {
         Self::default()
     }
 
-    /// Legacy constructor: one opaque stage per bucket. Useful for tests
-    /// and for synthesising reports where no finer breakdown exists.
-    pub fn from_totals(join: Duration, maintenance: Duration) -> Self {
-        let mut b = PhaseBreakdown::new();
-        b.push(StageStats::join("join").with_wall(join));
-        b.push(StageStats::maintenance("maintenance").with_wall(maintenance));
-        b
-    }
-
     /// Appends a stage (stages render in insertion order).
     pub fn push(&mut self, stage: StageStats) {
         self.stages.push(stage);
@@ -201,7 +192,7 @@ impl PhaseBreakdown {
     }
 
     /// Sum of wall time over stages in the given bucket.
-    pub fn time_in(&self, kind: PhaseKind) -> Duration {
+    fn time_in(&self, kind: PhaseKind) -> Duration {
         self.stages
             .iter()
             .filter(|s| s.kind == kind)
@@ -391,11 +382,11 @@ mod tests {
 
     #[test]
     fn report_total_time() {
+        let mut phases = PhaseBreakdown::new();
+        phases.push(StageStats::join("join").with_wall(Duration::from_millis(30)));
+        phases.push(StageStats::maintenance("maintenance").with_wall(Duration::from_millis(12)));
         let r = EvaluationReport {
-            phases: PhaseBreakdown::from_totals(
-                Duration::from_millis(30),
-                Duration::from_millis(12),
-            ),
+            phases,
             ..Default::default()
         };
         assert_eq!(r.join_time(), Duration::from_millis(30));
@@ -484,13 +475,5 @@ mod tests {
         assert_eq!(rows[1].items_in, 4);
         assert_eq!(rows[1].items_out, 2);
         assert_eq!(rows[1].tests, 8);
-    }
-
-    #[test]
-    fn from_totals_reproduces_legacy_split() {
-        let b = PhaseBreakdown::from_totals(Duration::from_millis(9), Duration::from_millis(4));
-        assert_eq!(b.join_time(), Duration::from_millis(9));
-        assert_eq!(b.maintenance_time(), Duration::from_millis(4));
-        assert_eq!(b.len(), 2);
     }
 }

@@ -150,12 +150,18 @@ impl From<io::Error> for TraceError {
 /// Reads a tick-structured trace; implements [`UpdateSource`] (exhausted
 /// traces yield empty ticks, matching how the executor handles finished
 /// producers).
+///
+/// As an [`UpdateSource`] the reader cannot return an error, so it keeps
+/// the first one, stops reading, and yields empty ticks from then on; the
+/// caller asks [`TraceReader::error`] after the run whether the replay
+/// was whole.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
     header_checked: bool,
     exhausted: bool,
     ticks_read: u64,
+    error: Option<TraceError>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -166,6 +172,7 @@ impl<R: Read> TraceReader<R> {
             header_checked: false,
             exhausted: false,
             ticks_read: 0,
+            error: None,
         }
     }
 
@@ -174,9 +181,10 @@ impl<R: Read> TraceReader<R> {
         self.ticks_read
     }
 
-    /// Whether the trace has ended.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
+    /// The error that stopped an [`UpdateSource`] replay early; `None`
+    /// while the trace reads cleanly, and after its clean end.
+    pub fn error(&self) -> Option<&TraceError> {
+        self.error.as_ref()
     }
 
     fn check_header(&mut self) -> Result<(), TraceError> {
@@ -248,9 +256,16 @@ impl<R: Read> TraceReader<R> {
 
 impl<R: Read> UpdateSource for TraceReader<R> {
     fn next_tick(&mut self) -> Vec<LocationUpdate> {
+        if self.error.is_some() {
+            return Vec::new();
+        }
         match self.read_tick() {
             Ok(Some(updates)) => updates,
-            Ok(None) | Err(_) => Vec::new(),
+            Ok(None) => Vec::new(),
+            Err(e) => {
+                self.error = Some(e);
+                Vec::new()
+            }
         }
     }
 }
@@ -306,7 +321,7 @@ mod tests {
             assert_eq!(&r.read_tick().unwrap().unwrap(), t);
         }
         assert!(r.read_tick().unwrap().is_none());
-        assert!(r.is_exhausted());
+        assert!(r.read_tick().unwrap().is_none(), "the end stays the end");
         assert_eq!(r.ticks_read(), 3);
     }
 
@@ -378,6 +393,37 @@ mod tests {
         assert_eq!(r.next_tick().len(), 2);
         assert!(r.next_tick().is_empty());
         assert!(r.next_tick().is_empty());
+        assert!(r.error().is_none(), "a clean end is not an error");
+    }
+
+    #[test]
+    fn update_source_keeps_the_first_error_and_stops() {
+        let bytes = record(&[updates(1, 2), updates(2, 3), updates(3, 4)]);
+        let second = record(&[updates(1, 2)]).len();
+        // Tear the second tick: its header survives, its block does not.
+        let mut torn = bytes[..second + 12].to_vec();
+        // Append a whole third tick behind the tear; a reader that kept
+        // going would resynchronise on garbage instead of stopping.
+        torn.extend_from_slice(&bytes[record(&[updates(1, 2), updates(2, 3)]).len()..]);
+        let mut r = TraceReader::new(&torn[..]);
+        assert_eq!(r.next_tick().len(), 2);
+        assert!(r.error().is_none());
+        assert!(r.next_tick().is_empty());
+        let first = format!("{:?}", r.error().expect("the torn tick is an error"));
+        for _ in 0..3 {
+            assert!(r.next_tick().is_empty());
+        }
+        assert_eq!(r.ticks_read(), 1);
+        assert_eq!(format!("{:?}", r.error().unwrap()), first);
+
+        let mut r = TraceReader::new(&bytes[..second + 12]);
+        r.next_tick();
+        assert!(r.next_tick().is_empty());
+        assert!(matches!(r.error(), Some(TraceError::Truncated { tick: 1 })));
+
+        let mut r = TraceReader::new(&[0u8; 16][..]);
+        assert!(r.next_tick().is_empty());
+        assert!(matches!(r.error(), Some(TraceError::BadHeader)));
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl ValidationStats {
 
 /// Default bound on the dead-letter buffer (oldest letters are dropped
 /// beyond it; the counters keep counting).
-pub const DEFAULT_DEAD_LETTER_CAP: usize = 1024;
+const DEFAULT_DEAD_LETTER_CAP: usize = 1024;
 
 /// Stateful update validator: region check, per-entity timestamp history,
 /// policy dispatch and dead-letter quarantine.
@@ -224,7 +224,7 @@ impl UpdateValidator {
     }
 
     /// Creates a validator with an explicit dead-letter bound.
-    pub fn with_dead_letter_cap(policy: ValidationPolicy, region: Rect, cap: usize) -> Self {
+    fn with_dead_letter_cap(policy: ValidationPolicy, region: Rect, cap: usize) -> Self {
         UpdateValidator {
             policy,
             region,

@@ -4,7 +4,6 @@ use scuba_motion::{
     LocationUpdate, ObjectAttrs, ObjectClass, ObjectId, QueryAttrs, QueryId, QuerySpec,
 };
 use scuba_spatial::Point;
-use scuba_stream::executor::UpdateSource;
 use scuba_stream::{
     ContinuousOperator, EvaluationReport, Executor, ExecutorConfig, TraceReader, TraceWriter,
 };
@@ -187,27 +186,5 @@ fn trace_replay_equals_live() {
 
         assert_eq!(live.updates_ingested, replay.updates_ingested);
         assert_eq!(live_probe.ingested, replay_probe.ingested);
-    });
-}
-
-/// The channel transport delivers batches unchanged and in order.
-#[test]
-fn channel_preserves_batches() {
-    check("channel_preserves_batches", CASES, |rng| {
-        let ticks = ticks(rng);
-        let (tx, mut rx) = scuba_stream::channel::stream_channel(2);
-        let send_ticks = ticks.clone();
-        let producer = std::thread::spawn(move || {
-            for t in &send_ticks {
-                if !tx.send_tick(t) {
-                    break;
-                }
-            }
-        });
-        for t in &ticks {
-            assert_eq!(&rx.next_tick(), t);
-        }
-        producer.join().unwrap();
-        assert_eq!(rx.decode_errors(), 0);
     });
 }

@@ -5,6 +5,9 @@
 //! engine exceeds it, the example re-runs with progressively more
 //! aggressive nucleus-based load shedding (paper §5) until the budget
 //! holds, then reports the accuracy cost relative to the exact answer.
+//! Finally the engine's own shedding ladder finds the operating point:
+//! first from the memory budget alone, then with a per-evaluation deadline
+//! as a second trigger on the same ladder.
 //!
 //! Run with: `cargo run --release --example evacuation_zones`
 
@@ -86,17 +89,41 @@ fn main() {
         None => println!("\n→ even full shedding exceeds the budget; shrink Δ or shard the engine"),
     }
 
-    // The built-in controller reaches the same operating point on its own.
+    // The built-in ladder reaches the same operating point on its own.
+    let (mode, peak) = run_adaptive(ScubaParams::default(), budget, workload, &executor);
+    println!(
+        "adaptive ladder settled on {mode:?} (peak {:.2} MiB)",
+        mib(peak)
+    );
+
+    // A deadline is a second trigger on the same ladder: it climbs when
+    // either the budget or the deadline is missed, and relaxes only when
+    // both allow it.
+    let params = ScubaParams::default().with_deadline_us(Some(20_000));
+    let (mode, peak) = run_adaptive(params, budget, workload, &executor);
+    println!(
+        "with a 20 ms deadline as well it settled on {mode:?} (peak {:.2} MiB)",
+        mib(peak)
+    );
+}
+
+/// Runs SCUBA with the memory budget attached to its shedding ladder;
+/// returns the final mode and the peak memory estimate.
+fn run_adaptive(
+    params: ScubaParams,
+    budget: usize,
+    workload: WorkloadConfig,
+    executor: &Executor,
+) -> (SheddingMode, usize) {
     let city = SyntheticCity::build(CityConfig::default());
     let area = city.network.extent().expect("city has nodes");
     let mut generator = WorkloadGenerator::new(Arc::new(city.network), workload);
-    let mut adaptive = ScubaOperator::new(ScubaParams::default(), area).with_memory_budget(budget);
+    let mut adaptive = ScubaOperator::new(params, area).with_memory_budget(budget);
     let run = executor.run(&mut || generator.tick(), &mut adaptive);
-    println!(
-        "adaptive controller settled on {:?} (peak {:.2} MiB)",
+    (
         adaptive.current_shedding(),
-        mib(run.aggregate().peak_memory_bytes),
-    );
+        run.aggregate().peak_memory_bytes,
+    )
 }
 
 /// Runs SCUBA with the given shedding mode; returns per-interval results
