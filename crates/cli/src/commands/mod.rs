@@ -51,18 +51,13 @@ impl Source {
     /// stopped at a torn or foreign trace instead of its clean end — a
     /// run over part of a trace must not pass for a run over all of it.
     pub(crate) fn check_replay(&self) -> std::io::Result<()> {
-        match self {
-            Source::Trace(reader) => match reader.error() {
-                Some(e) => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "--trace replay failed after {} whole ticks: {e}",
-                        reader.ticks_read()
-                    ),
-                )),
-                None => Ok(()),
-            },
-            Source::Live { .. } => Ok(()),
+        use scuba_stream::executor::UpdateSource as _;
+        match self.fault() {
+            Some(reason) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("--trace {reason}"),
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -92,6 +87,13 @@ impl scuba_stream::executor::UpdateSource for Source {
             // reporting in the recorded data); serve layers file-driven
             // controls on top.
             Source::Trace(_) => Vec::new(),
+        }
+    }
+
+    fn fault(&self) -> Option<String> {
+        match self {
+            Source::Live { .. } => None,
+            Source::Trace(reader) => reader.fault(),
         }
     }
 }

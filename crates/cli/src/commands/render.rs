@@ -60,7 +60,7 @@ pub fn run(config: &SimConfig, _opts: &OutputOptions, out: &mut dyn Write) -> st
     }
 
     let (mut object_clusters, mut query_clusters, mut mixed_clusters) = (0, 0, 0);
-    for cluster in operator.engine().clusters().values() {
+    for cluster in operator.engine().store().values() {
         let glyph = if cluster.is_mixed() {
             mixed_clusters += 1;
             MIXED

@@ -218,6 +218,10 @@ impl<S: UpdateSource> UpdateSource for ControlledSource<S> {
         }
         ops
     }
+
+    fn fault(&self) -> Option<String> {
+        self.inner.fault()
+    }
 }
 
 /// CRC32 over the evaluation's result pairs (already sorted and deduped by

@@ -4,8 +4,11 @@
 //! at 60 % and a 16-byte file that is not a trace through every command
 //! that reads `--trace` (`simulate`, `compare`, `serve`). Each must exit
 //! non-zero and name the tick the replay stopped at; the intact trace
-//! must still replay cleanly.
+//! must still replay cleanly. A `serve` over the cut copy must also leave
+//! no durable state past the tear, so a rerun over the intact trace
+//! resumes at the last whole tick and ingests the rest.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -24,6 +27,15 @@ fn sim(args: &[&str]) -> Output {
         .args(SIZE)
         .output()
         .expect("scuba-sim runs")
+}
+
+/// A copy of `full` cut at 60 % of its bytes: five whole ticks, then a
+/// torn sixth.
+fn cut(dir: &Path, full: &Path) -> PathBuf {
+    let bytes = std::fs::read(full).unwrap();
+    let cut = dir.join("cut.sctr");
+    std::fs::write(&cut, &bytes[..bytes.len() * 6 / 10]).unwrap();
+    cut
 }
 
 fn record(dir: &Path) -> PathBuf {
@@ -76,9 +88,7 @@ fn truncated_trace_is_refused_naming_the_tick() {
         );
     }
 
-    let bytes = std::fs::read(&full).unwrap();
-    let cut = dir.join("cut.sctr");
-    std::fs::write(&cut, &bytes[..bytes.len() * 6 / 10]).unwrap();
+    let cut = cut(&dir, &full);
     assert_refused(
         &dir,
         &cut,
@@ -97,5 +107,86 @@ fn foreign_file_is_refused_as_a_bad_header() {
         &bad,
         "after 0 whole ticks: not a SCTR trace (bad header)",
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `serve --trace --checkpoint-dir D --checkpoint-every 4 --out D/E`
+/// over `trace`, with `extra` flags last (a repeated flag's last value
+/// wins).
+fn serve(dir: &Path, trace: &Path, state: &str, extra: &[&str]) -> Output {
+    let (ckpt, events) = (dir.join(state), dir.join(format!("{state}.ndjson")));
+    Command::new(env!("CARGO_BIN_EXE_scuba-sim"))
+        .args(["serve", "--trace", trace.to_str().unwrap()])
+        .args(["--checkpoint-dir", ckpt.to_str().unwrap()])
+        .args(["--checkpoint-every", "4"])
+        .args(["--out", events.to_str().unwrap()])
+        .args(SIZE)
+        .args(extra)
+        .output()
+        .expect("scuba-sim runs")
+}
+
+/// The updates a successful `serve` reports having ingested live.
+fn updates_served(out: &Output) -> u64 {
+    assert!(out.status.success(), "serve failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("served "))
+        .unwrap_or_else(|| panic!("no summary line in {stdout:?}"));
+    let (before, _) = line.split_once(" updates").unwrap();
+    before.rsplit(' ').next().unwrap().parse().unwrap()
+}
+
+/// The event log of `state`, deduplicated keeping the last line per tick
+/// (a resumed run re-emits the ticks it replays).
+fn events(dir: &Path, state: &str) -> BTreeMap<u64, String> {
+    let text = std::fs::read_to_string(dir.join(format!("{state}.ndjson"))).unwrap();
+    text.lines()
+        .map(|line| {
+            let t = line["{\"t\":".len()..].split(',').next().unwrap();
+            (t.parse().unwrap(), line.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn serve_commits_no_tick_past_a_tear() {
+    let dir = tmp_dir("serve-tear");
+    let full = record(&dir);
+    let cut = cut(&dir, &full);
+    let total = updates_served(&serve(&dir, &full, "whole", &[]));
+
+    let torn = serve(&dir, &cut, "torn", &[]);
+    let stderr = String::from_utf8_lossy(&torn.stderr);
+    assert!(!torn.status.success(), "serve accepted the cut trace");
+    assert!(stderr.contains("after 5 whole ticks"), "{stderr}");
+    let mut checkpoints: Vec<String> = std::fs::read_dir(dir.join("torn"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".ckpt"))
+        .collect();
+    checkpoints.sort();
+    assert_eq!(
+        checkpoints,
+        [
+            "checkpoint-000000000000.ckpt",
+            "checkpoint-000000000004.ckpt"
+        ],
+        "a checkpoint covers ticks past the tear"
+    );
+
+    // The rerun over the intact trace resumes at the last whole tick and
+    // ingests everything after it: with the five whole ticks before the
+    // tear, that is every update of the trace.
+    let resumed = serve(&dir, &full, "torn", &[]);
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(
+        stdout.contains("resumed from durable state at t=5 (1 journal frames replayed)"),
+        "{stdout}"
+    );
+    let head = updates_served(&serve(&dir, &cut, "head", &["--duration", "5"]));
+    assert_eq!(head + updates_served(&resumed), total);
+    assert_eq!(events(&dir, "torn"), events(&dir, "whole"));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -461,10 +461,10 @@ impl MovingCluster {
         self.total_drift
     }
 
-    /// Reconstructs a cluster from raw snapshot parts, rebuilding the kind
-    /// counts. Counterpart of reading the public
-    /// accessors plus [`MovingCluster::members`]; used by
-    /// [`crate::snapshot`] to restore checkpointed engines.
+    /// Reconstructs a cluster from raw parts, rebuilding the kind counts.
+    /// Counterpart of reading the public accessors plus
+    /// [`MovingCluster::members`]; the checkpoint decoder of
+    /// [`crate::durability`] reads clusters back through it.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         cid: ClusterId,
@@ -500,7 +500,8 @@ impl MovingCluster {
         }
     }
 
-    /// Builds a snapshot-ready member record (inverse of the accessors).
+    /// Builds a member record from raw parts (inverse of the accessors);
+    /// the checkpoint decoder's counterpart of [`MovingCluster::from_parts`].
     pub fn member_from_parts(
         entity: EntityRef,
         speed: f64,

@@ -40,7 +40,7 @@
 //!
 //! Cluster storage is the slab [`ClusterStore`]: every hot path
 //! addresses clusters by dense [`ClusterSlot`] handles (both indexes, the
-//! entity rows' cluster homes, the join kernel), while [`ClusterId`]
+//! entity rows' cluster homes, the join), while [`ClusterId`]
 //! remains the durable public identity. Maintenance loops iterate in slot
 //! order; each cluster's maintenance is independent of the others, so the
 //! order does not show in the state.
@@ -214,31 +214,9 @@ impl ClusterEngine {
         );
     }
 
-    /// The cluster store (all live clusters). Alias of
-    /// [`ClusterEngine::store`], kept for the many call sites that read
-    /// "the engine's clusters".
-    pub fn clusters(&self) -> &ClusterStore {
-        &self.store
-    }
-
-    /// The cluster store.
+    /// The cluster store (all live clusters).
     pub fn store(&self) -> &ClusterStore {
         &self.store
-    }
-
-    /// One cluster by durable id (cold path: hashes).
-    pub fn cluster(&self, cid: ClusterId) -> Option<&MovingCluster> {
-        self.store.get_by_id(cid)
-    }
-
-    /// One cluster by slot handle (hot path: indexed load).
-    pub fn cluster_at(&self, slot: ClusterSlot) -> Option<&MovingCluster> {
-        self.store.get(slot)
-    }
-
-    /// The slot currently holding cluster `cid`.
-    pub fn slot_of(&self, cid: ClusterId) -> Option<ClusterSlot> {
-        self.store.slot_of(cid)
     }
 
     /// The entity table, as the directory entity → (cluster slot, member
@@ -287,7 +265,9 @@ impl ClusterEngine {
     /// counter. The store (with fresh slots), the centroid
     /// index and every row's cluster home are rebuilt; the region grid is
     /// left to the next [`ClusterEngine::build_index`]. Used by
-    /// [`crate::snapshot`]. Fails when a member has no attribute row.
+    /// [`crate::snapshot`]. Fails on a duplicate cluster id, an id not
+    /// below the counter, a member with no attribute row or an entity in
+    /// two clusters.
     pub fn restore(
         params: ScubaParams,
         area: Rect,
@@ -302,16 +282,17 @@ impl ClusterEngine {
         engine.entities = EntityTable::from_tables(objects, queries);
         engine.next_cid = next_cid;
         engine.updates_processed = updates_processed;
+        let mut ids: Vec<ClusterId> = clusters.iter().map(|c| c.cid).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate cluster id in snapshot".into());
+        }
+        if let Some(&ClusterId(top)) = ids.last().filter(|id| id.0 >= next_cid) {
+            return Err(format!(
+                "cluster id {top} not below the id counter {next_cid}"
+            ));
+        }
         for cluster in clusters {
-            if cluster.cid.0 >= next_cid {
-                return Err(format!(
-                    "cluster id {} not below the id counter {next_cid}",
-                    cluster.cid.0
-                ));
-            }
-            if engine.store.slot_of(cluster.cid).is_some() {
-                return Err("duplicate cluster id in snapshot".into());
-            }
             let slot = engine.store.insert(cluster);
             let cluster = engine.store.get(slot).expect("just inserted");
             engine.centroids.place(slot, &cluster.centroid());
@@ -408,12 +389,9 @@ impl ClusterEngine {
     /// Refreshes `update.entity` — member number `idx` of its (still
     /// fitting) home cluster at `slot` — in place.
     fn refresh_member(&mut self, update: &LocationUpdate, slot: ClusterSlot, idx: usize) {
-        let params = &self.params;
-        let shed = self.store.update(slot, |cluster| {
-            let shed = Self::shed_decision(params, cluster, update);
-            cluster.update_member_at(idx, update, shed);
-            shed
-        });
+        let cluster = self.store.get_mut(slot).expect("refresh of a live slot");
+        let shed = Self::shed_decision(&self.params, cluster, update);
+        cluster.update_member_at(idx, update, shed);
         if shed {
             self.stats.positions_shed += 1;
         }
@@ -423,12 +401,10 @@ impl ClusterEngine {
     /// Absorbs `update.entity` into the cluster at `slot` (steps 3–4 of the
     /// Leader–Follower walk, after the probe chose the candidate).
     fn absorb_into(&mut self, update: &LocationUpdate, slot: ClusterSlot) {
-        let params = &self.params;
-        let (shed, centroid, idx) = self.store.update(slot, |cluster| {
-            let shed = Self::shed_decision(params, cluster, update);
-            cluster.absorb(update, shed);
-            (shed, cluster.centroid(), cluster.len() - 1)
-        });
+        let cluster = self.store.get_mut(slot).expect("absorb into a live slot");
+        let shed = Self::shed_decision(&self.params, cluster, update);
+        cluster.absorb(update, shed);
+        let (centroid, idx) = (cluster.centroid(), cluster.len() - 1);
         if shed {
             self.stats.positions_shed += 1;
         }
@@ -459,10 +435,12 @@ impl ClusterEngine {
         let Some((slot, idx)) = self.entities.unassign(entity) else {
             return false;
         };
-        let (emptied, moved) = self.store.update(slot, |cluster| {
-            let (_, moved) = cluster.remove_member_at(idx as usize);
-            (cluster.is_empty(), moved)
-        });
+        let cluster = self
+            .store
+            .get_mut(slot)
+            .expect("home points at a live slot");
+        let (_, moved) = cluster.remove_member_at(idx as usize);
+        let emptied = cluster.is_empty();
         if let Some(moved) = moved {
             self.entities.set_index(moved, idx);
         }
@@ -489,15 +467,8 @@ impl ClusterEngine {
         self.stats.clusters_formed += 1;
     }
 
-    /// Dissolves a cluster by id: members lose their membership and will
-    /// re-cluster with their next updates.
-    pub fn dissolve(&mut self, cid: ClusterId) {
-        if let Some(slot) = self.store.slot_of(cid) {
-            self.dissolve_slot(slot);
-        }
-    }
-
-    /// Dissolves the cluster at `slot`, freeing the slot for reuse.
+    /// Dissolves the cluster at `slot`, freeing the slot for reuse: members
+    /// lose their membership and will re-cluster with their next updates.
     fn dissolve_slot(&mut self, slot: ClusterSlot) {
         let cluster = self.store.remove(slot);
         for member in cluster.members() {
@@ -554,9 +525,8 @@ impl ClusterEngine {
         };
         let mut shed = 0u64;
         for i in 0..self.store.capacity() {
-            let slot = ClusterSlot(i as u32);
-            if self.store.contains(slot) {
-                shed += self.store.update(slot, |c| c.shed_nucleus(nucleus)) as u64;
+            if let Some(cluster) = self.store.get_mut(ClusterSlot(i as u32)) {
+                shed += cluster.shed_nucleus(nucleus) as u64;
             }
         }
         self.stats.positions_shed += shed;
@@ -576,10 +546,8 @@ impl ClusterEngine {
             .unwrap_or(0.0)
             .min(self.params.theta_d);
         for i in 0..self.store.capacity() {
-            let slot = ClusterSlot(i as u32);
-            if self.store.contains(slot) {
-                self.store
-                    .update(slot, |cluster| cluster.tighten(shed_floor));
+            if let Some(cluster) = self.store.get_mut(ClusterSlot(i as u32)) {
+                cluster.tighten(shed_floor);
             }
         }
     }
@@ -599,17 +567,15 @@ impl ClusterEngine {
         let dt = self.params.delta as f64;
         for i in 0..self.store.capacity() {
             let slot = ClusterSlot(i as u32);
-            if !self.store.contains(slot) {
+            let Some(cluster) = self.store.get_mut(slot) else {
                 continue;
-            }
+            };
             // `None`: dissolve; `Some(moved)`: survived, centroid moved or not.
-            let fate = self.store.update(slot, |cluster| {
-                if cluster.is_empty() || cluster.passes_destination_within(dt) {
-                    None
-                } else {
-                    Some(cluster.advance(dt).then(|| cluster.centroid()))
-                }
-            });
+            let fate = if cluster.is_empty() || cluster.passes_destination_within(dt) {
+                None
+            } else {
+                Some(cluster.advance(dt).then(|| cluster.centroid()))
+            };
             match fate {
                 None => self.dissolve_slot(slot),
                 Some(Some(centroid)) => self.centroids.place(slot, &centroid),
@@ -760,7 +726,7 @@ mod tests {
         e.process_update(&qry(1, 510.0, 495.0, 28.0, CN_EAST));
         assert_eq!(e.cluster_count(), 1);
         assert_eq!(e.stats().absorptions, 2);
-        let cluster = e.clusters().values().next().unwrap();
+        let cluster = e.store().values().next().unwrap();
         assert_eq!(cluster.len(), 3);
         assert!(cluster.is_mixed());
         e.check_invariants();
@@ -814,7 +780,7 @@ mod tests {
         assert_eq!(e.cluster_count(), 1);
         assert_eq!(e.stats().refreshes, 1);
         assert_eq!(e.stats().evictions, 0);
-        let c = e.clusters().values().next().unwrap();
+        let c = e.store().values().next().unwrap();
         assert_eq!(c.len(), 1);
         assert!((c.ave_speed() - 31.0).abs() < 1e-9);
         e.check_invariants();
@@ -870,9 +836,9 @@ mod tests {
     fn post_join_relocates_clusters() {
         let mut e = engine();
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
-        let before = e.clusters().values().next().unwrap().centroid();
+        let before = e.store().values().next().unwrap().centroid();
         e.post_join_maintenance(2);
-        let after = e.clusters().values().next().unwrap().centroid();
+        let after = e.store().values().next().unwrap().centroid();
         // Δ = 2 at speed 30 → 60 units toward CN_EAST.
         assert!((before.distance(&after) - 60.0).abs() < 1e-9);
         assert!(after.x > before.x);
@@ -909,7 +875,7 @@ mod tests {
         assert_eq!(cells_of(&e, slot), before, "untouched until the next build");
         e.build_index();
         let spec = *e.grid().spec();
-        let centroid = e.cluster_at(slot).unwrap().centroid();
+        let centroid = e.store().get(slot).unwrap().centroid();
         assert!(
             e.grid()
                 .cell(spec.linear(spec.cell_of(&centroid)))
@@ -928,7 +894,7 @@ mod tests {
         );
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         e.process_update(&obj(2, 505.0, 500.0, 30.0, CN_EAST));
-        let c = e.clusters().values().next().unwrap();
+        let c = e.store().values().next().unwrap();
         assert!(c.members().iter().all(|m| m.is_shed()));
         assert_eq!(e.stats().positions_shed, 2);
     }
@@ -943,7 +909,7 @@ mod tests {
         e.process_update(&obj(1, 500.0, 500.0, 30.0, CN_EAST));
         // Far member (r = 80 > 0.3·100 → kept).
         e.process_update(&obj(2, 580.0, 500.0, 30.0, CN_EAST));
-        let c = e.clusters().values().next().unwrap();
+        let c = e.store().values().next().unwrap();
         let shed: Vec<bool> = c.members().iter().map(|m| m.is_shed()).collect();
         assert_eq!(shed.iter().filter(|&&s| s).count(), 1);
         assert_eq!(e.stats().positions_shed, 1);
@@ -1007,7 +973,7 @@ mod tests {
         assert!(e.remove_entity(QueryId(9).into()));
         assert_eq!(e.queries().len(), 0);
         assert_eq!(e.home().len(), 1, "object membership untouched");
-        let c = e.clusters().values().next().unwrap();
+        let c = e.store().values().next().unwrap();
         assert_eq!(c.len(), 1);
         assert!(!c.is_mixed());
         e.check_invariants();
@@ -1165,7 +1131,7 @@ mod tests {
         let older = e.home().cluster_of(ObjectId(2).into()).unwrap();
         let newer = e.home().cluster_of(ObjectId(1).into()).unwrap();
         assert!(newer < older, "the younger cluster reuses the lower slot");
-        assert!(e.cluster_at(older).unwrap().cid < e.cluster_at(newer).unwrap().cid);
+        assert!(e.store().get(older).unwrap().cid < e.store().get(newer).unwrap().cid);
         // Exactly 60 from both centroids.
         e.process_update(&obj(3, 500.0, 500.0, 30.0, CN_EAST));
         assert_eq!(e.home().cluster_of(ObjectId(3).into()), Some(older));
@@ -1193,7 +1159,7 @@ mod tests {
         again.time = 1;
         e.process_update(&again);
         assert_eq!(e.stats().refreshes, 1);
-        let cluster = e.cluster_at(slot).unwrap();
+        let cluster = e.store().get(slot).unwrap();
         let member = cluster.member(ObjectId(3).into()).unwrap();
         assert_eq!((member.speed, member.last_seen), (36.0, 1));
         assert_eq!(cluster.member(ObjectId(1).into()).unwrap().speed, 30.0);
@@ -1218,7 +1184,7 @@ mod tests {
         assert_eq!(cells_of(&e, slot), old_cells, "untouched until the build");
         e.build_index();
         let spec = *e.grid().spec();
-        let region = e.cluster_at(slot).unwrap().effective_region();
+        let region = e.store().get(slot).unwrap().effective_region();
         let expected: Vec<usize> = spec
             .cells_overlapping_rect(&region.bounding_rect())
             .map(|idx| spec.linear(idx))

@@ -43,12 +43,13 @@ use scuba_stream::{
     UpdateSource, UpdateValidator, ValidationPolicy,
 };
 
+use crate::cluster::{ClusterId, MovingCluster};
 use crate::engine::ScubaOperator;
 use crate::params::ScubaParams;
 use crate::registry::{ControlGauges, QueryRecord, QueryRegistry};
 use crate::shard::{ShardedScubaOperator, WorkerFailure};
 use crate::shedding::SheddingMode;
-use crate::snapshot::{ClusterSnapshot, EngineSnapshot, MemberSnapshot, SnapshotError};
+use crate::snapshot::{EngineSnapshot, SnapshotError};
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected) — hand-rolled so the durable format has no
@@ -394,16 +395,16 @@ fn encode_snapshot(out: &mut Vec<u8>, s: &EngineSnapshot) {
     put_u64(out, s.updates_processed);
     put_u64(out, s.clusters.len() as u64);
     for c in &s.clusters {
-        put_u64(out, c.cid);
-        put_point(out, c.centroid);
-        put_f64(out, c.radius);
-        put_point(out, c.cn_loc);
-        put_f64(out, c.ave_speed);
-        put_u64(out, c.created_at);
-        put_f64(out, c.max_query_radius);
-        put_vector(out, c.total_drift);
-        put_u64(out, c.members.len() as u64);
-        for m in &c.members {
+        put_u64(out, c.cid.0);
+        put_point(out, c.centroid());
+        put_f64(out, c.radius());
+        put_point(out, c.cn_loc());
+        put_f64(out, c.ave_speed());
+        put_u64(out, c.created_at());
+        put_f64(out, c.max_query_radius());
+        put_vector(out, c.total_drift());
+        put_u64(out, c.len() as u64);
+        for m in c.members() {
             encode_entity(out, m.entity);
             put_f64(out, m.speed);
             // Tag 0: shed. Tag 2: the offset. Tag 1 (polar) is read only.
@@ -415,7 +416,7 @@ fn encode_snapshot(out: &mut Vec<u8>, s: &EngineSnapshot) {
                 }
             }
             put_u64(out, m.last_seen);
-            put_vector(out, m.drift_mark);
+            put_vector(out, m.drift_mark());
         }
     }
     put_u64(out, s.objects.len() as u64);
@@ -482,16 +483,12 @@ fn decode_snapshot(r: &mut &[u8]) -> Result<EngineSnapshot, SnapshotError> {
             };
             let last_seen = read_u64(r)?;
             let drift_mark = read_vector(r)?;
-            members.push(MemberSnapshot {
-                entity,
-                speed,
-                rel,
-                last_seen,
-                drift_mark,
-            });
+            members.push(MovingCluster::member_from_parts(
+                entity, speed, rel, last_seen, drift_mark,
+            ));
         }
-        clusters.push(ClusterSnapshot {
-            cid,
+        clusters.push(MovingCluster::from_parts(
+            ClusterId(cid),
             centroid,
             radius,
             cn_loc,
@@ -500,7 +497,7 @@ fn decode_snapshot(r: &mut &[u8]) -> Result<EngineSnapshot, SnapshotError> {
             max_query_radius,
             total_drift,
             members,
-        });
+        ));
     }
     let n_objects = read_count(r, 9)?;
     let mut objects = Vec::with_capacity(n_objects);
@@ -1589,39 +1586,56 @@ pub fn resume(dir: &Path) -> Result<Option<Resumed>, DurabilityError> {
     if !recovery.registry.is_empty() || recovery.registry.gauges() != ControlGauges::default() {
         operator.set_registry(recovery.registry.clone());
     }
-    let delta = operator.params().delta.max(1);
     let mut reports = Vec::new();
     let mut report_gauges = Vec::new();
-    let mut resume_tick = recovery.checkpoint_tick;
-    let replayed_frames = recovery.frames.len() as u64;
-    for frame in &recovery.frames {
+    replay(&mut operator, &recovery.frames, None, |report, operator| {
+        reports.push(report);
+        report_gauges.push(operator.control_gauges());
+    })
+    .map_err(|(tick, e)| DurabilityError::ReplayFailed {
+        detail: format!("replay failed at t={tick}: {e}"),
+    })?;
+    Ok(Some(Resumed {
+        operator,
+        resume_tick: recovery
+            .frames
+            .last()
+            .map_or(recovery.checkpoint_tick, |f| f.tick),
+        reports,
+        report_gauges,
+        replayed_frames: recovery.frames.len() as u64,
+        torn_tail: recovery.torn_tail,
+    }))
+}
+
+/// Replays journal `frames` into `operator`: each frame's controls, then
+/// its batch, then an evaluation at every Δ boundary but `skip_eval_at`,
+/// so the evaluate pipeline's own state mutations (radius tightening,
+/// ghost exchange, post-join maintenance) are reapplied exactly as the
+/// original run applied them. `on_eval` sees each evaluation's report.
+/// Stops at the first operator fault or failed evaluation, returning it
+/// with the frame's tick.
+fn replay(
+    operator: &mut DurableOperator,
+    frames: &[JournalFrame],
+    skip_eval_at: Option<Time>,
+    mut on_eval: impl FnMut(EvaluationReport, &DurableOperator),
+) -> Result<(), (Time, TickFailure)> {
+    let delta = operator.params().delta.max(1);
+    for frame in frames {
         operator.apply_control(&frame.controls, frame.tick);
         operator.process_batch(&frame.updates);
         if let Some(fault) = operator.fault() {
-            return Err(DurabilityError::ReplayFailed {
-                detail: format!("operator faulted at replayed t={}: {fault}", frame.tick),
-            });
+            return Err((frame.tick, TickFailure::Fatal(fault)));
         }
-        if frame.tick % delta == 0 {
-            let report =
-                operator
-                    .try_evaluate(frame.tick)
-                    .map_err(|e| DurabilityError::ReplayFailed {
-                        detail: format!("evaluation failed at replayed t={}: {e}", frame.tick),
-                    })?;
-            reports.push(report);
-            report_gauges.push(operator.control_gauges());
+        if frame.tick % delta == 0 && Some(frame.tick) != skip_eval_at {
+            let report = operator
+                .try_evaluate(frame.tick)
+                .map_err(|e| (frame.tick, e))?;
+            on_eval(report, operator);
         }
-        resume_tick = frame.tick;
     }
-    Ok(Some(Resumed {
-        operator,
-        resume_tick,
-        reports,
-        report_gauges,
-        replayed_frames,
-        torn_tail: recovery.torn_tail,
-    }))
+    Ok(())
 }
 
 /// Outcome of [`run_supervised`].
@@ -1647,11 +1661,12 @@ fn backoff_delay(cfg: &SuperviseConfig, attempt: u32) -> Duration {
         .min(cfg.backoff_cap)
 }
 
+/// Restores the operator from the last checkpoint and replays the frames
+/// since, with the same registry and panic injector.
 fn rebuild(
     stripes: &[EngineSnapshot],
     registry: &QueryRegistry,
     pending: &[JournalFrame],
-    delta: u64,
     injector: Option<&Arc<PanicInjector>>,
     skip_eval_at: Time,
 ) -> Result<DurableOperator, TickFailure> {
@@ -1659,19 +1674,9 @@ fn rebuild(
         .map_err(|e| TickFailure::Fatal(format!("restore from checkpoint failed: {e}")))?;
     operator.set_registry(registry.clone());
     operator.set_injector(injector.cloned());
-    for frame in pending {
-        operator.apply_control(&frame.controls, frame.tick);
-        operator.process_batch(&frame.updates);
-        if let Some(fault) = operator.fault() {
-            return Err(TickFailure::Fatal(fault));
-        }
-        // Re-evaluate at Δ boundaries so evaluate-side state mutations are
-        // reapplied — except at the tick being retried, which the outer
-        // loop evaluates itself once the rebuild succeeds.
-        if frame.tick % delta == 0 && frame.tick != skip_eval_at {
-            operator.try_evaluate(frame.tick)?;
-        }
-    }
+    // The tick being retried is not evaluated here: the outer loop
+    // evaluates it itself once the rebuild succeeds.
+    replay(&mut operator, pending, Some(skip_eval_at), |_, _| {}).map_err(|(_, e)| e)?;
     Ok(operator)
 }
 
@@ -1682,8 +1687,9 @@ fn rebuild(
 ///
 /// The source is expected to be **deterministic from tick 1** (a seeded
 /// generator): on resume the loop discards the ticks durable state already
-/// covers, so re-delivery reproduces the original stream. Budget
-/// exhaustion and fatal operator faults abort the run via
+/// covers, so re-delivery reproduces the original stream. A source fault
+/// ([`UpdateSource::fault`]), budget exhaustion and fatal operator faults
+/// abort the run via
 /// [`RunReport::aborted`] rather than returning an error — the partial
 /// results are real and the caller decides what to do with them.
 pub fn run_supervised<S>(
@@ -1748,6 +1754,13 @@ where
     'ticks: for now in (start_tick + 1)..=cfg.duration {
         let controls = source.next_controls();
         let updates = source.next_tick();
+        // A tick the source failed to deliver is not the stream: it is not
+        // journaled, ingested or checkpointed, so durable state ends at the
+        // last whole tick and a rerun over an intact source resumes there.
+        if let Some(reason) = source.fault() {
+            aborted = Some(reason);
+            break 'ticks;
+        }
 
         // Write-ahead: the frame is durable before the operator sees it.
         let sw = Stopwatch::start();
@@ -1799,14 +1812,7 @@ where
                         attempt += 1;
                         stats.restarts += 1;
                         report.restarts += 1;
-                        match rebuild(
-                            &ckpt_stripes,
-                            &ckpt_registry,
-                            &pending,
-                            delta,
-                            injector,
-                            now,
-                        ) {
+                        match rebuild(&ckpt_stripes, &ckpt_registry, &pending, injector, now) {
                             Ok(rebuilt) => operator = rebuilt,
                             Err(TickFailure::Fatal(reason)) => {
                                 aborted = Some(reason);
@@ -2097,7 +2103,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_snapshot(&mut bytes, &snapshot);
         let mut patched = Vec::new();
-        for m in snapshot.clusters.iter().flat_map(|c| &c.members) {
+        for m in snapshot.clusters.iter().flat_map(|c| c.members()) {
             // Zero offsets (untouched founders) are not unique patterns;
             // they stay tag 2, so the fleet mixes both tags.
             let Some(v) = m.rel.filter(|v| *v != Vector::ZERO) else {
@@ -2119,7 +2125,7 @@ mod tests {
         restored.check_invariants();
         for (entity, r, theta) in patched {
             let (slot, idx) = restored.home().entry_of(entity).unwrap();
-            let cluster = restored.cluster_at(slot).unwrap();
+            let cluster = restored.store().get(slot).unwrap();
             let member = &cluster.members()[idx as usize];
             let now = cluster.member_position(member).unwrap();
             // What the polar reader materialised from the same record.
@@ -2134,7 +2140,8 @@ mod tests {
                 "{entity}"
             );
             // Up to the polar round trip, that is where the member was.
-            let live = original.cluster(cluster.cid).unwrap();
+            let (slot, _) = original.home().entry_of(entity).unwrap();
+            let live = original.store().get(slot).unwrap();
             let was = live.member_position(live.member(entity).unwrap()).unwrap();
             assert!(now.distance(&was) < 1e-9, "{entity}: {now:?} vs {was:?}");
         }
@@ -2148,7 +2155,7 @@ mod tests {
         let v = snapshot
             .clusters
             .iter()
-            .flat_map(|c| &c.members)
+            .flat_map(|c| c.members())
             .find_map(|m| m.rel.filter(|v| *v != Vector::ZERO))
             .unwrap();
         let at = offset_record_at(&bytes, v);
@@ -2159,6 +2166,106 @@ mod tests {
                 Err(SnapshotError::Inconsistent(_))
             ));
         }
+    }
+
+    /// A small fixed engine whose checkpoint bytes are pinned: non-default
+    /// params, convoys that form multi-member mixed clusters under
+    /// partial shedding (so some members are shed), and a registry that
+    /// saw a query deregistered.
+    fn golden_checkpoint() -> Vec<u8> {
+        let params = ScubaParams {
+            theta_d: 120.0,
+            theta_s: 15.0,
+            grid_cells: 16,
+            delta: 3,
+            shedding: SheddingMode::Partial { eta: 0.3 },
+            entity_ttl: Some(9),
+            validation: ValidationPolicy::Reject,
+            ..ScubaParams::default()
+        };
+        let mut op = ScubaOperator::new(params, Rect::square(1000.0));
+        let register = |id: u64, x: f64, t: Time| {
+            ControlOp::Register(LocationUpdate::query(
+                QueryId(id),
+                Point::new(x, 300.0),
+                t,
+                0.0,
+                Point::new(x, 300.0),
+                QueryAttrs {
+                    spec: QuerySpec::square_range(40.0),
+                },
+            ))
+        };
+        for t in 1..=6u64 {
+            let mut controls = Vec::new();
+            if t == 1 {
+                controls = vec![register(900, 250.0, t), register(901, 650.0, t)];
+            }
+            if t == 4 {
+                controls = vec![ControlOp::Deregister(QueryId(901))];
+            }
+            op.apply_control(&controls, t);
+            let mut batch = Vec::new();
+            for convoy in 0..3u64 {
+                let (cx, cy) = (200.0 + 250.0 * convoy as f64, 200.0 + 150.0 * convoy as f64);
+                let cn = Point::new(cx + 600.0, cy);
+                for k in 0..6u64 {
+                    let at =
+                        Point::new(cx + 15.0 * k as f64 + 2.0 * t as f64, cy + 11.0 * k as f64);
+                    let speed = 2.0 + 0.1 * k as f64;
+                    let id = convoy * 10 + k;
+                    batch.push(if k % 3 == 2 {
+                        LocationUpdate::query(
+                            QueryId(id),
+                            at,
+                            t,
+                            speed,
+                            cn,
+                            QueryAttrs {
+                                spec: QuerySpec::square_range(12.0 + k as f64),
+                            },
+                        )
+                    } else {
+                        LocationUpdate::object(
+                            ObjectId(id),
+                            at,
+                            t,
+                            speed,
+                            cn,
+                            scuba_motion::ObjectAttrs {
+                                class: ObjectClass::ALL[(id % 6) as usize],
+                            },
+                        )
+                    });
+                }
+            }
+            op.process_batch(&batch);
+            if t % 3 == 0 {
+                op.evaluate(t);
+            }
+        }
+        let clusters: Vec<_> = op.engine().store().values().collect();
+        assert!(clusters.iter().any(|c| c.is_mixed() && c.len() > 2));
+        assert!(clusters
+            .iter()
+            .flat_map(|c| c.members())
+            .any(|m| m.is_shed()));
+        assert!(clusters
+            .iter()
+            .flat_map(|c| c.members())
+            .any(|m| !m.is_shed()));
+        assert_eq!(op.registry().gauges().deregistered_total, 1);
+        encode_checkpoint(6, &[EngineSnapshot::capture(op.engine())], op.registry())
+    }
+
+    /// The checkpoint bytes of [`golden_checkpoint`] are pinned: a change
+    /// to how engine state is captured or encoded that moves one byte fails
+    /// here, before it can strand a checkpoint directory written by an
+    /// earlier build.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let bytes = golden_checkpoint();
+        assert_eq!((bytes.len(), crc32(&bytes)), (1896, 0x0343_E218));
     }
 
     #[test]

@@ -598,9 +598,9 @@ mod tests {
     fn post_join_runs_each_evaluation() {
         let mut op = ScubaOperator::new(ScubaParams::default(), Rect::square(1000.0));
         op.process_update(&obj(1, 500.0, 500.0));
-        let centroid_before = op.engine().clusters().values().next().unwrap().centroid();
+        let centroid_before = op.engine().store().values().next().unwrap().centroid();
         op.evaluate(2);
-        let centroid_after = op.engine().clusters().values().next().unwrap().centroid();
+        let centroid_after = op.engine().store().values().next().unwrap().centroid();
         assert!(centroid_after.x > centroid_before.x, "cluster relocated");
     }
 
@@ -646,7 +646,7 @@ mod tests {
         // Positions are actually gone.
         assert!(op
             .engine()
-            .clusters()
+            .store()
             .values()
             .flat_map(|c| c.members())
             .all(|m| m.is_shed()));
@@ -786,7 +786,7 @@ mod tests {
         assert_eq!(op.current_shedding(), crate::SheddingMode::Full);
         assert!(op
             .engine()
-            .clusters()
+            .store()
             .values()
             .flat_map(|c| c.members())
             .all(|m| m.is_shed()));
@@ -923,7 +923,7 @@ mod tests {
             clusters - 1,
             "its cluster dissolved"
         );
-        assert!(op.engine().cluster_at(lone).is_none());
+        assert!(op.engine().store().get(lone).is_none());
 
         // A query heading elsewhere cannot join the objects' cluster, so it
         // founds its own — in the vacated slot.

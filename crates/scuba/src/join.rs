@@ -8,11 +8,12 @@
 //!    reused pair buffer. The stage holds *no* cross-round state that
 //!    could accumulate pairs for dissolved clusters;
 //! 2. **join-between** (Algorithm 2) — the circle/circle overlap
-//!    pre-filter, evaluated as a sweep over the [`ClusterStore`]'s SoA
-//!    centroid/radius columns (no per-pair pointer chase). Pairs whose
-//!    regions do not overlap are pruned: their members are *guaranteed*
-//!    not to join individually (the cluster region covers all member
-//!    positions);
+//!    pre-filter, reading each pair's two clusters from the
+//!    [`ClusterStore`] slab. Same-slot pairs survive only for mixed
+//!    clusters; cross pairs must hold an object on one side and a query on
+//!    the other, and their regions must overlap with the query side
+//!    inflated by its widest range. Pruned pairs are *guaranteed* not to
+//!    join individually (the cluster region covers all member positions);
 //! 3. **join-within** (Algorithm 3) — the exact object×query join over the
 //!    members of both clusters. Every surviving pair is computed from
 //!    scratch each Δ: the clusters it needs are materialised once into a
@@ -67,7 +68,6 @@ use scuba_spatial::{Circle, Point, Rect};
 use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
 use crate::grid::ClusterGrid;
-use crate::kernel;
 use crate::radix;
 use crate::store::{ClusterSlot, ClusterStore};
 use crate::tables::QueriesTable;
@@ -92,10 +92,6 @@ pub struct JoinOutput {
     /// (join-between) plus member-vs-cluster reach tests inside
     /// join-within.
     pub prefilter_tests: u64,
-    /// Cluster pairs pruned by join-between.
-    pub pairs_pruned: u64,
-    /// Cluster pairs that proceeded to join-within.
-    pub pairs_joined: u64,
     /// Per-stage cost accounting, in pipeline order (pair discovery,
     /// join-between, join-within, result merge).
     pub stages: Vec<StageStats>,
@@ -106,8 +102,8 @@ pub struct JoinOutput {
 /// drive the identical join over offline-built clusters.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinContext<'a> {
-    /// The cluster store: slab and SoA hot columns. The shed/exact split
-    /// of every member is carried by the members themselves.
+    /// The cluster store. The shed/exact split of every member is carried
+    /// by the members themselves.
     pub store: &'a ClusterStore,
     /// The region grid driving the candidate-cell loop.
     pub grid: &'a ClusterGrid,
@@ -320,16 +316,8 @@ impl<'a> JoinContext<'a> {
         );
 
         // Stage 2 — join-between: the overlap pre-filter (Algorithm 2).
-        // Same-cluster pairs survive only for mixed clusters (Algorithm 1,
-        // step 14); cross pairs survive the joinable-kind check and the
-        // region-overlap test. Vacant slots carry zero member counts, so
-        // stale grid entries (if any) drop out at the kind check.
-        let pf =
-            kernel::join_between_filter(&self.store.columns(), &scratch.pairs, &mut scratch.tasks);
-        out.prefilter_tests += pf.tests;
-        out.pairs_pruned += pf.pruned;
-        out.pairs_joined += pf.joined;
-        let between_tests = out.prefilter_tests;
+        let between_tests = self.join_between(&scratch.pairs, &mut scratch.tasks);
+        out.prefilter_tests += between_tests;
         out.stages.push(
             StageStats::join(STAGE_JOIN_BETWEEN)
                 .with_wall(sw.lap())
@@ -409,6 +397,49 @@ impl<'a> JoinContext<'a> {
             }
         }
         (entries_walked, candidates)
+    }
+
+    /// Stage 2: filters the discovered pairs down to the pairs join-within
+    /// must run, clearing and filling `tasks` with them in input order
+    /// (the order join-within consumes them in). Returns the overlap tests
+    /// made.
+    ///
+    /// Same-slot pairs survive only for mixed clusters (Algorithm 1, step
+    /// 14). Cross pairs must pass the joinable-kind check (step 18) and
+    /// then the circle-overlap test, with the query side inflated by its
+    /// widest range so a pruned pair really cannot produce results (see
+    /// [`crate::MovingCluster::effective_region`]). A vacant slot is
+    /// skipped.
+    fn join_between(
+        &self,
+        pairs: &[(ClusterSlot, ClusterSlot)],
+        tasks: &mut Vec<(ClusterSlot, ClusterSlot)>,
+    ) -> u64 {
+        tasks.clear();
+        let mut tests = 0u64;
+        for &(left, right) in pairs {
+            let (Some(l), Some(r)) = (self.store.get(left), self.store.get(right)) else {
+                continue;
+            };
+            if left == right {
+                if l.is_mixed() {
+                    tasks.push((left, right));
+                }
+                continue;
+            }
+            let joinable = (l.object_count() > 0 && r.query_count() > 0)
+                || (l.query_count() > 0 && r.object_count() > 0);
+            if !joinable {
+                continue;
+            }
+            tests += 1;
+            if l.region().overlaps(&r.effective_region())
+                || r.region().overlaps(&l.effective_region())
+            {
+                tasks.push((left, right));
+            }
+        }
+        tests
     }
 
     /// Joins one surviving pair: the same-cluster join for `(c, c)`
@@ -660,6 +691,7 @@ impl<'a> JoinContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterId, MovingCluster};
     use crate::clustering::ClusterEngine;
     use crate::params::ScubaParams;
     use crate::shedding::SheddingMode;
@@ -716,6 +748,95 @@ mod tests {
         ctx(engine).run(&mut JoinScratch::new())
     }
 
+    /// The join-between stage row's `(tests, items_out)`: overlap tests
+    /// made and pairs passed on to join-within.
+    fn between_row(out: &JoinOutput) -> (u64, u64) {
+        let row = &out.stages[1];
+        assert_eq!(row.name, STAGE_JOIN_BETWEEN);
+        (row.tests, row.items_out)
+    }
+
+    fn store_with(clusters: Vec<MovingCluster>) -> ClusterStore {
+        let mut s = ClusterStore::new();
+        for c in clusters {
+            s.insert(c);
+        }
+        s
+    }
+
+    fn found(u: &LocationUpdate) -> MovingCluster {
+        MovingCluster::found(ClusterId(u.entity.raw()), u, false)
+    }
+
+    /// Runs the join-between stage alone over every slot pair of `store`
+    /// (self-pairs included, smaller slot first); returns the surviving
+    /// pairs and the overlap tests made.
+    fn between_all(store: &ClusterStore) -> (Vec<(ClusterSlot, ClusterSlot)>, u64) {
+        let n = store.capacity() as u32;
+        let pairs: Vec<_> = (0..n)
+            .flat_map(|a| (a..n).map(move |b| (ClusterSlot(a), ClusterSlot(b))))
+            .collect();
+        let grid = ClusterGrid::new(GridSpec::new(Rect::square(1000.0), 1));
+        let queries = QueriesTable::new();
+        let ctx = JoinContext {
+            store,
+            grid: &grid,
+            queries: &queries,
+        };
+        let mut tasks = Vec::new();
+        let tests = ctx.join_between(&pairs, &mut tasks);
+        (tasks, tests)
+    }
+
+    /// Degenerate geometry: zero-radius clusters and coincident centroids
+    /// take the inclusive (≤) branch; same-kind pairs are never tested.
+    #[test]
+    fn zero_radius_and_coincident_centroids_are_inclusive() {
+        let store = store_with(vec![
+            found(&obj(0, 100.0, 100.0, 10.0, CN_EAST)),
+            found(&qry(1, 100.0, 100.0, 10.0, CN_EAST, 0.0)), // coincident, zero reach
+            found(&qry(2, 100.0, 130.0, 10.0, CN_EAST, 0.0)), // zero reach, 30 apart
+            found(&obj(3, 500.0, 500.0, 10.0, CN_EAST)),
+        ]);
+        // Only the coincident zero-radius pair survives (distance 0 ≤ 0);
+        // the separated zero-reach pair and both far pairs are pruned.
+        assert_eq!(
+            between_all(&store),
+            (vec![(ClusterSlot(0), ClusterSlot(1))], 4)
+        );
+    }
+
+    /// A pair engineered to sit exactly on the overlap boundary
+    /// (d² == (radius + effective radius)²): the inclusive comparison must
+    /// admit it.
+    #[test]
+    fn exact_boundary_pair_is_inclusive() {
+        // A square range of side 2s has bounding radius s·√2, which is
+        // irrational, so the object cluster (radius 0) is placed at the
+        // *computed* effective radius: d equals it bit for bit.
+        let q = found(&qry(1, 0.0, 0.0, 10.0, CN_EAST, 16.0));
+        let eff = q.effective_region().radius;
+        assert_eq!(eff, q.radius() + q.max_query_radius());
+        let store = store_with(vec![found(&obj(0, eff, 0.0, 10.0, CN_EAST)), q]);
+        // d² = eff² exactly (axis-aligned, dy = 0), so ≤ admits the pair.
+        assert_eq!(
+            between_all(&store),
+            (vec![(ClusterSlot(0), ClusterSlot(1))], 1)
+        );
+    }
+
+    /// A vacant slot (a dissolved cluster still named by a pair) is
+    /// skipped, neither tested nor passed on.
+    #[test]
+    fn vacant_slots_are_skipped() {
+        let mut store = store_with(vec![
+            found(&obj(0, 100.0, 100.0, 10.0, CN_EAST)),
+            found(&qry(1, 100.0, 100.0, 10.0, CN_EAST, 20.0)),
+        ]);
+        store.remove(ClusterSlot(1));
+        assert_eq!(between_all(&store), (vec![], 0));
+    }
+
     #[test]
     fn same_cluster_match_found() {
         let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
@@ -760,10 +881,10 @@ mod tests {
         assert_eq!(e.cluster_count(), 2);
         e.build_index();
         let out = run(&e);
-        // One cluster-pair overlap test plus member-level reach tests.
+        // One cluster-pair overlap test, passed, plus member-level reach
+        // tests.
         assert!(out.prefilter_tests >= 1);
-        assert_eq!(out.pairs_joined, 1);
-        assert_eq!(out.pairs_pruned, 0);
+        assert_eq!(between_row(&out), (1, 1));
         // Both objects fall inside the 20-unit query range.
         assert_eq!(
             out.results,
@@ -785,7 +906,7 @@ mod tests {
         e.build_index();
         let out = run(&e);
         assert_eq!(out.prefilter_tests, 1);
-        assert_eq!(out.pairs_pruned, 1);
+        assert_eq!(between_row(&out), (1, 0), "one test, pair pruned");
         assert_eq!(out.comparisons, 0, "join-within skipped");
         assert!(out.results.is_empty());
     }
@@ -815,7 +936,7 @@ mod tests {
         let out = run(&e);
         // All 5 objects match exactly once.
         assert_eq!(out.results.len(), 5);
-        assert_eq!(out.pairs_joined, 1);
+        assert_eq!(between_row(&out).1, 1, "one pair survives");
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl Default for KMeansConfig {
 /// Result of offline clustering: clusters + index, ready for joining.
 #[derive(Debug)]
 pub struct KMeansOutcome {
-    /// The built clusters, in the same slab + SoA store the incremental
-    /// engine uses — so the join sweeps the identical hot columns.
+    /// The built clusters, in the same slab store the incremental engine
+    /// uses — so the join reads them exactly as it reads the engine's.
     pub clusters: ClusterStore,
     /// Cluster index over the same grid the incremental engine would use.
     pub grid: ClusterGrid,

@@ -30,11 +30,10 @@
 //! | [`params`] | §3.1, §6.1 | Θ_D, Θ_S, Δ, grid granularity, shedding policy |
 //! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members as Cartesian offsets, velocity |
 //! | [`grid`] | §4.1 | `ClusterGrid`: the N×N cell array of cluster-region bounding boxes, rebuilt once per Δ |
-//! | [`store`] | §4.1 | [`ClusterStore`]: slab + SoA hot columns |
+//! | [`store`] | §4.1 | [`ClusterStore`]: the slab of live clusters, the one copy of cluster state |
 //! | [`tables`] | §4.1 | `EntityTable`: ObjectsTable + QueriesTable rows, each carrying its cluster-home entry |
 //! | [`clustering`] | §3.2 | the five-step incremental (Leader–Follower) clusterer |
-//! | [`join`] | §4, Algs 1–3 | pair discovery (each pair once) + join-between + join-within |
-//! | [`kernel`] | §4.2 | join-between pre-filter |
+//! | [`join`] | §4, Algs 1–3 | pair discovery (each pair once) + join-between pre-filter + join-within |
 //! | [`engine`] | §4.2 | the three-phase [`ScubaOperator`] |
 //! | [`baseline`] | §6 | the regular grid-based operator SCUBA is compared to |
 //! | [`registry`] | §8 | [`QueryRegistry`]: the durable active query set, fed by the `ControlOp` stream |
@@ -86,7 +85,6 @@ pub mod durability;
 pub mod engine;
 pub mod grid;
 pub mod join;
-pub mod kernel;
 pub mod kmeans;
 pub mod ops;
 pub mod params;
@@ -115,7 +113,7 @@ pub use registry::{ControlGauges, QueryRecord, QueryRegistry};
 pub use shard::{ShardedScubaOperator, WorkerFailure};
 pub use shedding::{LadderStep, OverloadCounters, ShedLadder, SheddingMode};
 pub use snapshot::{EngineSnapshot, SnapshotError};
-pub use store::{ClusterSlot, ClusterStore, StoreColumns};
+pub use store::{ClusterSlot, ClusterStore};
 
 // Ingestion-hardening policy lives in the stream substrate but is part of
 // this crate's parameter surface ([`ScubaParams::validation`]).

@@ -3,21 +3,22 @@
 //!
 //! A deployed continuous-query engine must survive restarts without
 //! re-learning its clusters from scratch (the incremental clusterer's state
-//! *is* the summary of everything it has seen). The snapshot stores
-//! clusters, members (with their lazy-transformation drift marks), the
-//! attribute tables and the id counter; the centroid index and the rows'
-//! cluster homes are derived state and are rebuilt on restore, and the
-//! region grid is rebuilt before every join anyway.
+//! *is* the summary of everything it has seen). The snapshot holds the
+//! clusters themselves (members and their lazy-transformation drift marks
+//! included), the attribute tables and the id counter; the store's slots,
+//! the centroid index and the rows' cluster homes are derived state and
+//! are rebuilt on restore, and the region grid is rebuilt before every join
+//! anyway.
 //!
-//! A member's relative position is its Cartesian offset `{dx, dy}` from
-//! the centroid. The one on-disk form of a snapshot is the binary
-//! checkpoint of [`crate::durability`] (`encode_checkpoint` /
-//! `decode_checkpoint`).
+//! The one on-disk form of a snapshot is the binary checkpoint of
+//! [`crate::durability`] (`encode_checkpoint` / `decode_checkpoint`),
+//! which writes each cluster through its accessors and reads it back
+//! through [`MovingCluster::from_parts`].
 
-use scuba_motion::{EntityRef, ObjectAttrs, ObjectId, QueryAttrs, QueryId};
-use scuba_spatial::{Point, Rect, Time, Vector};
+use scuba_motion::{ObjectAttrs, ObjectId, QueryAttrs, QueryId};
+use scuba_spatial::Rect;
 
-use crate::cluster::{ClusterId, MovingCluster};
+use crate::cluster::MovingCluster;
 use crate::clustering::ClusterEngine;
 use crate::params::ScubaParams;
 use crate::tables::{ObjectsTable, QueriesTable};
@@ -92,44 +93,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// One member in snapshot form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberSnapshot {
-    /// The entity.
-    pub entity: EntityRef,
-    /// Reported speed at its last update.
-    pub speed: f64,
-    /// Offset from the centroid at capture, `None` when load-shed.
-    pub rel: Option<Vector>,
-    /// Time of its last update.
-    pub last_seen: Time,
-    /// Cluster drift at position capture.
-    pub drift_mark: Vector,
-}
-
-/// One cluster in snapshot form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSnapshot {
-    /// Cluster id.
-    pub cid: u64,
-    /// Centroid position.
-    pub centroid: Point,
-    /// Covering radius.
-    pub radius: f64,
-    /// Destination connection node.
-    pub cn_loc: Point,
-    /// Average member speed.
-    pub ave_speed: f64,
-    /// Creation time.
-    pub created_at: Time,
-    /// Widest query reach among members.
-    pub max_query_radius: f64,
-    /// Accumulated transformation vector.
-    pub total_drift: Vector,
-    /// The members.
-    pub members: Vec<MemberSnapshot>,
-}
-
 /// A complete, restorable engine state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
@@ -141,8 +104,8 @@ pub struct EngineSnapshot {
     pub next_cluster_id: u64,
     /// Updates processed so far (informational).
     pub updates_processed: u64,
-    /// All live clusters.
-    pub clusters: Vec<ClusterSnapshot>,
+    /// All live clusters, in id order.
+    pub clusters: Vec<MovingCluster>,
     /// Object attribute table.
     pub objects: Vec<(ObjectId, ObjectAttrs)>,
     /// Query attribute table.
@@ -153,31 +116,7 @@ impl EngineSnapshot {
     /// Captures the engine's state. Deterministically ordered so equal
     /// states produce byte-equal snapshots.
     pub fn capture(engine: &ClusterEngine) -> Self {
-        let mut clusters: Vec<ClusterSnapshot> = engine
-            .clusters()
-            .values()
-            .map(|c| ClusterSnapshot {
-                cid: c.cid.0,
-                centroid: c.centroid(),
-                radius: c.radius(),
-                cn_loc: c.cn_loc(),
-                ave_speed: c.ave_speed(),
-                created_at: c.created_at(),
-                max_query_radius: c.max_query_radius(),
-                total_drift: c.total_drift(),
-                members: c
-                    .members()
-                    .iter()
-                    .map(|m| MemberSnapshot {
-                        entity: m.entity,
-                        speed: m.speed,
-                        rel: m.rel,
-                        last_seen: m.last_seen,
-                        drift_mark: m.drift_mark(),
-                    })
-                    .collect(),
-            })
-            .collect();
+        let mut clusters: Vec<MovingCluster> = engine.store().values().cloned().collect();
         clusters.sort_by_key(|c| c.cid);
 
         let mut objects: Vec<(ObjectId, ObjectAttrs)> =
@@ -210,37 +149,6 @@ impl EngineSnapshot {
     /// clustering state survives a crash, matching what the paper's engine
     /// would rebuild.
     pub fn restore(&self) -> Result<ClusterEngine, SnapshotError> {
-        let clusters: Vec<MovingCluster> = self
-            .clusters
-            .iter()
-            .map(|c| {
-                let members = c
-                    .members
-                    .iter()
-                    .map(|m| {
-                        MovingCluster::member_from_parts(
-                            m.entity,
-                            m.speed,
-                            m.rel,
-                            m.last_seen,
-                            m.drift_mark,
-                        )
-                    })
-                    .collect();
-                MovingCluster::from_parts(
-                    ClusterId(c.cid),
-                    c.centroid,
-                    c.radius,
-                    c.cn_loc,
-                    c.ave_speed,
-                    c.created_at,
-                    c.max_query_radius,
-                    c.total_drift,
-                    members,
-                )
-            })
-            .collect();
-
         let mut objects = ObjectsTable::new();
         for (id, attrs) in &self.objects {
             objects.upsert(*id, *attrs);
@@ -253,7 +161,7 @@ impl EngineSnapshot {
         ClusterEngine::restore(
             self.params,
             self.area,
-            clusters,
+            self.clusters.clone(),
             objects,
             queries,
             self.next_cluster_id,
@@ -268,6 +176,7 @@ mod tests {
     use super::*;
     use crate::ScubaOperator;
     use scuba_motion::{LocationUpdate, ObjectClass, QuerySpec};
+    use scuba_spatial::Point;
     use scuba_stream::ContinuousOperator;
 
     const CN: Point = Point {
@@ -400,7 +309,7 @@ mod tests {
         let orphan = snapshot
             .clusters
             .iter()
-            .flat_map(|c| &c.members)
+            .flat_map(|c| c.members())
             .find_map(|m| m.entity.as_query())
             .expect("a clustered query");
         snapshot.queries.retain(|(q, _)| *q != orphan);

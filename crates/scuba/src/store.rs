@@ -1,32 +1,26 @@
-//! The cluster store: a dense slab of [`MovingCluster`]s with parallel
-//! structure-of-arrays hot columns.
+//! The cluster store: a dense slab of [`MovingCluster`]s — the one copy of
+//! cluster state (the paper's ClusterStorage, §4.1).
 //!
-//! Every layer that walks clusters per Δ — the join-between circle
-//! pre-filter, load shedding, maintenance — used to chase a
-//! `FxHashMap<ClusterId, MovingCluster>` entry per touch. The store replaces
-//! that with:
+//! The slab (`Vec<Option<MovingCluster>>`) is addressed by dense
+//! [`ClusterSlot`] handles, with a LIFO free list so dissolved slots are
+//! reused and the slab stays compact under churn. Every layer that walks
+//! clusters per Δ — the region grid build, the join-between pre-filter,
+//! load shedding, maintenance — reads the clusters through their slots;
+//! there is no second, column-wise copy to keep in sync.
 //!
-//! * a **slab** (`Vec<Option<MovingCluster>>`) addressed by dense
-//!   [`ClusterSlot`] handles, with a LIFO free list so dissolved slots are
-//!   reused and the slab stays compact under churn;
-//! * **SoA hot columns** (centroid x/y, radius, effective radius, object
-//!   and query counts) kept in sync on every mutation, so the join-between
-//!   pre-filter is a linear sweep over contiguous `f64` columns.
-//!
-//! [`ClusterId`] remains the public, on-disk identity: snapshots, JSON, and
-//! reports are keyed and ordered by id, never by slot. Slots are an
-//! in-memory addressing scheme that a restart is free to reassign — which is
-//! exactly why [`crate::snapshot`] stores ids and rebuilds slots on restore.
-//! Nothing that outlives a Δ is keyed by slot, so a reused slot carries no
-//! trace of its previous occupant.
+//! [`crate::ClusterId`] remains the public, on-disk identity: snapshots and
+//! reports are ordered by id, never by slot. Slots are an in-memory
+//! addressing scheme that a restart is free to reassign — which is exactly
+//! why [`crate::snapshot`] stores clusters in id order and rebuilds slots
+//! on restore. Nothing that outlives a Δ is keyed by slot, so a reused slot
+//! carries no trace of its previous occupant, and nothing looks a cluster
+//! up by id, so the store keeps no id index.
 
-use scuba_spatial::FxHashMap;
-
-use crate::cluster::{ClusterId, MovingCluster};
+use crate::cluster::MovingCluster;
 
 /// A dense handle addressing a live cluster inside the [`ClusterStore`]'s
 /// slab. Slots are reused after dissolution; they are process-local and
-/// never serialised ([`ClusterId`] is the durable identity).
+/// never serialised ([`crate::ClusterId`] is the durable identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterSlot(pub u32);
 
@@ -38,55 +32,12 @@ impl ClusterSlot {
     }
 }
 
-/// Borrowed views of the store's SoA hot columns, indexed by slot. Vacant
-/// slots hold zeros; callers only index them through live slot handles.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreColumns<'a> {
-    /// Centroid x per slot.
-    pub cx: &'a [f64],
-    /// Centroid y per slot.
-    pub cy: &'a [f64],
-    /// Covering radius per slot ([`MovingCluster::region`]).
-    pub radius: &'a [f64],
-    /// Effective radius per slot — radius + widest member-query reach
-    /// ([`MovingCluster::effective_region`]).
-    pub eff_radius: &'a [f64],
-    /// Object members per slot.
-    pub object_count: &'a [u32],
-    /// Query members per slot.
-    pub query_count: &'a [u32],
-}
-
-impl StoreColumns<'_> {
-    /// Slots every column covers (the store's [`ClusterStore::capacity`]).
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        self.cx.len()
-    }
-
-    /// Whether the columns cover no slots.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.cx.is_empty()
-    }
-}
-
-/// The slab of live clusters plus SoA hot columns. See the module docs
-/// for the design.
+/// The slab of live clusters. See the module docs for the design.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterStore {
     slots: Vec<Option<MovingCluster>>,
     /// Vacant slot indexes, LIFO so churn reuses hot memory.
     free: Vec<u32>,
-    /// Cold-path id → slot lookup (snapshots, diagnostics). Never consulted
-    /// inside the per-tick join loops.
-    by_id: FxHashMap<ClusterId, u32>,
-    cx: Vec<f64>,
-    cy: Vec<f64>,
-    radius: Vec<f64>,
-    eff_radius: Vec<f64>,
-    object_count: Vec<u32>,
-    query_count: Vec<u32>,
     live: usize,
 }
 
@@ -113,8 +64,7 @@ impl ClusterStore {
     }
 
     /// Inserts a cluster, returning its slot. Reuses the most recently
-    /// vacated slot when one exists. The cluster's id must not already be
-    /// present.
+    /// vacated slot when one exists. The caller keeps cluster ids unique.
     pub fn insert(&mut self, cluster: MovingCluster) -> ClusterSlot {
         let i = match self.free.pop() {
             Some(i) => {
@@ -124,35 +74,19 @@ impl ClusterStore {
             }
             None => {
                 self.slots.push(None);
-                self.cx.push(0.0);
-                self.cy.push(0.0);
-                self.radius.push(0.0);
-                self.eff_radius.push(0.0);
-                self.object_count.push(0);
-                self.query_count.push(0);
                 self.slots.len() - 1
             }
         };
-        let prev = self.by_id.insert(cluster.cid, i as u32);
-        debug_assert!(prev.is_none(), "duplicate cluster id {:?}", cluster.cid);
         self.slots[i] = Some(cluster);
         self.live += 1;
-        let slot = ClusterSlot(i as u32);
-        self.sync_columns(slot);
-        slot
+        ClusterSlot(i as u32)
     }
 
     /// Removes the cluster at `slot`, freeing the slot for reuse.
     pub fn remove(&mut self, slot: ClusterSlot) -> MovingCluster {
-        let i = slot.index();
-        let cluster = self.slots[i].take().expect("remove of vacant slot");
-        self.by_id.remove(&cluster.cid);
-        self.cx[i] = 0.0;
-        self.cy[i] = 0.0;
-        self.radius[i] = 0.0;
-        self.eff_radius[i] = 0.0;
-        self.object_count[i] = 0;
-        self.query_count[i] = 0;
+        let cluster = self.slots[slot.index()]
+            .take()
+            .expect("remove of vacant slot");
         self.free.push(slot.0);
         self.live -= 1;
         cluster
@@ -168,31 +102,15 @@ impl ClusterStore {
         self.slots.get(slot.index()).and_then(|s| s.as_ref())
     }
 
-    /// Mutates the cluster at `slot` through a closure and re-syncs the
-    /// slot's SoA columns afterwards. This is the only mutation path — it
-    /// cannot leave columns stale.
-    pub fn update<R>(&mut self, slot: ClusterSlot, f: impl FnOnce(&mut MovingCluster) -> R) -> R {
-        let cluster = self.slots[slot.index()]
-            .as_mut()
-            .expect("update of vacant slot");
-        let r = f(cluster);
-        self.sync_columns(slot);
-        r
-    }
-
-    /// The slot currently holding cluster `id` (cold path: hashes).
-    pub fn slot_of(&self, id: ClusterId) -> Option<ClusterSlot> {
-        self.by_id.get(&id).map(|&i| ClusterSlot(i))
-    }
-
-    /// The cluster with identity `id` (cold path: hashes).
-    pub fn get_by_id(&self, id: ClusterId) -> Option<&MovingCluster> {
-        self.slot_of(id).and_then(|slot| self.get(slot))
+    /// The cluster at `slot`, mutably, if the slot is live.
+    pub fn get_mut(&mut self, slot: ClusterSlot) -> Option<&mut MovingCluster> {
+        self.slots.get_mut(slot.index()).and_then(|s| s.as_mut())
     }
 
     /// Live `(slot, cluster)` pairs in slot order. Slot order is
     /// deterministic for a given mutation history but *not* id order;
-    /// anything user-visible must sort by [`ClusterId`] (snapshots do).
+    /// anything user-visible must sort by [`crate::ClusterId`] (snapshots
+    /// do).
     pub fn iter(&self) -> impl Iterator<Item = (ClusterSlot, &MovingCluster)> {
         self.slots
             .iter()
@@ -205,65 +123,37 @@ impl ClusterStore {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
-    /// Live cluster ids in slot order.
-    pub fn keys(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.values().map(|c| c.cid)
-    }
-
     /// Live slots in slot order.
     pub fn slots(&self) -> impl Iterator<Item = ClusterSlot> + '_ {
         self.iter().map(|(slot, _)| slot)
     }
 
-    /// Borrowed SoA hot columns, all `capacity()` long.
-    #[inline]
-    pub fn columns(&self) -> StoreColumns<'_> {
-        StoreColumns {
-            cx: &self.cx,
-            cy: &self.cy,
-            radius: &self.radius,
-            eff_radius: &self.eff_radius,
-            object_count: &self.object_count,
-            query_count: &self.query_count,
-        }
+    /// Live clusters sorted by id: the store's content, independent of
+    /// slot layout.
+    fn id_sorted(&self) -> Vec<&MovingCluster> {
+        let mut clusters: Vec<&MovingCluster> = self.values().collect();
+        clusters.sort_unstable_by_key(|c| c.cid);
+        clusters
     }
 
-    /// Bytes of heap held by the slab, columns and id map (clusters
+    /// Bytes of heap held by the slab and its free list (clusters
     /// included).
     pub fn estimated_bytes(&self) -> usize {
         let clusters: usize = self.values().map(MovingCluster::estimated_bytes).sum();
         let slab = self.slots.capacity() * std::mem::size_of::<Option<MovingCluster>>();
-        let f64_cols = 4 * self.cx.capacity() * std::mem::size_of::<f64>();
-        let u32_cols = 2 * self.object_count.capacity() * std::mem::size_of::<u32>()
-            + self.free.capacity() * std::mem::size_of::<u32>();
-        let by_id = self.by_id.capacity() * (std::mem::size_of::<ClusterId>() + 12);
-        clusters + slab + f64_cols + u32_cols + by_id
-    }
-
-    /// Re-derives the SoA entries for `slot` from its cluster.
-    fn sync_columns(&mut self, slot: ClusterSlot) {
-        let i = slot.index();
-        let c = self.slots[i].as_ref().expect("sync of vacant slot");
-        let centroid = c.centroid();
-        self.cx[i] = centroid.x;
-        self.cy[i] = centroid.y;
-        self.radius[i] = c.radius();
-        self.eff_radius[i] = c.radius() + c.max_query_radius();
-        self.object_count[i] = c.object_count() as u32;
-        self.query_count[i] = c.query_count() as u32;
+        clusters + slab + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Exhaustive internal-coherence check (tests and
-    /// [`crate::clustering::ClusterEngine::check_invariants`]): the id map
-    /// is a bijection onto live slots, the free list covers exactly the
-    /// vacant slots, and every column matches a fresh derivation.
+    /// [`crate::clustering::ClusterEngine::check_invariants`]): the live
+    /// count matches the occupied slots and the free list covers exactly
+    /// the vacant slots.
     pub fn check_coherent(&self) {
         assert_eq!(
             self.live,
             self.slots.iter().filter(|s| s.is_some()).count(),
             "live count drifted"
         );
-        assert_eq!(self.by_id.len(), self.live, "id map size drifted");
         let mut free_seen = vec![false; self.slots.len()];
         for &i in &self.free {
             assert!(
@@ -278,25 +168,6 @@ impl ClusterStore {
             self.slots.len() - self.live,
             "free list does not cover all vacant slots"
         );
-        for (slot, c) in self.iter() {
-            assert_eq!(
-                self.slot_of(c.cid),
-                Some(slot),
-                "id map disagrees for {:?}",
-                c.cid
-            );
-            let i = slot.index();
-            let centroid = c.centroid();
-            assert_eq!(self.cx[i].to_bits(), centroid.x.to_bits());
-            assert_eq!(self.cy[i].to_bits(), centroid.y.to_bits());
-            assert_eq!(self.radius[i].to_bits(), c.radius().to_bits());
-            assert_eq!(
-                self.eff_radius[i].to_bits(),
-                (c.radius() + c.max_query_radius()).to_bits()
-            );
-            assert_eq!(self.object_count[i], c.object_count() as u32);
-            assert_eq!(self.query_count[i], c.query_count() as u32);
-        }
     }
 }
 
@@ -306,13 +177,14 @@ impl ClusterStore {
 /// though its slots were reassigned.)
 impl PartialEq for ClusterStore {
     fn eq(&self, other: &Self) -> bool {
-        self.live == other.live && self.values().all(|c| other.get_by_id(c.cid) == Some(c))
+        self.live == other.live && self.id_sorted() == other.id_sorted()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterId;
     use scuba_motion::{LocationUpdate, ObjectAttrs, ObjectId};
     use scuba_spatial::Point;
 
@@ -335,13 +207,12 @@ mod tests {
         let b = s.insert(cluster(2, 20.0));
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(a).unwrap().cid, ClusterId(1));
-        assert_eq!(s.get_by_id(ClusterId(2)).unwrap().cid, ClusterId(2));
-        assert_eq!(s.slot_of(ClusterId(1)), Some(a));
+        assert_eq!(s.get(b).unwrap().cid, ClusterId(2));
         let gone = s.remove(a);
         assert_eq!(gone.cid, ClusterId(1));
         assert_eq!(s.len(), 1);
         assert!(s.get(a).is_none());
-        assert!(s.slot_of(ClusterId(1)).is_none());
+        assert!(!s.contains(a));
         assert_eq!(s.get(b).unwrap().cid, ClusterId(2));
         s.check_coherent();
     }
@@ -356,30 +227,6 @@ mod tests {
         assert_eq!(s.insert(cluster(3, 30.0)), b, "last vacated, first reused");
         assert_eq!(s.insert(cluster(4, 40.0)), a);
         assert_eq!(s.capacity(), 2, "slab did not grow");
-        s.check_coherent();
-    }
-
-    #[test]
-    fn columns_track_mutations() {
-        let mut s = ClusterStore::new();
-        let a = s.insert(cluster(1, 10.0));
-        let cols = s.columns();
-        assert_eq!(cols.cx[a.index()], 10.0);
-        assert_eq!(cols.object_count[a.index()], 1);
-        // Absorb a second member through update(): columns re-sync.
-        let u = LocationUpdate::object(
-            ObjectId(9),
-            Point::new(14.0, 50.0),
-            1,
-            10.0,
-            Point::new(1000.0, 50.0),
-            ObjectAttrs::default(),
-        );
-        s.update(a, |c| c.absorb(&u, false));
-        let cols = s.columns();
-        assert_eq!(cols.cx[a.index()], 12.0, "centroid moved");
-        assert_eq!(cols.object_count[a.index()], 2);
-        assert!(cols.radius[a.index()] > 0.0);
         s.check_coherent();
     }
 
@@ -406,7 +253,7 @@ mod tests {
         s.insert(cluster(6, 20.0));
         s.insert(cluster(7, 30.0));
         s.remove(a);
-        let ids: Vec<ClusterId> = s.keys().collect();
+        let ids: Vec<ClusterId> = s.values().map(|c| c.cid).collect();
         assert_eq!(ids, vec![ClusterId(6), ClusterId(7)]);
         let slots: Vec<ClusterSlot> = s.slots().collect();
         assert_eq!(slots, vec![ClusterSlot(1), ClusterSlot(2)]);

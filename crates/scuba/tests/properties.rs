@@ -253,7 +253,7 @@ fn radius_is_bounded() {
         for u in &updates {
             scuba.process_update(u);
         }
-        for c in scuba.engine().clusters().values() {
+        for c in scuba.engine().store().values() {
             let bound = (c.len() as f64) * scuba.engine().params().theta_d + 1e-6;
             assert!(
                 c.radius() <= bound,
@@ -312,7 +312,7 @@ fn recorded_failure_object_rereports_inside_query() {
                 scuba.process_update(u);
             }
             scuba.engine().check_invariants();
-            for c in scuba.engine().clusters().values() {
+            for c in scuba.engine().store().values() {
                 assert!(c.radius() <= (c.len() as f64) * params.theta_d + 1e-6);
             }
             assert_eq!(scuba.evaluate(2).results, truth, "{params:?}");
@@ -392,7 +392,7 @@ fn full_shedding_exact_on_point_clusters() {
         escalated.set_shedding(SheddingMode::Full);
         escalated.shed_now();
         assert!(escalated
-            .clusters()
+            .store()
             .values()
             .flat_map(|c| c.members())
             .all(|m| m.is_shed()));
@@ -545,13 +545,13 @@ fn prefilter_reduces_comparisons() {
         }
         let objects: usize = scuba
             .engine()
-            .clusters()
+            .store()
             .values()
             .map(|c| c.object_count())
             .sum();
         let queries: usize = scuba
             .engine()
-            .clusters()
+            .store()
             .values()
             .map(|c| c.query_count())
             .sum();

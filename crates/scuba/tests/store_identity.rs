@@ -68,15 +68,29 @@ fn joined(engine: &mut ClusterEngine) -> JoinOutput {
     ctx.run(&mut JoinScratch::new())
 }
 
-/// Dissolves the cluster the given query travels in, returning the slot
-/// it occupied (which the next founding will reuse).
+/// Dissolves the cluster the given query travels in by removing each of
+/// its members, returning the slot it occupied (which the next founding
+/// will reuse).
 fn dissolve_convoy(engine: &mut ClusterEngine, tag: u64) -> scuba::ClusterSlot {
     let slot = engine
         .home()
         .cluster_of(EntityRef::Query(QueryId(tag)))
         .expect("convoy is clustered");
-    let cid = engine.cluster_at(slot).expect("slot is live").cid;
-    engine.dissolve(cid);
+    let members: Vec<EntityRef> = engine
+        .store()
+        .get(slot)
+        .expect("slot is live")
+        .members()
+        .iter()
+        .map(|m| m.entity)
+        .collect();
+    for entity in members {
+        assert!(engine.remove_entity(entity));
+    }
+    assert!(
+        !engine.store().contains(slot),
+        "the emptied cluster dissolved"
+    );
     slot
 }
 

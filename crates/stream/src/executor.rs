@@ -31,6 +31,16 @@ pub trait UpdateSource {
     fn next_controls(&mut self) -> Vec<ControlOp> {
         Vec::new()
     }
+
+    /// Why the source could not deliver the tick just pulled, if it could
+    /// not: a torn or foreign trace, say. Asked right after each
+    /// [`next_tick`](Self::next_tick); once it is `Some`, that tick and
+    /// every later one are not the source's real stream, so the loop ends
+    /// the run (through [`RunReport::aborted`]) instead of consuming them.
+    /// The default is a source that never fails.
+    fn fault(&self) -> Option<String> {
+        None
+    }
 }
 
 impl<F> UpdateSource for F
@@ -148,6 +158,10 @@ impl Executor {
         for now in 1..=self.config.duration {
             let controls = source.next_controls();
             let updates = source.next_tick();
+            if let Some(reason) = source.fault() {
+                report.aborted = Some(reason);
+                break;
+            }
             let sw = crate::metrics::Stopwatch::start();
             if !controls.is_empty() {
                 operator.apply_control(&controls, now);
@@ -200,6 +214,9 @@ impl Executor {
             // delivered reliably (and journalled ahead when durable).
             fn next_controls(&mut self) -> Vec<ControlOp> {
                 self.source.next_controls()
+            }
+            fn fault(&self) -> Option<String> {
+                self.source.fault()
             }
         }
         self.run(&mut Faulted { source, faults }, operator)

@@ -152,9 +152,10 @@ impl From<io::Error> for TraceError {
 /// producers).
 ///
 /// As an [`UpdateSource`] the reader cannot return an error, so it keeps
-/// the first one, stops reading, and yields empty ticks from then on; the
-/// caller asks [`TraceReader::error`] after the run whether the replay
-/// was whole.
+/// the first one, stops reading, and yields empty ticks from then on. It
+/// reports that error as its [`UpdateSource::fault`], so a run loop stops
+/// at the tick that failed and the caller can tell after the run whether
+/// the replay was whole.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
@@ -179,12 +180,6 @@ impl<R: Read> TraceReader<R> {
     /// Ticks read so far.
     pub fn ticks_read(&self) -> u64 {
         self.ticks_read
-    }
-
-    /// The error that stopped an [`UpdateSource`] replay early; `None`
-    /// while the trace reads cleanly, and after its clean end.
-    pub fn error(&self) -> Option<&TraceError> {
-        self.error.as_ref()
     }
 
     fn check_header(&mut self) -> Result<(), TraceError> {
@@ -267,6 +262,12 @@ impl<R: Read> UpdateSource for TraceReader<R> {
                 Vec::new()
             }
         }
+    }
+
+    fn fault(&self) -> Option<String> {
+        self.error
+            .as_ref()
+            .map(|e| format!("replay failed after {} whole ticks: {e}", self.ticks_read))
     }
 }
 
@@ -393,7 +394,7 @@ mod tests {
         assert_eq!(r.next_tick().len(), 2);
         assert!(r.next_tick().is_empty());
         assert!(r.next_tick().is_empty());
-        assert!(r.error().is_none(), "a clean end is not an error");
+        assert!(r.error.as_ref().is_none(), "a clean end is not an error");
     }
 
     #[test]
@@ -407,23 +408,26 @@ mod tests {
         torn.extend_from_slice(&bytes[record(&[updates(1, 2), updates(2, 3)]).len()..]);
         let mut r = TraceReader::new(&torn[..]);
         assert_eq!(r.next_tick().len(), 2);
-        assert!(r.error().is_none());
+        assert!(r.error.as_ref().is_none());
         assert!(r.next_tick().is_empty());
-        let first = format!("{:?}", r.error().expect("the torn tick is an error"));
+        let first = format!("{:?}", r.error.as_ref().expect("the torn tick is an error"));
         for _ in 0..3 {
             assert!(r.next_tick().is_empty());
         }
         assert_eq!(r.ticks_read(), 1);
-        assert_eq!(format!("{:?}", r.error().unwrap()), first);
+        assert_eq!(format!("{:?}", r.error.as_ref().unwrap()), first);
 
         let mut r = TraceReader::new(&bytes[..second + 12]);
         r.next_tick();
         assert!(r.next_tick().is_empty());
-        assert!(matches!(r.error(), Some(TraceError::Truncated { tick: 1 })));
+        assert!(matches!(
+            r.error.as_ref(),
+            Some(TraceError::Truncated { tick: 1 })
+        ));
 
         let mut r = TraceReader::new(&[0u8; 16][..]);
         assert!(r.next_tick().is_empty());
-        assert!(matches!(r.error(), Some(TraceError::BadHeader)));
+        assert!(matches!(r.error.as_ref(), Some(TraceError::BadHeader)));
     }
 
     #[test]
@@ -462,5 +466,23 @@ mod tests {
         assert_eq!(run.updates_ingested, 2 + 4 + 6 + 8);
         assert_eq!(op.seen, 20);
         assert_eq!(run.evaluations.len(), 2);
+        assert!(run.aborted.is_none());
+
+        // Tear the third tick: the run ends at it, through `aborted`,
+        // without ingesting or evaluating the empty tick the tear yields.
+        let torn = &bytes[..record(&live[..2]).len() + 12];
+        let mut reader = TraceReader::new(torn);
+        let mut op = Counter { seen: 0 };
+        let run = Executor::new(ExecutorConfig {
+            delta: 1,
+            duration: 4,
+        })
+        .run(&mut reader, &mut op);
+        assert_eq!((run.updates_ingested, op.seen), (2 + 4, 6));
+        assert_eq!(run.evaluations.len(), 2, "ticks 1 and 2 only");
+        assert_eq!(
+            run.aborted.as_deref(),
+            Some("replay failed after 2 whole ticks: trace truncated inside tick 2")
+        );
     }
 }
