@@ -308,20 +308,10 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
             "serve requires --checkpoint-dir <DIR> (durable state location)".into(),
         ));
     };
-    if config.params.shards > 1 {
-        let unsupported = [
-            (
-                config.params.validation != scuba::ValidationPolicy::Off,
-                "--validate",
-            ),
-            (config.params.deadline_us.is_some(), "--deadline-us"),
-            (opts.budget.is_some(), "--budget"),
-        ];
-        if let Some((_, flag)) = unsupported.iter().find(|(on, _)| *on) {
-            return Err(invalid_input(format!(
-                "{flag} is not supported with --shards > 1 (single-store operator only)"
-            )));
-        }
+    if opts.budget.is_some() {
+        return Err(invalid_input(
+            "--budget is a simulate option: serve has no memory trigger".into(),
+        ));
     }
 
     let (network, area) = super::build_city(config);

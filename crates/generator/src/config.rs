@@ -111,23 +111,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// Returns the config with a different skew factor.
-    pub fn with_skew(self, skew: u32) -> Self {
-        WorkloadConfig {
-            skew: skew.max(1),
-            ..self
-        }
-    }
-
-    /// Returns the config with different entity counts.
-    pub fn with_counts(self, objects: usize, queries: usize) -> Self {
-        WorkloadConfig {
-            num_objects: objects,
-            num_queries: queries,
-            ..self
-        }
-    }
-
     /// Returns the config with hotspot skew configured: `count` hotspots
     /// of the given `radius`, attracting an `intensity` fraction of trip
     /// endpoints. `count == 0` disables hotspots.
@@ -233,19 +216,6 @@ mod tests {
         assert_eq!(c.num_queries, 10_000);
         assert_eq!(c.update_fraction, 1.0);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn with_skew_clamps_zero() {
-        let c = WorkloadConfig::default().with_skew(0);
-        assert_eq!(c.skew, 1);
-    }
-
-    #[test]
-    fn with_counts() {
-        let c = WorkloadConfig::default().with_counts(5, 7);
-        assert_eq!(c.num_objects, 5);
-        assert_eq!(c.num_queries, 7);
     }
 
     #[test]

@@ -213,13 +213,18 @@ mod tests {
         let c = city();
         let cfg = WorkloadConfig::small().with_hotspots(1, 250.0, 1.0);
         let plan = Arc::new(HotspotPlan::build(&c.network, &cfg).unwrap());
+        // The one hotspot's candidates are the nodes within its radius.
+        let on_hotspot = |node| {
+            let p = c.network.position(node).unwrap();
+            p.distance(&plan.centers()[0]) <= cfg.hotspot_radius
+        };
         for g in 0..8u64 {
             let mut grp =
                 Group::with_hotspots(&c.network, cfg.seed, g, 10.0, 50.0, Some(Arc::clone(&plan)));
-            assert!(plan.contains_node(grp.spawn), "group {g} spawn off-hotspot");
+            assert!(on_hotspot(grp.spawn), "group {g} spawn off-hotspot");
             for n in 0..10 {
                 let d = grp.destination(n, &c.network);
-                assert!(plan.contains_node(d), "group {g} trip {n} off-hotspot");
+                assert!(on_hotspot(d), "group {g} trip {n} off-hotspot");
             }
         }
     }

@@ -446,7 +446,11 @@ mod tests {
         let g = generator(WorkloadConfig::small());
         assert_eq!(g.entities().len(), 100);
         let objects = g.entities().iter().filter(|e| e.entity.is_object()).count();
-        let queries = g.entities().iter().filter(|e| e.entity.is_query()).count();
+        let queries = g
+            .entities()
+            .iter()
+            .filter(|e| !e.entity.is_object())
+            .count();
         assert_eq!(objects, 60);
         assert_eq!(queries, 40);
     }
@@ -472,7 +476,11 @@ mod tests {
     fn partial_groups_do_not_mix_kinds() {
         // 15 objects and 7 queries with skew 10: the partial object group
         // (5 members) and the partial query group (7) stay single-kind.
-        let cfg = WorkloadConfig::small().with_counts(15, 7);
+        let cfg = WorkloadConfig {
+            num_objects: 15,
+            num_queries: 7,
+            ..WorkloadConfig::small()
+        };
         let g = generator(cfg);
         let group_count = g.entities().iter().map(|e| e.group).max().unwrap() + 1;
         assert_eq!(group_count, 3);
@@ -617,7 +625,12 @@ mod tests {
 
     #[test]
     fn skew_one_gives_singleton_groups() {
-        let cfg = WorkloadConfig::small().with_skew(1).with_counts(20, 20);
+        let cfg = WorkloadConfig {
+            skew: 1,
+            num_objects: 20,
+            num_queries: 20,
+            ..WorkloadConfig::small()
+        };
         let g = generator(cfg);
         let groups: std::collections::HashSet<u32> = g.entities().iter().map(|e| e.group).collect();
         assert_eq!(groups.len(), 40);
@@ -753,7 +766,11 @@ mod tests {
 
     #[test]
     fn dwell_parks_then_resumes() {
-        let mut cfg = WorkloadConfig::small().with_counts(1, 0);
+        let mut cfg = WorkloadConfig {
+            num_objects: 1,
+            num_queries: 0,
+            ..WorkloadConfig::small()
+        };
         cfg.dwell_ticks = 3;
         cfg.speed_jitter = 0.0;
         let mut g = generator(cfg);

@@ -33,7 +33,11 @@ fn population_counts_exact() {
         let config = config(rng);
         let g = WorkloadGenerator::new(city_network(), config);
         let objects = g.entities().iter().filter(|e| e.entity.is_object()).count();
-        let queries = g.entities().iter().filter(|e| e.entity.is_query()).count();
+        let queries = g
+            .entities()
+            .iter()
+            .filter(|e| !e.entity.is_object())
+            .count();
         assert_eq!(objects, config.num_objects);
         assert_eq!(queries, config.num_queries);
     });
@@ -47,8 +51,8 @@ fn entity_ids_are_dense_and_unique() {
         let mut oids: Vec<u64> = g
             .entities()
             .iter()
-            .filter_map(|e| e.entity.as_object())
-            .map(|o| o.0)
+            .filter(|e| e.entity.is_object())
+            .map(|e| e.entity.raw())
             .collect();
         oids.sort_unstable();
         let expected: Vec<u64> = (0..config.num_objects as u64).collect();

@@ -29,27 +29,12 @@ impl EntityRef {
         matches!(self, EntityRef::Object(_))
     }
 
-    /// Whether this references a query.
-    #[inline]
-    pub fn is_query(&self) -> bool {
-        matches!(self, EntityRef::Query(_))
-    }
-
     /// The raw numeric id, losing the kind.
     #[inline]
     pub fn raw(&self) -> u64 {
         match self {
             EntityRef::Object(ObjectId(id)) => *id,
             EntityRef::Query(QueryId(id)) => *id,
-        }
-    }
-
-    /// The object id, if this is an object reference.
-    #[inline]
-    pub fn as_object(&self) -> Option<ObjectId> {
-        match self {
-            EntityRef::Object(id) => Some(*id),
-            EntityRef::Query(_) => None,
         }
     }
 
@@ -92,8 +77,8 @@ mod tests {
     fn kind_predicates() {
         let o: EntityRef = ObjectId(3).into();
         let q: EntityRef = QueryId(3).into();
-        assert!(o.is_object() && !o.is_query());
-        assert!(q.is_query() && !q.is_object());
+        assert!(o.is_object());
+        assert!(!q.is_object());
     }
 
     #[test]
@@ -107,11 +92,9 @@ mod tests {
     #[test]
     fn narrowing_accessors() {
         let o: EntityRef = ObjectId(1).into();
-        assert_eq!(o.as_object(), Some(ObjectId(1)));
         assert_eq!(o.as_query(), None);
         let q: EntityRef = QueryId(2).into();
         assert_eq!(q.as_query(), Some(QueryId(2)));
-        assert_eq!(q.as_object(), None);
     }
 
     #[test]

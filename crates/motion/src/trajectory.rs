@@ -103,18 +103,6 @@ impl PiecewiseMotion {
         self.next_idx >= self.waypoints.len()
     }
 
-    /// Remaining distance along the polyline to the final waypoint.
-    pub fn remaining_distance(&self) -> f64 {
-        if self.arrived() {
-            return 0.0;
-        }
-        let mut total = self.pos.distance(&self.waypoints[self.next_idx]);
-        for w in self.waypoints[self.next_idx..].windows(2) {
-            total += w[0].distance(&w[1]);
-        }
-        total
-    }
-
     /// The full waypoint list.
     #[inline]
     pub fn waypoints(&self) -> &[Point] {
@@ -167,7 +155,6 @@ mod tests {
         assert!(m.position().approx_eq(&Point::new(0.0, 0.0)));
         assert!(m.cn_loc().approx_eq(&Point::new(10.0, 0.0)));
         assert!(!m.arrived());
-        assert_eq!(m.remaining_distance(), 20.0);
     }
 
     #[test]
@@ -176,7 +163,6 @@ mod tests {
         assert!(!m.advance(2.0)); // 4 units
         assert!(m.position().approx_eq(&Point::new(4.0, 0.0)));
         assert!(m.cn_loc().approx_eq(&Point::new(10.0, 0.0)));
-        assert!((m.remaining_distance() - 16.0).abs() < 1e-9);
     }
 
     #[test]
@@ -202,7 +188,6 @@ mod tests {
         assert!(m.arrived());
         assert!(m.position().approx_eq(&Point::new(10.0, 10.0)));
         assert!(m.cn_loc().approx_eq(&Point::new(10.0, 10.0)));
-        assert_eq!(m.remaining_distance(), 0.0);
         // Further advancing is a no-op that still reports arrival.
         assert!(m.advance(1.0));
         assert!(m.position().approx_eq(&Point::new(10.0, 10.0)));
@@ -231,7 +216,6 @@ mod tests {
         let m = PiecewiseMotion::new(vec![Point::new(3.0, 4.0)], 1.0).unwrap();
         assert!(m.arrived());
         assert!(m.cn_loc().approx_eq(&Point::new(3.0, 4.0)));
-        assert_eq!(m.remaining_distance(), 0.0);
     }
 
     #[test]

@@ -125,13 +125,6 @@ pub fn decode_spec(buf: &mut &[u8]) -> Result<QuerySpec, DecodeError> {
     }
 }
 
-/// Encodes one update into a fresh buffer.
-pub fn encode(update: &LocationUpdate) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    encode_into(update, &mut buf);
-    buf
-}
-
 /// Decodes one update from the front of `buf`, consuming its bytes.
 pub fn decode(buf: &mut &[u8]) -> Result<LocationUpdate, DecodeError> {
     let kind = read_u8(buf)?;
@@ -201,6 +194,12 @@ pub fn read_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(update: &LocationUpdate) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_into(update, &mut buf);
+        buf
+    }
 
     fn sample_object() -> LocationUpdate {
         LocationUpdate::object(

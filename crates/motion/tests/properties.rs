@@ -47,11 +47,17 @@ fn waypoints(rng: &mut Xoshiro256) -> Vec<Point> {
 
 // ---- wire codec ---------------------------------------------------------
 
+fn encode(update: &LocationUpdate) -> Vec<u8> {
+    let mut buf = Vec::new();
+    wire::encode_into(update, &mut buf);
+    buf
+}
+
 #[test]
 fn wire_roundtrip() {
     check("wire_roundtrip", CASES, |rng| {
         let update = update(rng);
-        let bytes = wire::encode(&update);
+        let bytes = encode(&update);
         let mut buf = &bytes[..];
         let decoded = wire::decode(&mut buf).unwrap();
         assert_eq!(decoded, update);
@@ -77,7 +83,7 @@ fn wire_roundtrip_batched() {
 #[test]
 fn wire_truncation_always_errors() {
     check("wire_truncation_always_errors", CASES, |rng| {
-        let bytes = wire::encode(&update(rng));
+        let bytes = encode(&update(rng));
         let cut = ((bytes.len() as f64) * rng.gen_range(0.0..1.0)) as usize;
         if cut < bytes.len() {
             assert_eq!(
@@ -123,7 +129,7 @@ fn wire_roundtrip_extreme_coords() {
         u.loc = Point::new(EXTREMES[xi], EXTREMES[yi]);
         u.cn_loc = Point::new(EXTREMES[yi], EXTREMES[xi]);
         u.time = ti;
-        let decoded = wire::decode(&mut &wire::encode(&u)[..]).unwrap();
+        let decoded = wire::decode(&mut &encode(&u)[..]).unwrap();
         // Bit-level equality: `==` on f64 would let -0.0 alias 0.0.
         assert_eq!(decoded.loc.x.to_bits(), u.loc.x.to_bits());
         assert_eq!(decoded.loc.y.to_bits(), u.loc.y.to_bits());
@@ -195,23 +201,6 @@ fn advance_distance_is_bounded_by_speed() {
 }
 
 #[test]
-fn remaining_distance_decreases_monotonically() {
-    check("remaining_distance_decreases_monotonically", CASES, |rng| {
-        let waypoints = waypoints(rng);
-        let speed = rng.gen_range(0.1..100.0);
-        let steps = rng.gen_range(1..20usize);
-        let mut m = PiecewiseMotion::new(waypoints, speed).unwrap();
-        let mut last = m.remaining_distance();
-        for _ in 0..steps {
-            m.advance(0.5);
-            let now = m.remaining_distance();
-            assert!(now <= last + 1e-9);
-            last = now;
-        }
-    });
-}
-
-#[test]
 fn split_steps_equal_one_big_step() {
     check("split_steps_equal_one_big_step", CASES, |rng| {
         let waypoints = waypoints(rng);
@@ -239,7 +228,6 @@ fn eventually_arrives() {
         assert!(arrived);
         assert!(m.arrived());
         assert!(m.position().distance(waypoints.last().unwrap()) < 1e-6);
-        assert_eq!(m.remaining_distance(), 0.0);
     });
 }
 

@@ -1,70 +1,15 @@
-//! Plain-text serialisation of road networks.
+//! Plain-text export of road networks (`scuba-sim city --out`).
 //!
-//! Format (one record per line, `#` comments and blank lines ignored):
+//! Format (one record per line, after a `#` header comment):
 //!
 //! ```text
-//! n <id> <x> <y>          # node; ids must be dense and ascending from 0
+//! n <id> <x> <y>          # node; ids dense and ascending from 0
 //! e <from> <to> <class>   # edge; class is H | A | L
 //! ```
-//!
-//! This lets a real map (e.g. TIGER data for Worcester converted by an
-//! external script) replace the synthetic city without code changes.
 
 use std::fmt::Write as _;
 
-use scuba_spatial::Point;
-
-use crate::network::{NetworkError, NodeId, RoadClass, RoadNetwork};
-
-/// Errors raised while parsing the text format.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParseError {
-    /// A line could not be tokenised into a known record.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        reason: String,
-    },
-    /// Node ids were not dense/ascending.
-    NodeOrder {
-        /// 1-based line number.
-        line: usize,
-        /// The id found.
-        found: u32,
-        /// The id expected.
-        expected: u32,
-    },
-    /// Graph-level validation failed.
-    Network(NetworkError),
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Malformed { line, reason } => {
-                write!(f, "line {line}: {reason}")
-            }
-            ParseError::NodeOrder {
-                line,
-                found,
-                expected,
-            } => write!(
-                f,
-                "line {line}: node id {found} out of order (expected {expected})"
-            ),
-            ParseError::Network(e) => write!(f, "network error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<NetworkError> for ParseError {
-    fn from(e: NetworkError) -> Self {
-        ParseError::Network(e)
-    }
-}
+use crate::network::RoadNetwork;
 
 /// Serialises a network to the text format.
 pub fn to_text(net: &RoadNetwork) -> String {
@@ -81,172 +26,20 @@ pub fn to_text(net: &RoadNetwork) -> String {
     out
 }
 
-/// Parses a network from the text format.
-pub fn from_text(text: &str) -> Result<RoadNetwork, ParseError> {
-    let mut net = RoadNetwork::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = lineno + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
-        let mut tokens = content.split_whitespace();
-        let kind = tokens.next().expect("non-empty line has a first token");
-        match kind {
-            "n" => {
-                let (id, x, y) = parse_node(&mut tokens, line)?;
-                let expected = net.node_count() as u32;
-                if id != expected {
-                    return Err(ParseError::NodeOrder {
-                        line,
-                        found: id,
-                        expected,
-                    });
-                }
-                net.add_node(Point::new(x, y));
-            }
-            "e" => {
-                let (from, to, class) = parse_edge(&mut tokens, line)?;
-                net.add_edge(NodeId(from), NodeId(to), class)?;
-            }
-            other => {
-                return Err(ParseError::Malformed {
-                    line,
-                    reason: format!("unknown record kind '{other}'"),
-                })
-            }
-        }
-        if tokens.next().is_some() {
-            return Err(ParseError::Malformed {
-                line,
-                reason: "trailing tokens".into(),
-            });
-        }
-    }
-    Ok(net)
-}
-
-fn parse_node<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-) -> Result<(u32, f64, f64), ParseError> {
-    let id = next_parsed(tokens, line, "node id")?;
-    let x = next_parsed(tokens, line, "x coordinate")?;
-    let y = next_parsed(tokens, line, "y coordinate")?;
-    Ok((id, x, y))
-}
-
-fn parse_edge<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-) -> Result<(u32, u32, RoadClass), ParseError> {
-    let from = next_parsed(tokens, line, "edge source")?;
-    let to = next_parsed(tokens, line, "edge target")?;
-    let class_tok: &str = tokens.next().ok_or_else(|| ParseError::Malformed {
-        line,
-        reason: "missing road class".into(),
-    })?;
-    let class = RoadClass::from_token(class_tok).ok_or_else(|| ParseError::Malformed {
-        line,
-        reason: format!("bad road class '{class_tok}'"),
-    })?;
-    Ok((from, to, class))
-}
-
-fn next_parsed<'a, T: std::str::FromStr>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-    what: &str,
-) -> Result<T, ParseError> {
-    let tok = tokens.next().ok_or_else(|| ParseError::Malformed {
-        line,
-        reason: format!("missing {what}"),
-    })?;
-    tok.parse().map_err(|_| ParseError::Malformed {
-        line,
-        reason: format!("bad {what} '{tok}'"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{CityConfig, SyntheticCity};
 
     #[test]
-    fn roundtrip_small_city() {
+    fn one_line_per_node_and_edge() {
         let city = SyntheticCity::build(CityConfig::small());
         let text = to_text(&city.network);
-        let parsed = from_text(&text).unwrap();
-        assert_eq!(parsed.node_count(), city.network.node_count());
-        assert_eq!(parsed.edge_count(), city.network.edge_count());
-        for id in city.network.node_ids() {
-            assert_eq!(parsed.position(id), city.network.position(id));
-        }
-        for (a, b) in parsed.edges().zip(city.network.edges()) {
-            assert_eq!(a.from, b.from);
-            assert_eq!(a.to, b.to);
-            assert_eq!(a.class, b.class);
-        }
-    }
-
-    #[test]
-    fn comments_and_blanks_ignored() {
-        let text = "\n# header\nn 0 0 0\nn 1 5 0  # inline comment\n\ne 0 1 H\n";
-        let net = from_text(text).unwrap();
-        assert_eq!(net.node_count(), 2);
-        assert_eq!(net.edge_count(), 1);
-        assert_eq!(net.edges().next().unwrap().class, RoadClass::Highway);
-    }
-
-    #[test]
-    fn rejects_unknown_record() {
-        let err = from_text("x 1 2 3").unwrap_err();
-        assert!(matches!(err, ParseError::Malformed { line: 1, .. }));
-    }
-
-    #[test]
-    fn rejects_bad_class() {
-        let err = from_text("n 0 0 0\nn 1 1 1\ne 0 1 Z").unwrap_err();
-        assert!(matches!(err, ParseError::Malformed { line: 3, .. }));
-    }
-
-    #[test]
-    fn rejects_out_of_order_nodes() {
-        let err = from_text("n 1 0 0").unwrap_err();
-        assert_eq!(
-            err,
-            ParseError::NodeOrder {
-                line: 1,
-                found: 1,
-                expected: 0
-            }
-        );
-    }
-
-    #[test]
-    fn rejects_missing_tokens() {
-        assert!(from_text("n 0 0").is_err());
-        assert!(from_text("e 0 1").is_err());
-    }
-
-    #[test]
-    fn rejects_trailing_tokens() {
-        assert!(from_text("n 0 0 0 extra").is_err());
-    }
-
-    #[test]
-    fn rejects_edge_to_unknown_node() {
-        let err = from_text("n 0 0 0\ne 0 9 L").unwrap_err();
-        assert!(matches!(err, ParseError::Network(_)));
-    }
-
-    #[test]
-    fn rejects_self_loop() {
-        let err = from_text("n 0 0 0\ne 0 0 L").unwrap_err();
-        assert!(matches!(
-            err,
-            ParseError::Network(NetworkError::SelfLoop(_))
-        ));
+        let count = |kind: &str| text.lines().filter(|l| l.starts_with(kind)).count();
+        assert_eq!(count("n "), city.network.node_count());
+        assert_eq!(count("e "), city.network.edge_count());
+        let first = city.network.edges().next().unwrap();
+        let line = format!("e {} {} {}", first.from.0, first.to.0, first.class.token());
+        assert!(text.lines().any(|l| l == line), "{line}");
     }
 }

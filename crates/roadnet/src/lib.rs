@@ -23,8 +23,7 @@
 //!   on: heterogeneous road speeds, connection nodes spaced far apart on
 //!   highways and close together downtown (paper §3.1's discussion of
 //!   cluster longevity vs. road class);
-//! * [`io`] — a plain-text edge-list format so a real map (e.g. converted
-//!   TIGER data) can be dropped in.
+//! * [`io`] — a plain-text edge-list export of a network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

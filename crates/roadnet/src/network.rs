@@ -33,7 +33,7 @@ impl RoadClass {
     /// Scaled so that with the default Θ_S = 10 (speed threshold) objects on
     /// the same class are clusterable while classes differ by more than Θ_S.
     #[inline]
-    pub fn speed_limit(&self) -> f64 {
+    pub(crate) fn speed_limit(&self) -> f64 {
         match self {
             RoadClass::Highway => 60.0,
             RoadClass::Arterial => 30.0,
@@ -44,22 +44,12 @@ impl RoadClass {
     /// All classes, for iteration in tests and generators.
     pub const ALL: [RoadClass; 3] = [RoadClass::Highway, RoadClass::Arterial, RoadClass::Local];
 
-    /// Short stable token used by the text serialisation format.
+    /// Short stable token used by the text export.
     pub fn token(&self) -> &'static str {
         match self {
             RoadClass::Highway => "H",
             RoadClass::Arterial => "A",
             RoadClass::Local => "L",
-        }
-    }
-
-    /// Parses a token produced by [`RoadClass::token`].
-    pub fn from_token(s: &str) -> Option<RoadClass> {
-        match s {
-            "H" => Some(RoadClass::Highway),
-            "A" => Some(RoadClass::Arterial),
-            "L" => Some(RoadClass::Local),
-            _ => None,
         }
     }
 }
@@ -398,11 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn class_tokens_roundtrip() {
-        for class in RoadClass::ALL {
-            assert_eq!(RoadClass::from_token(class.token()), Some(class));
-        }
-        assert_eq!(RoadClass::from_token("X"), None);
+    fn class_tokens_are_distinct() {
+        let tokens: std::collections::BTreeSet<_> =
+            RoadClass::ALL.iter().map(RoadClass::token).collect();
+        assert_eq!(tokens.len(), RoadClass::ALL.len());
     }
 
     #[test]

@@ -44,18 +44,6 @@ pub struct Route {
 }
 
 impl Route {
-    /// Number of segments (legs) in the route.
-    #[inline]
-    pub fn leg_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-
-    /// Origin node.
-    #[inline]
-    pub fn origin(&self) -> NodeId {
-        self.nodes[0]
-    }
-
     /// Destination node.
     #[inline]
     pub fn destination(&self) -> NodeId {
@@ -103,7 +91,7 @@ impl PartialOrd for HeapEntry {
 ///
 /// let mut router = Router::new(&city.network);
 /// let route = router.route(from, to, RouteMetric::TravelTime).unwrap().unwrap();
-/// assert_eq!(route.origin(), from);
+/// assert_eq!(route.nodes[0], from);
 /// assert_eq!(route.destination(), to);
 /// // No route is shorter than the straight line between its ends.
 /// let start = city.network.position(from).unwrap();
@@ -276,7 +264,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.nodes, vec![NodeId(4)]);
         assert_eq!(r.cost, 0.0);
-        assert_eq!(r.leg_count(), 0);
     }
 
     #[test]
@@ -289,8 +276,8 @@ mod tests {
             .unwrap();
         assert_eq!(r.cost, 200.0); // 4 legs of 50
         assert_eq!(r.length, 200.0);
-        assert_eq!(r.leg_count(), 4);
-        assert_eq!(r.origin(), NodeId(0));
+        assert_eq!(r.nodes.len(), 5, "4 legs");
+        assert_eq!(r.nodes[0], NodeId(0));
         assert_eq!(r.destination(), NodeId(8));
         // Path is monotone: consecutive nodes are grid neighbours.
         for w in r.nodes.windows(2) {

@@ -250,7 +250,7 @@ mod tests {
             .unwrap()
             .expect("city is connected");
         assert!(route.length >= city.config.extent); // at least one side each way... roughly
-        assert!(route.leg_count() >= 2);
+        assert!(route.nodes.len() >= 3, "at least two legs");
     }
 
     #[test]

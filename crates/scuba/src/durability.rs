@@ -1404,8 +1404,8 @@ impl DurableOperator {
         }
     }
 
-    /// The ingestion validator, when this shape carries one (the sharded
-    /// executor validates per shard and exposes none).
+    /// The ingestion validator, when this shape carries one (stripes
+    /// refuse validation, so the sharded shape carries none).
     pub fn validator(&self) -> Option<&UpdateValidator> {
         match self {
             DurableOperator::Single(op) => op.validator(),
@@ -2013,7 +2013,7 @@ mod tests {
             put_u64(&mut payload, tick);
             put_u32(&mut payload, updates.len() as u32);
             for u in updates {
-                payload.extend_from_slice(&wire::encode(u));
+                wire::encode_into(u, &mut payload);
             }
             put_u32(&mut payload, controls.len() as u32);
             for op in *controls {

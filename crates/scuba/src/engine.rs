@@ -61,6 +61,30 @@ fn operator_name(params: &ScubaParams) -> String {
     name
 }
 
+/// The tail of phase 1, run before every joining phase by both the
+/// single-store operator and each stripe: tighten cluster radii so the
+/// join-between filter sees exact regions, then rebuild the region grid
+/// from the post-tighten regions (nothing read it since the last join).
+/// Pushes one maintenance row for each step and returns the cluster count.
+pub(crate) fn pre_join(engine: &mut ClusterEngine, phases: &mut PhaseBreakdown) -> u64 {
+    let clusters = engine.cluster_count() as u64;
+    let sw = Stopwatch::start();
+    engine.pre_join_tighten();
+    phases.push(
+        StageStats::maintenance(STAGE_PRE_JOIN_TIGHTEN)
+            .with_wall(sw.elapsed())
+            .with_items(clusters, clusters),
+    );
+    let sw = Stopwatch::start();
+    engine.build_index();
+    phases.push(
+        StageStats::maintenance(STAGE_GRID_REBALANCE)
+            .with_wall(sw.elapsed())
+            .with_items(clusters, clusters),
+    );
+    clusters
+}
+
 /// The SCUBA continuous-query operator.
 #[derive(Debug)]
 pub struct ScubaOperator {
@@ -262,13 +286,10 @@ impl ScubaOperator {
         self.validator.as_ref()
     }
 
-    /// The shedding ladder's lifetime counters, when a deadline triggers
-    /// it.
+    /// The shedding ladder's lifetime counters, when a memory budget or a
+    /// deadline triggers it.
     pub fn overload_counters(&self) -> Option<OverloadCounters> {
-        self.ladder
-            .as_ref()
-            .filter(|l| l.deadline().is_some())
-            .map(ShedLadder::counters)
+        self.ladder.as_ref().map(ShedLadder::counters)
     }
 
     /// Whether ingest time is charged against a deadline.
@@ -389,27 +410,7 @@ impl ContinuousOperator for ScubaOperator {
                     .with_tests(s.rejected_total() - m.rejected_total()),
             );
         }
-        let clusters_before = self.engine.cluster_count() as u64;
-
-        // Tail of phase 1: tighten cluster radii so the join-between filter
-        // sees exact regions (counted as maintenance, not join).
-        let sw = Stopwatch::start();
-        self.engine.pre_join_tighten();
-        phases.push(
-            StageStats::maintenance(STAGE_PRE_JOIN_TIGHTEN)
-                .with_wall(sw.elapsed())
-                .with_items(clusters_before, clusters_before),
-        );
-
-        // Rebuild the region grid from the post-tighten regions (nothing
-        // read it since the last join).
-        let sw = Stopwatch::start();
-        self.engine.build_index();
-        phases.push(
-            StageStats::maintenance(STAGE_GRID_REBALANCE)
-                .with_wall(sw.elapsed())
-                .with_items(clusters_before, clusters_before),
-        );
+        let clusters_before = pre_join(&mut self.engine, &mut phases);
 
         // Phase 2: cluster-based joining (the staged pipeline).
         let ctx = JoinContext {

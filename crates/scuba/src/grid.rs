@@ -313,8 +313,8 @@ mod tests {
                 "{a:?} is missing its self-pair"
             );
             for &(b, cb) in &circles[i + 1..] {
-                let both_inside = area.contains_rect(&ca.bounding_rect())
-                    && area.contains_rect(&cb.bounding_rect());
+                let both_inside = area.union(&ca.bounding_rect()) == area
+                    && area.union(&cb.bounding_rect()) == area;
                 if both_inside && ca.overlaps(&cb) {
                     assert!(
                         pairs.binary_search(&(a.0, b.0)).is_ok(),

@@ -25,6 +25,11 @@
 //!    entity lives in one cluster and each pair is joined once, so no
 //!    match is produced twice (debug builds assert it).
 //!
+//! A stripe of the sharded executor ([`crate::shard`]) runs one more pass
+//! after the four stages: it joins its clusters against the ghosts its
+//! neighbours shipped, through the same arena, the same join-between
+//! predicate and the same member loop.
+//!
 //! The per-tick path is hash-free: pairs are slot pairs and the arena
 //! index is a dense stamped per-slot table. No state survives a round
 //! except buffer capacity, so slot reuse needs no care here. Nothing is
@@ -63,10 +68,11 @@
 //! the paper reports at η = 50 %, so the centroid reading is the one
 //! consistent with the paper's own measurements; see DESIGN.md.)
 
-use scuba_motion::{ObjectId, QueryId};
+use scuba_motion::{EntityRef, ObjectId, QueryId, QuerySpec};
 use scuba_spatial::{Circle, Point, Rect};
 use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
+use crate::cluster::MovingCluster;
 use crate::grid::ClusterGrid;
 use crate::radix;
 use crate::store::{ClusterSlot, ClusterStore};
@@ -184,6 +190,8 @@ struct ExactQuery {
 /// Span-based view of one cluster materialised into the [`MatArena`].
 #[derive(Debug, Clone, Copy)]
 struct MatEntry {
+    /// The arena key: the store slot, or a key past the store's slots for
+    /// a ghost.
     slot: ClusterSlot,
     /// Span into `obj_ids`/`obj_x`/`obj_y`.
     objs: (u32, u32),
@@ -217,8 +225,9 @@ impl MatEntry {
 /// Member positions live in parallel `x`/`y`/`id` arrays so the inner
 /// containment loops stream over contiguous memory; per-cluster views are
 /// `(start, end)` spans ([`MatEntry`]) reached through a dense stamped
-/// per-slot index (no hashing). All vectors are cleared — not deallocated
-/// — between epochs.
+/// per-key index (no hashing): a store slot is its own key, and ghosts
+/// take the keys past the store's slots. All vectors are cleared — not
+/// deallocated — between epochs.
 #[derive(Debug, Default)]
 struct MatArena {
     /// Per-slot epoch stamp: `slot` is materialised this epoch iff
@@ -246,13 +255,10 @@ struct MatArena {
 }
 
 impl MatArena {
-    /// Starts a new epoch covering slots `0..capacity`.
+    /// Starts a new epoch covering keys `0..capacity`.
     fn clear(&mut self, capacity: usize) {
         self.epoch += 1;
-        if self.stamp.len() < capacity {
-            self.stamp.resize(capacity, 0);
-            self.slot_entry.resize(capacity, 0);
-        }
+        self.cover(capacity);
         self.entries.clear();
         self.obj_ids.clear();
         self.obj_x.clear();
@@ -262,6 +268,14 @@ impl MatArena {
         self.group_regions.clear();
         self.group_qid_spans.clear();
         self.group_qids.clear();
+    }
+
+    /// Extends the current epoch to keys `0..keys`.
+    fn cover(&mut self, keys: usize) {
+        if self.stamp.len() < keys {
+            self.stamp.resize(keys, 0);
+            self.slot_entry.resize(keys, 0);
+        }
     }
 
     /// The entry for `slot`, if materialised this epoch.
@@ -293,6 +307,55 @@ impl WithinScratch {
         self.comparisons = 0;
         self.reach_tests = 0;
     }
+}
+
+/// A ghost: the read-only replica of a cluster that another stripe owns,
+/// shipped to a neighbouring stripe each Δ (DESIGN §4.8) — the cluster
+/// itself and the specs of its registered query members, sorted by id.
+/// That is what join-within materialises, so the receiving stripe joins
+/// it with the same code as its own clusters
+/// ([`JoinContext::join_ghosts`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Replica {
+    cluster: MovingCluster,
+    specs: Vec<(QueryId, QuerySpec)>,
+}
+
+impl Replica {
+    /// Replicates `cluster`, with the specs `queries` holds for its query
+    /// members (a member without a row is skipped, as join-within skips
+    /// it).
+    pub(crate) fn of(cluster: &MovingCluster, queries: &QueriesTable) -> Self {
+        let mut specs: Vec<(QueryId, QuerySpec)> = cluster
+            .members()
+            .iter()
+            .filter_map(|m| m.entity.as_query())
+            .filter_map(|qid| queries.get(qid).map(|a| (qid, a.spec)))
+            .collect();
+        specs.sort_unstable_by_key(|&(qid, _)| qid);
+        Replica {
+            cluster: cluster.clone(),
+            specs,
+        }
+    }
+
+    fn spec(&self, qid: QueryId) -> Option<QuerySpec> {
+        let i = self.specs.binary_search_by_key(&qid, |&(q, _)| q).ok()?;
+        Some(self.specs[i].1)
+    }
+}
+
+/// Algorithm 2's test of a cross pair: `None` when the kinds cannot join
+/// (step 18: no test is made), otherwise whether the two regions overlap
+/// with the query side inflated by its widest range, so a pruned pair
+/// really cannot produce results (see
+/// [`crate::MovingCluster::effective_region`]).
+fn between(l: &MovingCluster, r: &MovingCluster) -> Option<bool> {
+    let joinable = (l.object_count() > 0 && r.query_count() > 0)
+        || (l.query_count() > 0 && r.object_count() > 0);
+    joinable.then(|| {
+        l.region().overlaps(&r.effective_region()) || r.region().overlaps(&l.effective_region())
+    })
 }
 
 impl<'a> JoinContext<'a> {
@@ -336,9 +399,9 @@ impl<'a> JoinContext<'a> {
         } = &mut *scratch;
         arena.clear(self.store.capacity());
         for &(left, right) in tasks.iter() {
-            self.materialize_into(left, arena);
+            self.materialize_slot(left, arena);
             if right != left {
-                self.materialize_into(right, arena);
+                self.materialize_slot(right, arena);
             }
         }
         within.reset();
@@ -427,19 +490,58 @@ impl<'a> JoinContext<'a> {
                 }
                 continue;
             }
-            let joinable = (l.object_count() > 0 && r.query_count() > 0)
-                || (l.query_count() > 0 && r.object_count() > 0);
-            if !joinable {
-                continue;
-            }
-            tests += 1;
-            if l.region().overlaps(&r.effective_region())
-                || r.region().overlaps(&l.effective_region())
-            {
-                tasks.push((left, right));
+            if let Some(overlap) = between(l, r) {
+                tests += 1;
+                if overlap {
+                    tasks.push((left, right));
+                }
             }
         }
         tests
+    }
+
+    /// The cross-stripe pass, run after [`JoinContext::run`] with the same
+    /// scratch in the same epoch: joins every local cluster against every
+    /// received ghost. Ghosts are materialised into the same arena under
+    /// the keys past the store's slots, each pair is tested with
+    /// join-between's predicate, and a passing pair is joined by
+    /// [`JoinContext::join_pair`]. Appends the matches (unsorted) to
+    /// `out.results`, adds the work to `out`'s counters, and returns the
+    /// pairs joined.
+    pub(crate) fn join_ghosts(
+        &self,
+        ghosts: &[Replica],
+        scratch: &mut JoinScratch,
+        out: &mut JoinOutput,
+    ) -> u64 {
+        let JoinScratch { arena, within, .. } = scratch;
+        let base = self.store.capacity();
+        arena.cover(base + ghosts.len());
+        within.reset();
+        let mut tests = 0u64;
+        let mut pairs = 0u64;
+        for (slot, local) in self.store.iter() {
+            for (i, ghost) in ghosts.iter().enumerate() {
+                let Some(overlap) = between(local, &ghost.cluster) else {
+                    continue;
+                };
+                tests += 1;
+                if !overlap {
+                    continue;
+                }
+                let key = ClusterSlot((base + i) as u32);
+                self.materialize_slot(slot, arena);
+                if arena.entry(key).is_none() {
+                    materialize_into(key, &ghost.cluster, |qid| ghost.spec(qid), arena);
+                }
+                self.join_pair(arena, slot, key, within);
+                pairs += 1;
+            }
+        }
+        out.comparisons += within.comparisons;
+        out.prefilter_tests += tests + within.reach_tests;
+        out.results.extend_from_slice(&within.results);
+        pairs
     }
 
     /// Joins one surviving pair: the same-cluster join for `(c, c)`
@@ -576,116 +678,128 @@ impl<'a> JoinContext<'a> {
         }
     }
 
-    /// Applies the lazy transformation to every member of the cluster at
-    /// `slot` — "we refrain from constantly updating the relative
-    /// positions of the cluster members, as this info is not needed,
-    /// unless a join-within is to be performed" (§3.1) — writing flat SoA
-    /// spans into the arena. Shed members materialise at the centroid.
-    /// Idempotent per epoch.
-    fn materialize_into(&self, slot: ClusterSlot, arena: &mut MatArena) {
+    /// Materialises the store's cluster at `slot` under its own key, with
+    /// the specs of the query table. Idempotent per epoch; a vacant slot
+    /// is skipped.
+    fn materialize_slot(&self, slot: ClusterSlot, arena: &mut MatArena) {
         if arena.entry(slot).is_some() {
             return;
         }
-        let Some(cluster) = self.store.get(slot) else {
-            return;
-        };
-        let centroid = cluster.centroid();
-        let objs_start = arena.obj_ids.len() as u32;
-        let shed_start = arena.shed_obj_ids.len() as u32;
-        let queries_start = arena.queries.len() as u32;
-        let groups_start = arena.group_regions.len() as u32;
-        arena.pending_groups.clear();
-        arena.group_counts.clear();
+        if let Some(cluster) = self.store.get(slot) {
+            materialize_into(
+                slot,
+                cluster,
+                |qid| self.queries.get(qid).map(|a| a.spec),
+                arena,
+            );
+        }
+    }
+}
 
-        for member in cluster.members() {
-            let pos = cluster.member_position(member);
-            match member.entity {
-                scuba_motion::EntityRef::Object(oid) => match pos {
-                    Some(p) => {
-                        arena.obj_ids.push(oid);
-                        arena.obj_x.push(p.x);
-                        arena.obj_y.push(p.y);
-                    }
-                    None => arena.shed_obj_ids.push(oid),
-                },
-                scuba_motion::EntityRef::Query(qid) => {
-                    let Some(attrs) = self.queries.get(qid) else {
-                        continue; // query unknown to the table; skip
-                    };
-                    match pos {
-                        Some(p) => arena.queries.push(ExactQuery {
-                            qid,
-                            pos: p,
-                            region: attrs
-                                .spec
-                                .region_at(p)
-                                .expect("range spec always has a region"),
-                            bounding_radius: attrs.spec.bounding_radius(),
-                        }),
-                        None => {
-                            let region = attrs
-                                .spec
-                                .region_at(centroid)
-                                .expect("range spec always has a region");
-                            let local = match arena.group_regions[groups_start as usize..]
-                                .iter()
-                                .position(|r| *r == region)
-                            {
-                                Some(i) => i,
-                                None => {
-                                    arena.group_regions.push(region);
-                                    arena.group_counts.push(0);
-                                    arena.group_regions.len() - 1 - groups_start as usize
-                                }
-                            };
-                            arena.group_counts[local] += 1;
-                            arena.pending_groups.push((local as u32, qid));
-                        }
+/// Applies the lazy transformation to every member of `cluster` — "we
+/// refrain from constantly updating the relative positions of the cluster
+/// members, as this info is not needed, unless a join-within is to be
+/// performed" (§3.1) — writing flat SoA spans into the arena under `key`.
+/// Shed members materialise at the centroid; a query member `spec_of`
+/// does not know is skipped. Callers materialise a key once per epoch.
+fn materialize_into(
+    key: ClusterSlot,
+    cluster: &MovingCluster,
+    spec_of: impl Fn(QueryId) -> Option<QuerySpec>,
+    arena: &mut MatArena,
+) {
+    let centroid = cluster.centroid();
+    let objs_start = arena.obj_ids.len() as u32;
+    let shed_start = arena.shed_obj_ids.len() as u32;
+    let queries_start = arena.queries.len() as u32;
+    let groups_start = arena.group_regions.len() as u32;
+    arena.pending_groups.clear();
+    arena.group_counts.clear();
+
+    for member in cluster.members() {
+        let pos = cluster.member_position(member);
+        match member.entity {
+            EntityRef::Object(oid) => match pos {
+                Some(p) => {
+                    arena.obj_ids.push(oid);
+                    arena.obj_x.push(p.x);
+                    arena.obj_y.push(p.y);
+                }
+                None => arena.shed_obj_ids.push(oid),
+            },
+            EntityRef::Query(qid) => {
+                let Some(spec) = spec_of(qid) else {
+                    continue; // query unknown to the table; skip
+                };
+                match pos {
+                    Some(p) => arena.queries.push(ExactQuery {
+                        qid,
+                        pos: p,
+                        region: spec.region_at(p).expect("range spec always has a region"),
+                        bounding_radius: spec.bounding_radius(),
+                    }),
+                    None => {
+                        let region = spec
+                            .region_at(centroid)
+                            .expect("range spec always has a region");
+                        let local = match arena.group_regions[groups_start as usize..]
+                            .iter()
+                            .position(|r| *r == region)
+                        {
+                            Some(i) => i,
+                            None => {
+                                arena.group_regions.push(region);
+                                arena.group_counts.push(0);
+                                arena.group_regions.len() - 1 - groups_start as usize
+                            }
+                        };
+                        arena.group_counts[local] += 1;
+                        arena.pending_groups.push((local as u32, qid));
                     }
                 }
             }
         }
-
-        // Second pass of the group build: prefix offsets, then fill each
-        // group's contiguous qid span in member order (count-then-fill, no
-        // per-group vectors).
-        let qid_base = arena.group_qids.len() as u32;
-        let mut offset = 0u32;
-        for &count in &arena.group_counts {
-            arena
-                .group_qid_spans
-                .push((qid_base + offset, qid_base + offset + count));
-            offset += count;
-        }
-        arena
-            .group_qids
-            .resize((qid_base + offset) as usize, QueryId(0));
-        for c in &mut arena.group_counts {
-            *c = 0;
-        }
-        let pending = std::mem::take(&mut arena.pending_groups);
-        for &(local, qid) in &pending {
-            let span = arena.group_qid_spans[(groups_start + local) as usize];
-            let cursor = arena.group_counts[local as usize];
-            arena.group_qids[(span.0 + cursor) as usize] = qid;
-            arena.group_counts[local as usize] = cursor + 1;
-        }
-        arena.pending_groups = pending;
-
-        let region = cluster.region();
-        arena.stamp[slot.index()] = arena.epoch;
-        arena.slot_entry[slot.index()] = arena.entries.len() as u32;
-        arena.entries.push(MatEntry {
-            slot,
-            objs: (objs_start, arena.obj_ids.len() as u32),
-            shed_objs: (shed_start, arena.shed_obj_ids.len() as u32),
-            queries: (queries_start, arena.queries.len() as u32),
-            groups: (groups_start, arena.group_regions.len() as u32),
-            centroid,
-            region,
-            reach: Circle::new(region.center, region.radius + cluster.max_query_radius()),
-        });
     }
+
+    // Second pass of the group build: prefix offsets, then fill each
+    // group's contiguous qid span in member order (count-then-fill, no
+    // per-group vectors).
+    let qid_base = arena.group_qids.len() as u32;
+    let mut offset = 0u32;
+    for &count in &arena.group_counts {
+        arena
+            .group_qid_spans
+            .push((qid_base + offset, qid_base + offset + count));
+        offset += count;
+    }
+    arena
+        .group_qids
+        .resize((qid_base + offset) as usize, QueryId(0));
+    for c in &mut arena.group_counts {
+        *c = 0;
+    }
+    let pending = std::mem::take(&mut arena.pending_groups);
+    for &(local, qid) in &pending {
+        let span = arena.group_qid_spans[(groups_start + local) as usize];
+        let cursor = arena.group_counts[local as usize];
+        arena.group_qids[(span.0 + cursor) as usize] = qid;
+        arena.group_counts[local as usize] = cursor + 1;
+    }
+    arena.pending_groups = pending;
+
+    let region = cluster.region();
+    arena.stamp[key.index()] = arena.epoch;
+    arena.slot_entry[key.index()] = arena.entries.len() as u32;
+    arena.entries.push(MatEntry {
+        slot: key,
+        objs: (objs_start, arena.obj_ids.len() as u32),
+        shed_objs: (shed_start, arena.shed_obj_ids.len() as u32),
+        queries: (queries_start, arena.queries.len() as u32),
+        groups: (groups_start, arena.group_regions.len() as u32),
+        centroid,
+        region,
+        reach: Circle::new(region.center, region.radius + cluster.max_query_radius()),
+    });
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@ pub enum ParamsError {
     ZeroShards,
     /// The overload deadline budget must be at least one microsecond.
     ZeroDeadline,
+    /// A feature of the single-store operator combined with `shards > 1`:
+    /// the stripes would ignore it or change the answers. Names the
+    /// params field (`shedding`, `validation` or `deadline_us`).
+    UnsupportedWithShards(&'static str),
 }
 
 impl std::fmt::Display for ParamsError {
@@ -47,6 +51,10 @@ impl std::fmt::Display for ParamsError {
             ),
             ParamsError::ZeroShards => write!(f, "shards must be >= 1"),
             ParamsError::ZeroDeadline => write!(f, "deadline_us must be >= 1 when set"),
+            ParamsError::UnsupportedWithShards(field) => write!(
+                f,
+                "{field} is not supported with shards > 1 (single-store operator only)"
+            ),
         }
     }
 }
@@ -102,8 +110,10 @@ pub struct ScubaParams {
     /// the single-store engine. This is the one way to use more than one
     /// core: the executor routes updates to owner shards, each of which
     /// ingests and joins its slice. Results are bit-identical to the
-    /// single-shard engine at any shard count, provided load shedding
-    /// stays off.
+    /// single-shard engine at any shard count. Load shedding, validation
+    /// and a deadline are single-store features: combined with
+    /// `shards > 1` they are refused with
+    /// [`ParamsError::UnsupportedWithShards`].
     pub shards: usize,
 }
 
@@ -196,7 +206,18 @@ impl ScubaParams {
         if self.deadline_us == Some(0) {
             return Err(ParamsError::ZeroDeadline);
         }
-        self.shedding.validate()
+        self.shedding.validate()?;
+        if self.shards > 1 {
+            let refused = [
+                (self.shedding.is_active(), "shedding"),
+                (self.validation != ValidationPolicy::Off, "validation"),
+                (self.deadline_us.is_some(), "deadline_us"),
+            ];
+            if let Some(&(_, field)) = refused.iter().find(|(on, _)| *on) {
+                return Err(ParamsError::UnsupportedWithShards(field));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -329,5 +350,35 @@ mod tests {
             ParamsError::ZeroShards
         );
         assert!(ParamsError::ZeroShards.to_string().contains("shards"));
+    }
+
+    /// Stripes refuse the single-store features by name, one at a time,
+    /// and accept them at one shard.
+    #[test]
+    fn stripes_refuse_single_store_features() {
+        let stripes = ScubaParams::default().with_shards(2);
+        let cases = [
+            (
+                stripes.with_shedding(SheddingMode::Partial { eta: 0.5 }),
+                "shedding",
+            ),
+            (stripes.with_shedding(SheddingMode::Full), "shedding"),
+            (
+                stripes.with_validation(ValidationPolicy::Reject),
+                "validation",
+            ),
+            (stripes.with_deadline_us(Some(500)), "deadline_us"),
+        ];
+        for (params, field) in cases {
+            let err = params.validate().unwrap_err();
+            assert_eq!(err, ParamsError::UnsupportedWithShards(field));
+            assert!(err.to_string().starts_with(field), "{err}");
+            assert!(params.with_shards(1).validate().is_ok(), "{field}");
+        }
+        // An inactive mode sheds nothing, so stripes accept it.
+        assert!(stripes
+            .with_shedding(SheddingMode::Partial { eta: 0.0 })
+            .validate()
+            .is_ok());
     }
 }

@@ -14,11 +14,12 @@
 //! pipeline locally, with one extra step between the local join and
 //! post-join maintenance: **ghost exchange**. Clusters whose halo
 //! (effective radius + the global maximum effective radius) reaches into a
-//! lower-indexed stripe are replicated there as read-only ghosts —
-//! centroid, circle, exact member positions and query regions, mirroring
-//! exactly what join-within materialises. The receiving shard joins its
-//! local clusters against each ghost with the same exact predicate, so
-//! every cross-boundary cluster pair is evaluated exactly once, on the
+//! lower-indexed stripe are replicated there as read-only ghosts: the
+//! cluster and the specs of its query members, which is what join-within
+//! materialises. The receiving shard materialises them into its
+//! join-within arena and joins its local clusters against them with
+//! join-between's predicate and join-within's member loop, so every
+//! cross-boundary cluster pair is evaluated exactly once, on the
 //! lower-indexed (min-stripe) side. Per-shard results are concatenated,
 //! sorted and deduplicated into the canonical report.
 //!
@@ -32,9 +33,9 @@
 //! provably wide enough to deliver every cluster pair that could produce
 //! a match (see DESIGN §4.8 for the argument).
 //!
-//! Robustness features that mutate results (shedding ladders, validation,
-//! deadlines, memory budgets) are single-store concerns and are not
-//! driven by this executor.
+//! Robustness features that live in the single-store operator (load
+//! shedding, validation, deadlines) are refused with
+//! [`crate::ParamsError::UnsupportedWithShards`] when `shards > 1`.
 //!
 //! ## Supervision
 //!
@@ -54,22 +55,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use scuba_motion::{ControlOp, EntityRef, LocationUpdate, ObjectId, QueryId};
-use scuba_spatial::{Circle, FxHashMap, GridSpec, Point, Rect, Time};
+use scuba_motion::{ControlOp, EntityRef, LocationUpdate, QueryId};
+use scuba_spatial::{FxHashMap, GridSpec, Point, Rect, Time};
 use scuba_stream::{
     ContinuousOperator, EvaluationReport, PanicInjector, PhaseBreakdown, QueryMatch, StageStats,
     Stopwatch,
 };
 
-use crate::cluster::MovingCluster;
 use crate::clustering::ClusterEngine;
-use crate::engine::{STAGE_GRID_REBALANCE, STAGE_POST_JOIN, STAGE_PRE_JOIN_TIGHTEN};
-use crate::join::{JoinContext, JoinScratch};
+use crate::engine::{pre_join, STAGE_POST_JOIN};
+use crate::join::{JoinContext, JoinScratch, Replica};
 use crate::params::ScubaParams;
 use crate::registry::{ControlGauges, QueryRegistry};
 use crate::snapshot::{EngineSnapshot, SnapshotError};
-use crate::store::ClusterSlot;
-use crate::tables::QueriesTable;
 
 /// A shard worker died mid-epoch. The epoch's outputs are quarantined:
 /// the panicking worker may have been interrupted mid-mutation, so every
@@ -208,47 +206,6 @@ struct ShardState {
     unknown_removes: u64,
 }
 
-/// An exact range query replicated inside a ghost (mirrors the arena's
-/// exact-query entries in [`crate::join`]).
-#[derive(Debug, Clone, Copy)]
-struct GhostQuery {
-    qid: QueryId,
-    pos: Point,
-    region: Rect,
-    bounding_radius: f64,
-}
-
-/// A group of shed queries sharing one centroid-centred region.
-#[derive(Debug, Clone)]
-struct GhostGroup {
-    region: Rect,
-    qids: Vec<QueryId>,
-}
-
-/// Read-only replica of one boundary cluster, shipped to neighbouring
-/// stripes each Δ. Carries exactly what join-within materialises: exact
-/// member positions, shed members at the centroid, and per-query regions.
-#[derive(Debug, Clone)]
-struct Ghost {
-    /// Cluster circle (centroid + covering radius) at exchange time.
-    region: Circle,
-    /// Effective radius: covering radius + widest query bounding radius.
-    reach: f64,
-    centroid: Point,
-    objs: Vec<(ObjectId, Point)>,
-    shed_objs: Vec<ObjectId>,
-    queries: Vec<GhostQuery>,
-    groups: Vec<GhostGroup>,
-}
-
-/// Exact-work counters of the cross-stripe join, merged into the report's
-/// global `comparisons` / `prefilter_tests`.
-#[derive(Debug, Default, Clone, Copy)]
-struct CrossCounters {
-    comparisons: u64,
-    prefilter_tests: u64,
-}
-
 /// What one worker hands back to the merge step.
 struct ShardOutput {
     results: Vec<QueryMatch>,
@@ -294,7 +251,8 @@ pub struct ShardedScubaOperator {
     /// Lifetime ghost-refresh counter (ghost replicas shipped, summed
     /// over all exchanges).
     ghosts_sent_total: u64,
-    /// Ghosts shipped / received during the most recent evaluation.
+    /// The ghost replicas shipped / received during the most recent
+    /// evaluation.
     last_ghosts_sent: u64,
     last_ghosts_received: u64,
     /// Deterministic worker-panic injection, for supervision tests.
@@ -400,7 +358,7 @@ impl ShardedScubaOperator {
         self.ghosts_sent_total
     }
 
-    /// Ghost replicas (shipped, received) during the most recent
+    /// The ghost replicas (shipped, received) during the most recent
     /// evaluation. Received can only differ from shipped transiently —
     /// every ghost is both sent and drained within one exchange.
     pub fn last_exchange(&self) -> (u64, u64) {
@@ -693,7 +651,7 @@ impl ShardedScubaOperator {
         // mailboxes[dest][src]: each sender owns an uncontended slot, each
         // receiver drains its row in stripe order — deterministic without
         // sorting.
-        let mailboxes: Vec<Vec<Mutex<Vec<Ghost>>>> = (0..k)
+        let mailboxes: Vec<Vec<Mutex<Vec<Replica>>>> = (0..k)
             .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
             .collect();
         let stripe_lo = &self.stripe_lo;
@@ -846,30 +804,14 @@ fn shard_evaluate(
     now: Time,
     barrier: &EpochBarrier,
     max_reach_bits: &AtomicU64,
-    mailboxes: &[Vec<Mutex<Vec<Ghost>>>],
+    mailboxes: &[Vec<Mutex<Vec<Replica>>>],
     stripe_lo: &[f64],
     stripe_hi: &[f64],
     injector: Option<&PanicInjector>,
 ) -> Result<ShardOutput, EpochAborted> {
     let engine = &mut state.engine;
     let mut phases = PhaseBreakdown::new();
-    let clusters_before = engine.cluster_count() as u64;
-
-    let sw = Stopwatch::start();
-    engine.pre_join_tighten();
-    phases.push(
-        StageStats::maintenance(STAGE_PRE_JOIN_TIGHTEN)
-            .with_wall(sw.elapsed())
-            .with_items(clusters_before, clusters_before),
-    );
-
-    let sw = Stopwatch::start();
-    engine.build_index();
-    phases.push(
-        StageStats::maintenance(STAGE_GRID_REBALANCE)
-            .with_wall(sw.elapsed())
-            .with_items(clusters_before, clusters_before),
-    );
+    let clusters_before = pre_join(engine, &mut phases);
 
     // Deterministic panic injection, placed after the engine has already
     // been mutated (tighten, grid build) and before the first rendezvous:
@@ -901,13 +843,13 @@ fn shard_evaluate(
         let reach = cluster.radius() + cluster.max_query_radius();
         let halo = reach + m_global;
         let cx = cluster.centroid().x;
-        let mut ghost: Option<Ghost> = None;
+        let mut ghost: Option<Replica> = None;
         for dest in 0..s {
             let dist = (stripe_lo[dest] - cx).max(cx - stripe_hi[dest]).max(0.0);
             if dist > halo {
                 continue;
             }
-            let g = ghost.get_or_insert_with(|| build_ghost(cluster, engine.queries()));
+            let g = ghost.get_or_insert_with(|| Replica::of(cluster, engine.queries()));
             // A mailbox lock poisoned by a panicked sibling is still
             // usable — the epoch is quarantined wholesale anyway.
             mailboxes[dest][s]
@@ -918,7 +860,7 @@ fn shard_evaluate(
         }
     }
     barrier.wait()?;
-    let mut ghosts: Vec<Ghost> = Vec::new();
+    let mut ghosts: Vec<Replica> = Vec::new();
     for src in mailboxes[s].iter() {
         ghosts.append(
             &mut src
@@ -938,38 +880,15 @@ fn shard_evaluate(
     phases.extend(std::mem::take(&mut join.stages));
 
     // Exchange, step 3: owner-side cross-stripe join — local clusters
-    // against received ghosts, exact predicate, both member directions.
+    // against received ghosts, through the same join-within.
     let sw_cross = Stopwatch::start();
-    let mut counters = CrossCounters::default();
-    let mut pairs_joined = 0u64;
-    if !ghosts.is_empty() {
-        let mut views: FxHashMap<ClusterSlot, Ghost> = FxHashMap::default();
-        for (slot, cluster) in engine.store().iter() {
-            let local_reach = cluster.radius() + cluster.max_query_radius();
-            let centroid = cluster.centroid();
-            for ghost in &ghosts {
-                counters.prefilter_tests += 1;
-                let dx = centroid.x - ghost.centroid.x;
-                let dy = centroid.y - ghost.centroid.y;
-                let rr = local_reach + ghost.reach;
-                if dx * dx + dy * dy > rr * rr {
-                    continue;
-                }
-                pairs_joined += 1;
-                let view = views
-                    .entry(slot)
-                    .or_insert_with(|| build_ghost(cluster, engine.queries()));
-                cross_join(view, ghost, &mut join.results, &mut counters);
-            }
-        }
-    }
-    join.comparisons += counters.comparisons;
-    join.prefilter_tests += counters.prefilter_tests;
+    let within_before = join.comparisons;
+    let pairs_joined = ctx.join_ghosts(&ghosts, &mut state.scratch, &mut join);
     phases.push(
         StageStats::join(STAGE_SHARD_EXCHANGE)
             .with_wall(exchange_prep + sw_cross.elapsed())
             .with_items(ghosts.len() as u64, pairs_joined)
-            .with_tests(counters.comparisons),
+            .with_tests(join.comparisons - within_before),
     );
 
     let sw = Stopwatch::start();
@@ -989,152 +908,6 @@ fn shard_evaluate(
         ghosts_sent,
         ghosts_received: ghosts.len() as u64,
     })
-}
-
-/// Replicates one cluster into a [`Ghost`], mirroring join-within's member
-/// materialisation exactly: exact members at their drift-compensated
-/// reported positions, shed members at the centroid, unregistered queries
-/// skipped.
-fn build_ghost(cluster: &MovingCluster, queries: &QueriesTable) -> Ghost {
-    let centroid = cluster.centroid();
-    let mut ghost = Ghost {
-        region: cluster.region(),
-        reach: cluster.radius() + cluster.max_query_radius(),
-        centroid,
-        objs: Vec::new(),
-        shed_objs: Vec::new(),
-        queries: Vec::new(),
-        groups: Vec::new(),
-    };
-    for member in cluster.members() {
-        let pos = cluster.member_position(member);
-        match member.entity {
-            EntityRef::Object(oid) => match pos {
-                Some(p) => ghost.objs.push((oid, p)),
-                None => ghost.shed_objs.push(oid),
-            },
-            EntityRef::Query(qid) => {
-                let Some(attrs) = queries.get(qid) else {
-                    continue;
-                };
-                match pos {
-                    Some(p) => ghost.queries.push(GhostQuery {
-                        qid,
-                        pos: p,
-                        region: attrs
-                            .spec
-                            .region_at(p)
-                            .expect("range spec always has a region"),
-                        bounding_radius: attrs.spec.bounding_radius(),
-                    }),
-                    None => {
-                        let region = attrs
-                            .spec
-                            .region_at(centroid)
-                            .expect("range spec always has a region");
-                        match ghost.groups.iter_mut().find(|g| g.region == region) {
-                            Some(g) => g.qids.push(qid),
-                            None => ghost.groups.push(GhostGroup {
-                                region,
-                                qids: vec![qid],
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    ghost
-}
-
-/// Joins a surviving cross-stripe cluster pair in both member directions,
-/// with the same predicate and sound reach filters as join-within.
-fn cross_join(a: &Ghost, b: &Ghost, out: &mut Vec<QueryMatch>, counters: &mut CrossCounters) {
-    join_direction(a, b, out, counters);
-    join_direction(b, a, out, counters);
-}
-
-/// `objects_of`'s objects against `queries_of`'s queries — the scalar
-/// join-within member loop ([`crate::join`]) over ghost views. The reach
-/// filters are sound: they only skip pairs the exact predicate rejects.
-fn join_direction(
-    objects_of: &Ghost,
-    queries_of: &Ghost,
-    out: &mut Vec<QueryMatch>,
-    counters: &mut CrossCounters,
-) {
-    let has_objects = !objects_of.objs.is_empty() || !objects_of.shed_objs.is_empty();
-    let has_queries = !queries_of.queries.is_empty() || !queries_of.groups.is_empty();
-    if !has_objects || !has_queries {
-        return;
-    }
-
-    // Exact queries that can reach the object cluster at all.
-    let mut active: Vec<usize> = Vec::with_capacity(queries_of.queries.len());
-    for (qi, q) in queries_of.queries.iter().enumerate() {
-        counters.prefilter_tests += 1;
-        let reach = Circle::new(
-            objects_of.region.center,
-            objects_of.region.radius + q.bounding_radius,
-        );
-        if reach.contains(&q.pos) {
-            active.push(qi);
-        }
-    }
-
-    // 1. Exact objects × exact queries.
-    if !active.is_empty() {
-        let query_reach = Circle::new(queries_of.region.center, queries_of.reach);
-        for &(oid, p) in &objects_of.objs {
-            counters.prefilter_tests += 1;
-            if !query_reach.contains(&p) {
-                continue;
-            }
-            for &qi in &active {
-                let q = &queries_of.queries[qi];
-                counters.comparisons += 1;
-                if q.region.contains(&p) {
-                    out.push(QueryMatch::new(q.qid, oid));
-                }
-            }
-        }
-    }
-
-    // 2. Shed objects (all at the centroid) × exact queries.
-    if !objects_of.shed_objs.is_empty() {
-        for &qi in &active {
-            let q = &queries_of.queries[qi];
-            counters.comparisons += 1;
-            if q.region.contains(&objects_of.centroid) {
-                for &oid in &objects_of.shed_objs {
-                    out.push(QueryMatch::new(q.qid, oid));
-                }
-            }
-        }
-    }
-
-    // 3. Shed query groups (regions centred on the query cluster's
-    //    centroid).
-    for group in &queries_of.groups {
-        for &(oid, p) in &objects_of.objs {
-            counters.comparisons += 1;
-            if group.region.contains(&p) {
-                for &qid in &group.qids {
-                    out.push(QueryMatch::new(qid, oid));
-                }
-            }
-        }
-        if !objects_of.shed_objs.is_empty() {
-            counters.comparisons += 1;
-            if group.region.contains(&objects_of.centroid) {
-                for &qid in &group.qids {
-                    for &oid in &objects_of.shed_objs {
-                        out.push(QueryMatch::new(qid, oid));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -104,14 +104,15 @@ const ESCALATE_AFTER_MISSES: u32 = 2;
 /// Consecutive clean ticks before the deadline trigger votes to relax.
 const RELAX_AFTER_CLEAN: u32 = 3;
 
-/// Lifetime counters of a [`ShedLadder`] with a deadline trigger, for
-/// reports and `--json`.
+/// Lifetime counters of a [`ShedLadder`], for reports and `--json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OverloadCounters {
     /// Ticks observed.
     pub ticks: u64,
     /// Ticks whose cost exceeded the deadline.
     pub misses: u64,
+    /// Ticks whose memory footprint exceeded the budget.
+    pub over_budget: u64,
     /// Rung increases (None → Partial, Partial → Full, …).
     pub escalations: u64,
     /// Rung decreases.
@@ -237,8 +238,9 @@ impl ShedLadder {
         RUNGS[self.level]
     }
 
-    /// Lifetime counters; `ticks` and `misses` count only while a deadline
-    /// trigger is attached.
+    /// Lifetime counters; `ticks` counts while any trigger is attached,
+    /// `misses` only with a deadline trigger and `over_budget` only with a
+    /// memory trigger.
     pub fn counters(&self) -> OverloadCounters {
         self.counters
     }
@@ -248,6 +250,7 @@ impl ShedLadder {
     pub fn observe(&mut self, memory_bytes: usize, tick_cost: Duration) -> LadderStep {
         let memory = self.budget_bytes.map(|budget| {
             if memory_bytes > budget {
+                self.counters.over_budget += 1;
                 Vote::Climb
             } else if (memory_bytes as f64) < budget as f64 * RELAX_FRACTION {
                 Vote::Relax
@@ -260,7 +263,7 @@ impl ShedLadder {
             missed = tick_cost > trigger.deadline;
             trigger.vote(missed)
         });
-        if deadline.is_some() {
+        if memory.is_some() || deadline.is_some() {
             self.counters.ticks += 1;
             self.counters.misses += missed as u64;
         }
@@ -496,15 +499,25 @@ mod tests {
         let expected = OverloadCounters {
             ticks: 60,
             misses: 20,
+            over_budget: 0,
             escalations: 4,
             relaxations: 4,
         };
         assert_eq!(l.counters(), expected, "four moves each way");
 
-        // Memory alone moves the ladder but counts no ticks.
+        // Memory alone counts its ticks and those over the budget.
         let mut l = ladder(Trigger::Memory);
         run(&mut l, "OOU", "");
         let k = l.counters();
-        assert_eq!((k.ticks, k.escalations, k.relaxations), (0, 2, 1));
+        assert_eq!(
+            (
+                k.ticks,
+                k.misses,
+                k.over_budget,
+                k.escalations,
+                k.relaxations
+            ),
+            (3, 0, 2, 2, 1)
+        );
     }
 }

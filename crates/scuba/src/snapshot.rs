@@ -300,6 +300,24 @@ mod tests {
         }
     }
 
+    /// Params that stripes refuse (here shedding at two shards) fail the
+    /// restore with the typed error naming the field.
+    #[test]
+    fn refused_stripe_params_fail_restore() {
+        use crate::shedding::SheddingMode;
+        let mut snapshot = EngineSnapshot::capture(&busy_engine());
+        snapshot.params = snapshot
+            .params
+            .with_shards(2)
+            .with_shedding(SheddingMode::Partial { eta: 0.5 });
+        match snapshot.restore() {
+            Err(SnapshotError::Inconsistent(msg)) => {
+                assert!(msg.contains("shedding is not supported"), "{msg}")
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+    }
+
     /// A snapshot edited by hand so a member's entity has no attribute row
     /// would leave the engine unable to answer for it (a query with no
     /// range); restore refuses it.

@@ -11,9 +11,8 @@
 //! pass and two overlapping ones could fail. The standard overlap predicate
 //! is `dist² ≤ (R_L + R_R)²`, which is also the only reading consistent with
 //! the prose ("checks if the circular regions of the two clusters overlap")
-//! and with Fig. 7's example. We implement the sum form ([`Circle::overlaps`])
-//! and additionally expose the printed form as
-//! [`Circle::contains_circle`]-style helpers for completeness.
+//! and with Fig. 7's example. We implement the sum form
+//! ([`Circle::overlaps`]).
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -79,16 +78,6 @@ impl Circle {
         self.center.distance_sq(&other.center) <= rsum * rsum
     }
 
-    /// Whether `other` lies entirely inside `self`.
-    #[inline]
-    pub fn contains_circle(&self, other: &Circle) -> bool {
-        if other.radius > self.radius {
-            return false;
-        }
-        let slack = self.radius - other.radius;
-        self.center.distance_sq(&other.center) <= slack * slack
-    }
-
     /// The tight axis-aligned bounding box.
     #[inline]
     pub fn bounding_rect(&self) -> Rect {
@@ -96,21 +85,6 @@ impl Circle {
             Point::new(self.center.x - self.radius, self.center.y - self.radius),
             Point::new(self.center.x + self.radius, self.center.y + self.radius),
         )
-    }
-
-    /// Grows the radius so that `p` is covered, returning `true` when the
-    /// radius changed. This is the "if the distance between the object o and
-    /// the cluster centroid is greater than the current radius, the radius
-    /// is increased" step of cluster absorption (paper §3.2 step 4).
-    #[inline]
-    pub fn expand_to(&mut self, p: &Point) -> bool {
-        let d = self.center.distance(p);
-        if d > self.radius {
-            self.radius = d;
-            true
-        } else {
-            false
-        }
     }
 
     /// Area of the disk.
@@ -167,35 +141,6 @@ mod tests {
         let printed_form = dist_sq < (a.radius - b.radius).powi(2);
         assert!(!printed_form, "printed form rejects an overlapping pair");
         assert!(a.overlaps(&b), "sum form accepts it");
-    }
-
-    #[test]
-    fn containment() {
-        let outer = Circle::new(Point::ORIGIN, 10.0);
-        let inner = Circle::new(Point::new(3.0, 0.0), 2.0);
-        assert!(outer.contains_circle(&inner));
-        assert!(!inner.contains_circle(&outer));
-        let poking = Circle::new(Point::new(9.0, 0.0), 2.0);
-        assert!(!outer.contains_circle(&poking));
-        assert!(outer.overlaps(&poking));
-    }
-
-    #[test]
-    fn containment_implies_overlap() {
-        let outer = Circle::new(Point::ORIGIN, 8.0);
-        let inner = Circle::new(Point::new(1.0, 1.0), 1.0);
-        assert!(outer.contains_circle(&inner));
-        assert!(outer.overlaps(&inner));
-    }
-
-    #[test]
-    fn expand_to_grows_monotonically() {
-        let mut c = Circle::point(Point::ORIGIN);
-        assert!(c.expand_to(&Point::new(3.0, 4.0)));
-        assert_eq!(c.radius, 5.0);
-        assert!(!c.expand_to(&Point::new(1.0, 1.0)));
-        assert_eq!(c.radius, 5.0);
-        assert!(c.contains(&Point::new(3.0, 4.0)));
     }
 
     #[test]

@@ -140,16 +140,6 @@ impl GridSpec {
         }
     }
 
-    /// The rectangle covered by a cell.
-    #[inline]
-    pub fn cell_rect(&self, idx: CellIdx) -> Rect {
-        let min = Point::new(
-            self.area.min.x + idx.col as f64 * self.cell_w,
-            self.area.min.y + idx.row as f64 * self.cell_h,
-        );
-        Rect::from_corners(min, Point::new(min.x + self.cell_w, min.y + self.cell_h))
-    }
-
     /// Iterates over the cells whose rectangles intersect `rect`
     /// (clamped to the grid area).
     pub fn cells_overlapping_rect(&self, rect: &Rect) -> impl Iterator<Item = CellIdx> + '_ {
@@ -157,12 +147,6 @@ impl GridSpec {
         let hi = self.cell_of(&rect.max);
         (lo.row..=hi.row)
             .flat_map(move |row| (lo.col..=hi.col).map(move |col| CellIdx { col, row }))
-    }
-
-    /// Iterates over every cell index in row-major order.
-    pub fn all_cells(&self) -> impl Iterator<Item = CellIdx> + '_ {
-        let n = self.cells_per_side;
-        (0..n).flat_map(move |row| (0..n).map(move |col| CellIdx { col, row }))
     }
 }
 
@@ -296,27 +280,9 @@ mod tests {
     #[test]
     fn linear_roundtrip() {
         let s = spec(7);
-        for cell in s.all_cells() {
-            assert_eq!(s.from_linear(s.linear(cell)), cell);
+        for linear in 0..s.cell_count() {
+            assert_eq!(s.linear(s.from_linear(linear)), linear);
         }
-    }
-
-    #[test]
-    fn cell_rects_tile_the_area() {
-        let s = spec(4);
-        let mut total_area = 0.0;
-        for cell in s.all_cells() {
-            total_area += s.cell_rect(cell).area();
-        }
-        assert!((total_area - s.area().area()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cell_rect_contains_its_points() {
-        let s = spec(10);
-        let p = Point::new(37.2, 81.9);
-        let rect = s.cell_rect(s.cell_of(&p));
-        assert!(rect.contains(&p));
     }
 
     #[test]

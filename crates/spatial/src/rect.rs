@@ -89,15 +89,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Whether `other` lies fully inside `self` (boundaries may touch).
-    #[inline]
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
-    }
-
     /// The point of `self` closest to `p`.
     #[inline]
     pub fn clamp_point(&self, p: &Point) -> Point {
@@ -161,8 +152,7 @@ mod tests {
         let a = Rect::square(1.0);
         let b = Rect::from_corners(Point::new(5.0, 5.0), Point::new(6.0, 7.0));
         let u = a.union(&b);
-        assert!(u.contains_rect(&a));
-        assert!(u.contains_rect(&b));
+        assert_eq!(u, Rect::from_corners(Point::ORIGIN, Point::new(6.0, 7.0)));
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub type Time = u64;
 pub type TimeDelta = u64;
 
 /// Relative tolerance used by the crate's approximate float comparisons.
-pub const EPSILON: f64 = 1e-9;
+const EPSILON: f64 = 1e-9;
 
-/// Returns `true` when two floats are equal within [`EPSILON`] scaled by the
+/// Returns `true` when two floats are equal within `EPSILON` (1e-9) scaled by the
 /// magnitude of the operands (plus an absolute floor for values near zero).
 #[inline]
 pub fn approx_eq(a: f64, b: f64) -> bool {
