@@ -5,6 +5,11 @@ use scuba_stream::ValidationPolicy;
 
 use crate::shedding::SheddingMode;
 
+/// The most cells per side [`ScubaParams::validate`] accepts. The paper's
+/// grid sweep (Fig. 9) spans 50–150 cells; at this bound an engine's two
+/// per-cell indexes take about 30 MB.
+const MAX_GRID_CELLS: u32 = 1024;
+
 /// A parameter set that cannot produce a working engine.
 ///
 /// Typed so callers can react per-cause; `Display` renders the operator
@@ -19,6 +24,10 @@ pub enum ParamsError {
     NonPositiveThetaS(f64),
     /// The ClusterGrid needs at least one cell per side.
     ZeroGridCells,
+    /// More than 1 024 cells per side: the grids allocate
+    /// per cell, so an unbounded count (say, from a damaged checkpoint)
+    /// asks for more memory than any host has.
+    GridCellsAboveLimit(u32),
     /// The evaluation interval Δ must be at least one time unit.
     ZeroDelta,
     /// Partial shedding needs η ∈ \[0, 1\]; equivalently the nucleus
@@ -44,6 +53,9 @@ impl std::fmt::Display for ParamsError {
                 write!(f, "theta_s must be positive, got {v}")
             }
             ParamsError::ZeroGridCells => write!(f, "grid_cells must be >= 1"),
+            ParamsError::GridCellsAboveLimit(v) => {
+                write!(f, "grid_cells must be <= {MAX_GRID_CELLS}, got {v}")
+            }
             ParamsError::ZeroDelta => write!(f, "delta must be >= 1"),
             ParamsError::EtaOutOfRange(v) => write!(
                 f,
@@ -197,6 +209,9 @@ impl ScubaParams {
         if self.grid_cells == 0 {
             return Err(ParamsError::ZeroGridCells);
         }
+        if self.grid_cells > MAX_GRID_CELLS {
+            return Err(ParamsError::GridCellsAboveLimit(self.grid_cells));
+        }
         if self.delta == 0 {
             return Err(ParamsError::ZeroDelta);
         }
@@ -293,6 +308,17 @@ mod tests {
             .unwrap_err(),
             ParamsError::ZeroGridCells
         );
+        assert_eq!(
+            ScubaParams::default()
+                .with_grid_cells(u32::MAX)
+                .validate()
+                .unwrap_err(),
+            ParamsError::GridCellsAboveLimit(u32::MAX)
+        );
+        assert!(ScubaParams::default()
+            .with_grid_cells(MAX_GRID_CELLS)
+            .validate()
+            .is_ok());
         assert_eq!(
             ScubaParams::default()
                 .with_deadline_us(Some(0))

@@ -318,6 +318,20 @@ mod tests {
         }
     }
 
+    /// A grid too large to allocate (here from a damaged checkpoint) fails
+    /// the restore with the typed error instead of allocating for it.
+    #[test]
+    fn oversized_grid_fails_restore() {
+        let mut snapshot = EngineSnapshot::capture(&busy_engine());
+        snapshot.params.grid_cells = u32::MAX;
+        match snapshot.restore() {
+            Err(SnapshotError::Inconsistent(msg)) => {
+                assert!(msg.contains("grid_cells must be <= 1024"), "{msg}")
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+    }
+
     /// A snapshot edited by hand so a member's entity has no attribute row
     /// would leave the engine unable to answer for it (a query with no
     /// range); restore refuses it.

@@ -1,21 +1,17 @@
-//! Property-based tests for the SCUBA core.
-//!
-//! The central property is **result equivalence**: with no load shedding
-//! and every entity reporting, SCUBA's two-phase cluster join must produce
-//! exactly the same result set as the regular grid-based join over the same
-//! updates — the pre-filter may only prune pairs that cannot match.
+//! Unit-style properties of the SCUBA core: the cluster radius bound,
+//! exact full shedding on point clusters, the result merge, accuracy
+//! accounting, the pre-filter, delta replay, K-means and the shedding
+//! ladder. Exactness against the brute-force oracle, across every
+//! configuration, is the simulator's (`simulator.rs`).
 
 use std::collections::BTreeMap;
 
-use scuba::baseline::RegularGridOperator;
 use scuba::clustering::ClusterEngine;
 use scuba::{ScubaOperator, ScubaParams, SheddingMode};
-use scuba_motion::{
-    EntityAttrs, EntityRef, LocationUpdate, ObjectAttrs, ObjectId, QueryAttrs, QueryId, QuerySpec,
-};
+use scuba_motion::{LocationUpdate, ObjectAttrs, ObjectId, QueryAttrs, QueryId, QuerySpec};
 use scuba_spatial::{Point, Rect};
-use scuba_stream::{ContinuousOperator, QueryMatch};
-use scuba_testkit::{check, vec, Xoshiro256};
+use scuba_stream::ContinuousOperator;
+use scuba_testkit::{check, vec, Oracle, Xoshiro256};
 
 const AREA: f64 = 1000.0;
 
@@ -86,161 +82,6 @@ fn area() -> Rect {
     Rect::square(AREA)
 }
 
-/// The grid-independent reference answer: every (object, range query)
-/// pair among the latest updates, tested directly, then sorted.
-fn brute_force(updates: &[LocationUpdate]) -> Vec<QueryMatch> {
-    let latest: std::collections::BTreeMap<EntityRef, &LocationUpdate> =
-        updates.iter().map(|u| (u.entity, u)).collect();
-    let mut results = Vec::new();
-    for q in latest.values() {
-        let (EntityRef::Query(qid), EntityAttrs::Query(attrs)) = (q.entity, &q.attrs) else {
-            continue;
-        };
-        let Some(region) = attrs.spec.region_at(q.loc) else {
-            continue;
-        };
-        for o in latest.values() {
-            if let EntityRef::Object(oid) = o.entity {
-                if region.contains(&o.loc) {
-                    results.push(QueryMatch::new(qid, oid));
-                }
-            }
-        }
-    }
-    results.sort_unstable();
-    results
-}
-
-/// SCUBA without shedding ≡ REGULAR ≡ brute force on a single
-/// evaluation. SCUBA and REGULAR both enumerate `GridSpec` cells; the
-/// brute-force pair loop does not, so a cell-enumeration bug shared by
-/// the two grids cannot hide.
-#[test]
-fn exact_operators_agree_single_interval() {
-    check("exact_operators_agree_single_interval", CASES, |rng| {
-        let updates = updates(rng, 60);
-        let grid_cells = rng.gen_range(1..40u32);
-        let params = ScubaParams::default().with_grid_cells(grid_cells);
-        let mut scuba = ScubaOperator::new(params, area());
-        let mut regular = RegularGridOperator::new(grid_cells, area());
-        for u in &updates {
-            scuba.process_update(u);
-            regular.process_update(u);
-        }
-        let s = scuba.evaluate(2).results;
-        let r = regular.evaluate(2).results;
-        assert_eq!(&s, &r);
-        assert_eq!(&s, &brute_force(&updates));
-    });
-}
-
-/// Uniform positions never put an object exactly on a query's border, so
-/// this property does: 1–4 queries on a 250-unit lattice, each with
-/// objects on its borders and corners and one 5-unit step inside and
-/// outside them. Every entity heads for a destination of its own, so each
-/// is a cluster of one and its position materialises exactly; SCUBA and
-/// REGULAR must then agree with the brute-force loop, whose
-/// `Rect::contains` counts a border as inside.
-#[test]
-fn border_matches_agree_with_brute_force() {
-    check("border_matches_agree_with_brute_force", CASES, |rng| {
-        let mut updates = Vec::new();
-        let mut cn = 0.0;
-        let mut own_destination = || {
-            cn += 1.0;
-            Point::new(cn, 0.0)
-        };
-        for spot in 0..rng.gen_range(1..5u64) {
-            let center = Point::new(125.0 + 250.0 * spot as f64, 125.0 + 250.0 * spot as f64);
-            let half = 5.0 * rng.gen_range(1..9u32) as f64;
-            updates.push(LocationUpdate::query(
-                QueryId(spot),
-                center,
-                0,
-                20.0,
-                own_destination(),
-                QueryAttrs {
-                    spec: QuerySpec::square_range(2.0 * half),
-                },
-            ));
-            for _ in 0..rng.gen_range(1..8u32) {
-                let steps = [
-                    -half - 5.0,
-                    -half,
-                    -half + 5.0,
-                    0.0,
-                    half - 5.0,
-                    half,
-                    half + 5.0,
-                ];
-                let dx = steps[rng.gen_range(0..steps.len())];
-                let dy = steps[rng.gen_range(0..steps.len())];
-                updates.push(LocationUpdate::object(
-                    ObjectId(updates.len() as u64),
-                    Point::new(center.x + dx, center.y + dy),
-                    0,
-                    20.0,
-                    own_destination(),
-                    ObjectAttrs::default(),
-                ));
-            }
-        }
-        let mut scuba = ScubaOperator::new(ScubaParams::default(), area());
-        let mut regular = RegularGridOperator::new(ScubaParams::default().grid_cells, area());
-        for u in &updates {
-            scuba.process_update(u);
-            regular.process_update(u);
-        }
-        let truth = brute_force(&updates);
-        assert_eq!(scuba.evaluate(2).results, truth);
-        assert_eq!(regular.evaluate(2).results, truth);
-    });
-}
-
-/// Equivalence also holds across several intervals when every entity
-/// re-reports each interval (so SCUBA's relocated clusters are always
-/// refreshed with exact positions before the next join).
-#[test]
-fn scuba_equals_regular_across_intervals() {
-    check("scuba_equals_regular_across_intervals", CASES, |rng| {
-        let batches = vec(rng, 1..4, |r| updates(r, 40));
-        let params = ScubaParams::default();
-        let mut scuba = ScubaOperator::new(params, area());
-        let mut regular = RegularGridOperator::new(params.grid_cells, area());
-        // Track latest state per entity; re-report everything per interval.
-        let mut latest: std::collections::BTreeMap<_, LocationUpdate> =
-            std::collections::BTreeMap::new();
-        for (i, batch) in batches.iter().enumerate() {
-            for u in batch {
-                latest.insert(u.entity, *u);
-            }
-            for u in latest.values() {
-                scuba.process_update(u);
-                regular.process_update(u);
-            }
-            let now = (i as u64 + 1) * 2;
-            let s = scuba.evaluate(now).results;
-            let r = regular.evaluate(now).results;
-            assert_eq!(s, r, "interval {}", i);
-        }
-    });
-}
-
-/// The cluster invariants hold after arbitrary update sequences.
-#[test]
-fn clustering_invariants_hold() {
-    check("clustering_invariants_hold", CASES, |rng| {
-        let updates = updates(rng, 80);
-        let mut scuba = ScubaOperator::new(ScubaParams::default(), area());
-        for u in &updates {
-            scuba.process_update(u);
-        }
-        scuba.engine().check_invariants();
-        scuba.evaluate(2);
-        scuba.engine().check_invariants();
-    });
-}
-
 /// Every member's admission respected Θ_D at the time it joined: the
 /// radius of any cluster is bounded by Θ_D plus accumulated centroid
 /// drift, which itself is bounded by Θ_D per absorption — so radius can
@@ -263,67 +104,6 @@ fn radius_is_bounded() {
             );
         }
     });
-}
-
-/// A failure an earlier randomised run recorded and shrank: object 0
-/// reports twice, heading first for (500, 1000) and then for (0, 500),
-/// around a range query it sits inside both times. Replayed verbatim
-/// through the single-interval checks above at every grid size they draw
-/// from, with and without zero-η shedding.
-#[test]
-fn recorded_failure_object_rereports_inside_query() {
-    let north = Point::new(500.0, 1000.0);
-    let updates = [
-        LocationUpdate::object(
-            ObjectId(0),
-            Point::new(405.84113582890956, 835.262033754667),
-            0,
-            35.726469109461114,
-            north,
-            ObjectAttrs::default(),
-        ),
-        LocationUpdate::query(
-            QueryId(0),
-            Point::new(444.55648552219844, 794.3185545606905),
-            0,
-            31.1422671236654,
-            north,
-            QueryAttrs {
-                spec: QuerySpec::square_range(70.6333775788467),
-            },
-        ),
-        LocationUpdate::object(
-            ObjectId(0),
-            Point::new(425.6781547958138, 773.1011884455579),
-            0,
-            5.0,
-            Point::new(0.0, 500.0),
-            ObjectAttrs::default(),
-        ),
-    ];
-    let truth = brute_force(&updates);
-    assert_eq!(truth, [QueryMatch::new(QueryId(0), ObjectId(0))]);
-    for grid_cells in 1..40u32 {
-        let base = ScubaParams::default().with_grid_cells(grid_cells);
-        let variants = [base, base.with_shedding(SheddingMode::Partial { eta: 0.0 })];
-        for params in variants {
-            let mut scuba = ScubaOperator::new(params, area());
-            for u in &updates {
-                scuba.process_update(u);
-            }
-            scuba.engine().check_invariants();
-            for c in scuba.engine().store().values() {
-                assert!(c.radius() <= (c.len() as f64) * params.theta_d + 1e-6);
-            }
-            assert_eq!(scuba.evaluate(2).results, truth, "{params:?}");
-            scuba.engine().check_invariants();
-        }
-        let mut regular = RegularGridOperator::new(grid_cells, area());
-        for u in &updates {
-            regular.process_update(u);
-        }
-        assert_eq!(regular.evaluate(2).results, truth, "grid {grid_cells}");
-    }
 }
 
 /// Shed members are approximated by their cluster centroid, so when
@@ -400,81 +180,6 @@ fn full_shedding_exact_on_point_clusters() {
         let truth = exact.evaluate(2).results;
         assert_eq!(&truth, &shed.evaluate(2).results);
         assert_eq!(&truth, &escalated.evaluate(2).results);
-    });
-}
-
-/// Within-tick delivery order changes no answer: an engine fed each tick
-/// in generator order and one fed the same tick Fisher–Yates-shuffled (what
-/// a reordering transport delivers) answer alike at every tick. Each tick
-/// keeps one report per entity (the last), so the shuffle cannot change
-/// which report is current, and every entity seen so far reports every
-/// tick, as in the paper's §6.1 model: an entity that skips a tick is
-/// placed by its cluster's motion, and which cluster that is depends on
-/// arrival order. Engine state is not compared, for the same reason.
-#[test]
-fn within_tick_reorder_changes_no_answer() {
-    check("within_tick_reorder_changes_no_answer", CASES, |rng| {
-        use scuba_stream::{FaultInjector, FaultPlan};
-        let mut current: BTreeMap<EntityRef, LocationUpdate> = BTreeMap::new();
-        let batches = vec(rng, 1..4, |r| {
-            let fresh = updates(r, 40);
-            let mut last = BTreeMap::new();
-            for (i, u) in fresh.iter().enumerate() {
-                last.insert(u.entity, i);
-            }
-            // Fresh reports in generator order, then every other known
-            // entity's previous report again.
-            let mut batch: Vec<LocationUpdate> = fresh
-                .into_iter()
-                .enumerate()
-                .filter(|(i, u)| last[&u.entity] == *i)
-                .map(|(_, u)| u)
-                .collect();
-            batch.extend(
-                current
-                    .values()
-                    .filter(|u| !last.contains_key(&u.entity))
-                    .copied(),
-            );
-            for u in &batch {
-                current.insert(u.entity, *u);
-            }
-            batch
-        });
-        let mut transport = FaultInjector::new(FaultPlan {
-            seed: rng.next_u64(),
-            reorder_prob: 1.0,
-            ..FaultPlan::default()
-        });
-        let mut in_order = ScubaOperator::new(ScubaParams::default(), area());
-        let mut shuffled = ScubaOperator::new(ScubaParams::default(), area());
-        for (tick, batch) in batches.into_iter().enumerate() {
-            let now = (tick as u64 + 1) * 2;
-            in_order.process_batch(&batch);
-            shuffled.process_batch(&transport.apply_tick(batch));
-            assert_eq!(
-                in_order.evaluate(now).results,
-                shuffled.evaluate(now).results,
-                "tick {tick}"
-            );
-        }
-    });
-}
-
-/// Partial shedding with η = 0 behaves exactly like no shedding.
-#[test]
-fn zero_eta_is_exact() {
-    check("zero_eta_is_exact", CASES, |rng| {
-        let updates = updates(rng, 40);
-        let a = ScubaParams::default();
-        let b = a.with_shedding(SheddingMode::Partial { eta: 0.0 });
-        let mut exact = ScubaOperator::new(a, area());
-        let mut zero = ScubaOperator::new(b, area());
-        for u in &updates {
-            exact.process_update(u);
-            zero.process_update(u);
-        }
-        assert_eq!(exact.evaluate(2).results, zero.evaluate(2).results);
     });
 }
 
@@ -560,37 +265,6 @@ fn prefilter_reduces_comparisons() {
     });
 }
 
-/// Engine snapshots round-trip through a binary checkpoint on arbitrary engine states
-/// and restore to an engine with identical join results.
-#[test]
-fn snapshot_roundtrip_preserves_results() {
-    check("snapshot_roundtrip_preserves_results", CASES, |rng| {
-        use scuba::durability::{decode_checkpoint, encode_checkpoint};
-        use scuba::{EngineSnapshot, QueryRegistry};
-        let updates = updates(rng, 60);
-        let mut op = ScubaOperator::new(ScubaParams::default(), area());
-        for u in &updates {
-            op.process_update(u);
-        }
-        let snapshot = EngineSnapshot::capture(op.engine());
-        let bytes = encode_checkpoint(
-            2,
-            std::slice::from_ref(&snapshot),
-            &QueryRegistry::default(),
-        );
-        let mut decoded = decode_checkpoint(&bytes).unwrap().stripes;
-        assert_eq!(decoded, [snapshot]);
-        let parsed = decoded.pop().unwrap();
-        let restored = parsed.restore().unwrap();
-        restored.check_invariants();
-
-        let mut restored_op = ScubaOperator::from_engine(restored);
-        let a = op.evaluate(2).results;
-        let b = restored_op.evaluate(2).results;
-        assert_eq!(a, b);
-    });
-}
-
 /// DeltaTracker: replaying the emitted deltas from the initial state
 /// always reconstructs the latest snapshot (observe/replay inverse).
 #[test]
@@ -615,8 +289,8 @@ fn delta_replay_inverts_observe() {
 }
 
 /// Exactness is clustering-independent: joining over *offline K-means*
-/// clusters gives the same answers as the incremental engine and the
-/// grid baseline — the two-phase join is correct for any clustering.
+/// clusters gives the brute-force answers — the two-phase join is correct
+/// for any clustering.
 #[test]
 fn kmeans_join_is_exact() {
     check("kmeans_join_is_exact", CASES, |rng| {
@@ -635,103 +309,11 @@ fn kmeans_join_is_exact() {
             &params,
             area(),
         );
-        let via_kmeans = outcome.join().results;
-
-        let mut regular = RegularGridOperator::new(params.grid_cells, area());
-        // K-means dedups to the latest update per entity; feed the baseline
-        // the same way (later updates overwrite earlier ones anyway).
-        for u in &updates {
-            regular.process_update(u);
-        }
-        let truth = regular.evaluate(2).results;
-        assert_eq!(via_kmeans, truth);
+        // K-means keeps the latest update per entity, as the oracle does.
+        let mut oracle = Oracle::new();
+        oracle.observe(&[], &updates);
+        assert_eq!(outcome.join().results, oracle.evaluate());
     });
-}
-
-/// Pinned regression for the staged pipeline: on a fixed seeded workload
-/// SCUBA must keep reproducing the exact grid-baseline answers (the
-/// pre-pipeline behaviour).
-#[test]
-fn scuba_matches_baseline_on_seeded_workload() {
-    let nodes = [
-        Point::new(0.0, 500.0),
-        Point::new(1000.0, 500.0),
-        Point::new(500.0, 0.0),
-        Point::new(500.0, 1000.0),
-    ];
-    // Deterministic LCG so the workload is identical on every run.
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let mut next = move |bound: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % bound
-    };
-
-    let params = ScubaParams::default();
-    let mut scuba = ScubaOperator::new(params, area());
-    let mut regular = RegularGridOperator::new(params.grid_cells, area());
-    // One guaranteed co-located object/query pair so the run is never
-    // vacuously empty.
-    let seed_loc = Point::new(500.0, 500.0);
-    let mut updates = vec![
-        LocationUpdate::object(
-            ObjectId(999),
-            seed_loc,
-            0,
-            20.0,
-            nodes[1],
-            ObjectAttrs::default(),
-        ),
-        LocationUpdate::query(
-            QueryId(999),
-            seed_loc,
-            0,
-            20.0,
-            nodes[1],
-            QueryAttrs {
-                spec: QuerySpec::square_range(50.0),
-            },
-        ),
-    ];
-    for id in 0..80u64 {
-        let loc = Point::new(next(1000) as f64, next(1000) as f64);
-        let cn = nodes[next(4) as usize];
-        let speed = 5.0 + next(40) as f64;
-        if next(2) == 0 {
-            updates.push(LocationUpdate::object(
-                ObjectId(id),
-                loc,
-                0,
-                speed,
-                cn,
-                ObjectAttrs::default(),
-            ));
-        } else {
-            updates.push(LocationUpdate::query(
-                QueryId(id),
-                loc,
-                0,
-                speed,
-                cn,
-                QueryAttrs {
-                    spec: QuerySpec::square_range(10.0 + next(70) as f64),
-                },
-            ));
-        }
-    }
-    for u in &updates {
-        scuba.process_update(u);
-        regular.process_update(u);
-    }
-    let s = scuba.evaluate(2);
-    let r = regular.evaluate(2);
-    assert!(!s.results.is_empty(), "seeded workload produces matches");
-    assert_eq!(s.results, r.results);
-    // The staged breakdown is present and consistent with the legacy
-    // accessors.
-    assert!(!s.phases.is_empty());
-    assert_eq!(s.total_time(), s.join_time() + s.maintenance_time());
 }
 
 /// Adaptive shedding is a pure function of the observed footprints and

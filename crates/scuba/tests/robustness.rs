@@ -1,31 +1,17 @@
-//! Robustness integration tests: adaptive overload control, fault
-//! injection, and crash recovery (ISSUE 4).
-//!
-//! Three claims are exercised end to end:
-//!
-//! 1. The deadline controller escalates shedding under sustained load and
-//!    de-escalates once the load drops, and the shedding is actually
-//!    applied to the engine mid-run.
-//! 2. SCUBA with a validating front-end survives every fault type the
-//!    injector produces — no panics, no invariant violations — and its
-//!    results are bit-identical to a trusting pipeline fed only the
-//!    surviving well-formed updates (quarantine equivalence).
-//! 3. After a mid-stream crash, restoring the latest snapshot and
-//!    replaying the remaining (identically faulted) stream reaches the
-//!    same state and the same answers as the uninterrupted run.
+//! The shedding ladder end to end: scripted tick costs and a memory budget
+//! drive the operator's ladder up and back down, and the shedding it
+//! selects is applied to the engine mid-run. Faults, quarantine and crash
+//! recovery are the simulator's (`simulator.rs`).
 
 use std::time::Duration;
 
-use scuba::{EngineSnapshot, ScubaOperator, ScubaParams, SheddingMode, ValidationPolicy};
+use scuba::{ScubaOperator, ScubaParams, SheddingMode};
 use scuba_motion::{
     EntityRef, LocationUpdate, ObjectAttrs, ObjectId, QueryAttrs, QueryId, QuerySpec,
 };
 use scuba_spatial::rng::SplitMix64;
 use scuba_spatial::{Point, Rect, Time};
-use scuba_stream::{
-    ContinuousOperator, Executor, ExecutorConfig, FaultInjector, FaultPlan, QueryMatch,
-    UpdateValidator, Verdict,
-};
+use scuba_stream::ContinuousOperator;
 
 const AREA: f64 = 1000.0;
 
@@ -102,31 +88,6 @@ fn build_batches(
     batches
 }
 
-/// Replays pre-built batches through an operator, evaluating every
-/// `delta` ticks; returns the sorted per-interval result sets.
-fn replay(
-    op: &mut ScubaOperator,
-    batches: &[Vec<LocationUpdate>],
-    first_tick: u64,
-    delta: u64,
-) -> Vec<Vec<QueryMatch>> {
-    let mut results = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        op.process_batch(batch);
-        let now = first_tick + i as u64;
-        if now % delta == 0 {
-            let mut r = op.evaluate(now).results;
-            r.sort();
-            results.push(r);
-        }
-    }
-    results
-}
-
-// ---------------------------------------------------------------------
-// 1. Adaptive overload control, end to end.
-// ---------------------------------------------------------------------
-
 /// Scripted heavy-then-light tick costs drive the controller up the
 /// ladder and back down, and escalation actually sheds engine state.
 #[test]
@@ -176,38 +137,6 @@ fn controller_escalates_under_load_then_relaxes() {
     assert_eq!(counters.misses, 8);
     assert_eq!(counters.escalations, 4, "None → .25 → .5 → .75 → Full");
     assert_eq!(counters.relaxations, 4, "and all the way back down");
-}
-
-/// Identical scripted timings produce identical controller trajectories —
-/// the mode sequence is a pure function of the observed costs.
-#[test]
-fn scripted_timings_make_shedding_deterministic() {
-    let batches = build_batches(11, 50, 8, 16);
-    let script: Vec<Duration> = (0..16)
-        .map(|i| {
-            if i % 5 < 3 {
-                Duration::from_millis(4)
-            } else {
-                Duration::from_micros(40)
-            }
-        })
-        .collect();
-    let params = ScubaParams::default().with_deadline_us(Some(500));
-
-    let mut trajectories = Vec::new();
-    for _ in 0..2 {
-        let mut op =
-            ScubaOperator::new(params, Rect::square(AREA)).with_scripted_tick_costs(script.clone());
-        let mut modes = Vec::new();
-        for (i, batch) in batches.iter().enumerate() {
-            op.process_batch(batch);
-            op.evaluate((i + 1) as Time);
-            modes.push(op.current_shedding());
-        }
-        trajectories.push((modes, op.overload_counters().unwrap()));
-    }
-    assert_eq!(trajectories[0].0, trajectories[1].0);
-    assert_eq!(trajectories[0].1, trajectories[1].1);
 }
 
 /// A memory budget and a deadline walk one shared ladder. The budget here
@@ -325,217 +254,4 @@ fn escalation_with_ttl_eviction_drops_the_silent_convoy() {
         None,
         "the silent convoy is evicted despite concurrent escalation"
     );
-}
-
-// ---------------------------------------------------------------------
-// 2. Fault injection: no panics, no divergence on survivors.
-// ---------------------------------------------------------------------
-
-/// All five fault types at three seeds: the validating operator finishes
-/// every run without panicking or corrupting engine invariants, and
-/// malformed updates are quarantined rather than ingested.
-#[test]
-fn chaos_faults_never_panic_or_break_invariants() {
-    for seed in [1u64, 2, 3] {
-        let batches = build_batches(seed, 60, 10, 24);
-        let params = ScubaParams::default().with_validation(ValidationPolicy::Reject);
-        let mut op = ScubaOperator::new(params, Rect::square(AREA));
-        let mut tick = 0usize;
-        let mut source = || {
-            let b = batches.get(tick).cloned().unwrap_or_default();
-            tick += 1;
-            b
-        };
-        let executor = Executor::new(ExecutorConfig {
-            delta: 2,
-            duration: 24,
-        });
-        let mut injector = FaultInjector::new(FaultPlan::chaos(seed));
-        let report = executor.run_with_faults(&mut source, &mut op, &mut injector);
-
-        assert!(
-            report.aborted.is_none(),
-            "seed {seed}: {:?}",
-            report.aborted
-        );
-        op.engine().check_invariants();
-        let stats = injector.stats();
-        assert!(stats.corrupted > 0, "chaos plan must corrupt something");
-        let vstats = op.validator().unwrap().stats();
-        assert!(
-            vstats.rejected_total() >= stats.corrupted,
-            "every corrupted update must be quarantined (seed {seed}): \
-             {vstats:?} vs {stats:?}"
-        );
-    }
-}
-
-/// Quarantine equivalence: SCUBA(Reject) over the faulted stream answers
-/// exactly like SCUBA(Off) fed only the survivors a standalone validator
-/// accepts. Rejection must not perturb anything the engine computes.
-#[test]
-fn reject_pipeline_matches_reference_on_survivors() {
-    for seed in [1u64, 2, 3] {
-        let batches = build_batches(seed + 100, 50, 8, 20);
-        let delta = 2u64;
-
-        // Faulted delivery, reproduced identically for both pipelines.
-        let mut injector = FaultInjector::new(FaultPlan::chaos(seed));
-        let faulted: Vec<Vec<LocationUpdate>> = batches
-            .iter()
-            .map(|b| injector.apply_tick(b.clone()))
-            .collect();
-
-        // Pipeline A: validating operator sees the raw faulted stream.
-        let reject = ScubaParams::default().with_validation(ValidationPolicy::Reject);
-        let mut op_a = ScubaOperator::new(reject, Rect::square(AREA));
-        let results_a = replay(&mut op_a, &faulted, 1, delta);
-
-        // Pipeline B: a standalone validator filters the survivors, which
-        // feed a trusting operator.
-        let mut validator = UpdateValidator::new(ValidationPolicy::Reject, Rect::square(AREA));
-        let survivors: Vec<Vec<LocationUpdate>> = faulted
-            .iter()
-            .map(|batch| {
-                batch
-                    .iter()
-                    .filter_map(|u| match validator.check(u) {
-                        Verdict::Accept(u) => Some(u),
-                        Verdict::Reject(_) | Verdict::Fatal(_) => None,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut op_b = ScubaOperator::new(ScubaParams::default(), Rect::square(AREA));
-        let results_b = replay(&mut op_b, &survivors, 1, delta);
-
-        assert_eq!(
-            results_a, results_b,
-            "seed {seed}: quarantine changed answers"
-        );
-        // The two engines differ only in the configured validation policy;
-        // normalise it so the comparison covers the clustered state alone.
-        let mut snap_a = EngineSnapshot::capture(op_a.engine());
-        snap_a.params.validation = ValidationPolicy::Off;
-        assert_eq!(
-            snap_a,
-            EngineSnapshot::capture(op_b.engine()),
-            "seed {seed}: engine state diverged"
-        );
-        // The operator's embedded validator and the standalone one saw the
-        // same stream, so their ledgers agree too.
-        let a = op_a.validator().unwrap().stats();
-        let b = validator.stats();
-        assert_eq!(a.seen, b.seen);
-        assert_eq!(a.rejected_by_reason(), b.rejected_by_reason());
-    }
-}
-
-/// Same plan, same seed, run twice: fault schedule, validator ledger and
-/// answers are all bit-identical.
-#[test]
-fn fault_injection_is_deterministic() {
-    let run = || {
-        let batches = build_batches(42, 40, 8, 16);
-        let mut injector = FaultInjector::new(FaultPlan::chaos(9));
-        let faulted: Vec<Vec<LocationUpdate>> = batches
-            .iter()
-            .map(|b| injector.apply_tick(b.clone()))
-            .collect();
-        let params = ScubaParams::default().with_validation(ValidationPolicy::Reject);
-        let mut op = ScubaOperator::new(params, Rect::square(AREA));
-        let results = replay(&mut op, &faulted, 1, 2);
-        (
-            injector.stats(),
-            op.validator().unwrap().stats().seen,
-            results,
-        )
-    };
-    assert_eq!(run(), run());
-}
-
-/// Under `Reject`, a batch of exclusively malformed updates leaves the
-/// engine byte-identical to never having seen it.
-#[test]
-fn malformed_batch_leaves_engine_untouched() {
-    let batches = build_batches(5, 30, 5, 4);
-    let params = ScubaParams::default().with_validation(ValidationPolicy::Reject);
-    let mut op = ScubaOperator::new(params, Rect::square(AREA));
-    replay(&mut op, &batches, 1, 2);
-
-    let before = EngineSnapshot::capture(op.engine());
-    let poison: Vec<LocationUpdate> = (0..10)
-        .map(|k| {
-            LocationUpdate::object(
-                ObjectId(900 + k),
-                Point::new(f64::NAN, f64::INFINITY),
-                5,
-                1.0,
-                Point::new(0.0, 0.0),
-                ObjectAttrs::default(),
-            )
-        })
-        .collect();
-    op.process_batch(&poison);
-    assert_eq!(before, EngineSnapshot::capture(op.engine()));
-    assert_eq!(op.validator().unwrap().stats().rejected_total(), 10);
-    assert_eq!(op.validator().unwrap().dead_letter_len(), 10);
-}
-
-// ---------------------------------------------------------------------
-// 3. Crash recovery from a snapshot checkpoint.
-// ---------------------------------------------------------------------
-
-/// Crash mid-stream, restore the latest checkpoint, replay the remaining
-/// faulted ticks: the recovered run answers exactly like the run that
-/// never crashed, and ends in the identical engine state.
-#[test]
-fn crash_recovery_replays_to_identical_state() {
-    for seed in [1u64, 2, 3] {
-        let ticks = 20u64;
-        let crash_at = 10usize; // ticks consumed before the crash
-        let delta = 2u64;
-        let batches = build_batches(seed + 200, 50, 8, ticks);
-
-        // The delivery faults are part of the recorded history: both runs
-        // see the identical lossy stream.
-        let mut injector = FaultInjector::new(FaultPlan::lossy(seed));
-        let faulted: Vec<Vec<LocationUpdate>> = batches
-            .iter()
-            .map(|b| injector.apply_tick(b.clone()))
-            .collect();
-
-        // Uninterrupted run.
-        let mut uninterrupted = ScubaOperator::new(ScubaParams::default(), Rect::square(AREA));
-        let all_results = replay(&mut uninterrupted, &faulted, 1, delta);
-
-        // Crashed run: consume the first half, checkpoint, "crash".
-        let mut doomed = ScubaOperator::new(ScubaParams::default(), Rect::square(AREA));
-        replay(&mut doomed, &faulted[..crash_at], 1, delta);
-        let checkpoint = EngineSnapshot::capture(doomed.engine());
-        drop(doomed);
-
-        // Recovery: restore the checkpoint and replay the rest.
-        let engine = checkpoint.restore().expect("checkpoint restores");
-        let mut recovered = ScubaOperator::from_engine(engine);
-        let tail_results = replay(
-            &mut recovered,
-            &faulted[crash_at..],
-            crash_at as u64 + 1,
-            delta,
-        );
-        recovered.engine().check_invariants();
-
-        let evals_before_crash = (1..=crash_at as u64).filter(|t| t % delta == 0).count();
-        assert_eq!(
-            tail_results,
-            all_results[evals_before_crash..],
-            "seed {seed}: post-recovery answers diverged"
-        );
-        assert_eq!(
-            EngineSnapshot::capture(recovered.engine()),
-            EngineSnapshot::capture(uninterrupted.engine()),
-            "seed {seed}: recovered engine state diverged"
-        );
-    }
 }

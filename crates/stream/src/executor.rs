@@ -187,40 +187,6 @@ impl Executor {
         }
         report
     }
-
-    /// Like [`Executor::run`], but routes every tick's batch through a
-    /// [`FaultInjector`](crate::faults::FaultInjector) first, so the
-    /// operator sees the faulted delivery instead of the pristine source.
-    pub fn run_with_faults<S, O>(
-        &self,
-        source: &mut S,
-        operator: &mut O,
-        faults: &mut crate::faults::FaultInjector,
-    ) -> RunReport
-    where
-        S: UpdateSource + ?Sized,
-        O: ContinuousOperator + ?Sized,
-    {
-        struct Faulted<'a, S: ?Sized> {
-            source: &'a mut S,
-            faults: &'a mut crate::faults::FaultInjector,
-        }
-        impl<S: UpdateSource + ?Sized> UpdateSource for Faulted<'_, S> {
-            fn next_tick(&mut self) -> Vec<LocationUpdate> {
-                self.faults.apply_tick(self.source.next_tick())
-            }
-            // Controls pass through unfaulted: the injector models lossy
-            // data-plane transport, while the thin control stream is
-            // delivered reliably (and journalled ahead when durable).
-            fn next_controls(&mut self) -> Vec<ControlOp> {
-                self.source.next_controls()
-            }
-            fn fault(&self) -> Option<String> {
-                self.source.fault()
-            }
-        }
-        self.run(&mut Faulted { source, faults }, operator)
-    }
 }
 
 #[cfg(test)]
@@ -415,31 +381,6 @@ mod tests {
         assert_eq!(exec.run(&mut source, &mut op).aborted, None);
     }
 
-    #[test]
-    fn run_with_faults_applies_the_plan() {
-        use crate::faults::{FaultInjector, FaultPlan};
-        let mut op = CountingOperator {
-            ingested: 0,
-            evaluations: vec![],
-        };
-        let mut source = || vec![one_update(), one_update()];
-        let exec = Executor::new(ExecutorConfig {
-            delta: 2,
-            duration: 20,
-        });
-        let mut inj = FaultInjector::new(FaultPlan {
-            seed: 5,
-            drop_prob: 0.5,
-            ..FaultPlan::default()
-        });
-        let report = exec.run_with_faults(&mut source, &mut op, &mut inj);
-        assert!(report.updates_ingested < 40, "drops thinned the stream");
-        assert_eq!(
-            report.updates_ingested as u64,
-            40 - inj.stats().dropped - inj.stats().deferred
-        );
-    }
-
     /// Yields updates plus one deregister control per tick; records the
     /// order controls and data arrive in.
     struct ChurningSource {
@@ -500,25 +441,6 @@ mod tests {
             op.events,
             vec!["control", "data", "control", "data", "control", "data", "control", "data"]
         );
-    }
-
-    #[test]
-    fn run_with_faults_forwards_controls() {
-        use crate::faults::{FaultInjector, FaultPlan};
-        let mut op = OrderRecordingOperator::default();
-        let mut source = ChurningSource { tick: 0 };
-        let exec = Executor::new(ExecutorConfig {
-            delta: 1,
-            duration: 3,
-        });
-        let mut inj = FaultInjector::new(FaultPlan {
-            seed: 1,
-            drop_prob: 1.0,
-            ..FaultPlan::default()
-        });
-        let report = exec.run_with_faults(&mut source, &mut op, &mut inj);
-        assert_eq!(report.controls_applied, 3, "controls bypass the injector");
-        assert_eq!(report.updates_ingested, 0, "all data dropped");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! workload produces bit-identical faulted streams on every run.
 //!
 //! The injector sits between an [`crate::executor::UpdateSource`] and the
-//! operator (see [`crate::executor::Executor::run_with_faults`]); the
-//! operator under test cannot tell injected faults from real ones.
+//! operator: [`FaultInjector::apply_tick`] turns each tick's batch into its
+//! faulted delivery, which the operator under test cannot tell from a real
+//! one.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,33 +54,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan exercising every fault type at once — the integration-test
-    /// workhorse.
-    pub fn chaos(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            drop_prob: 0.1,
-            duplicate_prob: 0.1,
-            corrupt_prob: 0.1,
-            reorder_prob: 0.3,
-            stall_period: 4,
-        }
-    }
-
-    /// A plan with only delivery faults (drop / reorder / stall): every
-    /// update that arrives is well-formed, so a validating and a trusting
-    /// pipeline accept the same survivor stream.
-    pub fn lossy(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            drop_prob: 0.15,
-            duplicate_prob: 0.0,
-            corrupt_prob: 0.0,
-            reorder_prob: 0.25,
-            stall_period: 5,
-        }
-    }
-
     /// Validates probability ranges.
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
@@ -378,7 +352,14 @@ mod tests {
     #[test]
     fn same_seed_same_faults() {
         let run = |seed: u64| {
-            let mut inj = FaultInjector::new(FaultPlan::chaos(seed));
+            let mut inj = FaultInjector::new(FaultPlan {
+                seed,
+                drop_prob: 0.1,
+                duplicate_prob: 0.1,
+                corrupt_prob: 0.1,
+                reorder_prob: 0.3,
+                stall_period: 4,
+            });
             let ticks: Vec<Vec<LocationUpdate>> =
                 (1..=20u64).map(|t| inj.apply_tick(batch(t, 10))).collect();
             (fingerprint(&ticks), inj.stats())
@@ -475,7 +456,7 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(FaultPlan::chaos(1).validate().is_ok());
+        assert!(FaultPlan::default().validate().is_ok());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Seeded property checks for the workspace's test suites.
+//! Seeded property checks for the workspace's test suites, and the
+//! brute-force [`Oracle`] every exactness check is diffed against.
 //!
 //! [`check`] runs a property over a fixed number of generated cases. Each
 //! case draws its input from its own [`Xoshiro256`], seeded from the
@@ -13,6 +14,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+
+mod oracle;
+
+pub use oracle::Oracle;
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
