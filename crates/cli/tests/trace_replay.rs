@@ -29,12 +29,12 @@ fn sim(args: &[&str]) -> Output {
         .expect("scuba-sim runs")
 }
 
-/// A copy of `full` cut at 60 % of its bytes: five whole ticks, then a
-/// torn sixth.
+/// A copy of `full` cut at 60 % of the bytes before its 12-byte trailer:
+/// five whole ticks, then a torn sixth.
 fn cut(dir: &Path, full: &Path) -> PathBuf {
     let bytes = std::fs::read(full).unwrap();
     let cut = dir.join("cut.sctr");
-    std::fs::write(&cut, &bytes[..bytes.len() * 6 / 10]).unwrap();
+    std::fs::write(&cut, &bytes[..(bytes.len() - 12) * 6 / 10]).unwrap();
     cut
 }
 

@@ -183,6 +183,47 @@ fn wire_preserves_duplicate_time_entity_records() {
     );
 }
 
+/// The spec decoder on its own: every strict prefix of an encoded spec is
+/// a typed error, every one of the 256 tag bytes but the live one is
+/// refused (the retired kNN tag as retired, the rest as unknown), and
+/// random bytes never panic.
+#[test]
+fn spec_decoder_refuses_what_it_cannot_read() {
+    check("spec_decoder_refuses_what_it_cannot_read", CASES, |rng| {
+        let spec = QuerySpec::Range {
+            width: rng.gen_range(0.0..500.0),
+            height: rng.gen_range(0.0..500.0),
+        };
+        let mut bytes = Vec::new();
+        wire::encode_spec(&spec, &mut bytes);
+        assert_eq!(wire::decode_spec(&mut &bytes[..]), Ok(spec));
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                wire::decode_spec(&mut &bytes[..cut]),
+                Err(wire::DecodeError::Truncated),
+                "{cut}-byte prefix"
+            );
+        }
+
+        let live = bytes[0];
+        assert_ne!(live, wire::SPEC_RETIRED_KNN);
+        for tag in 0..=u8::MAX {
+            let mut retagged = bytes.clone();
+            retagged[0] = tag;
+            let expected = match tag {
+                t if t == live => Ok(spec),
+                wire::SPEC_RETIRED_KNN => Err(wire::DecodeError::RetiredQueryKind),
+                t => Err(wire::DecodeError::BadTag(t)),
+            };
+            assert_eq!(wire::decode_spec(&mut &retagged[..]), expected, "tag {tag}");
+        }
+
+        let noise = vec(rng, 0..40, |r| r.next_u64() as u8);
+        let _ = wire::decode_spec(&mut &noise[..]);
+        let _ = wire::decode(&mut &noise[..]);
+    });
+}
+
 // ---- piecewise motion ---------------------------------------------------
 
 #[test]

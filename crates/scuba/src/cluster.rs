@@ -156,8 +156,9 @@ impl MovingCluster {
     /// pruned pairs "are guaranteed to not join at an individual level" —
     /// but a query's *range* extends beyond the cluster circle that covers
     /// only the query's position, so the plain test can prune real results.
-    /// Registering clusters in the grid by this inflated region (and using
-    /// it on the query side of the overlap test) restores the guarantee.
+    /// Listing a cluster's query side in the grid by this inflated region
+    /// (and using it on the query side of the overlap test) restores the
+    /// guarantee; the object side needs only [`MovingCluster::region`].
     #[inline]
     pub fn effective_region(&self) -> Circle {
         Circle::new(self.centroid, self.radius + self.max_query_radius)

@@ -32,8 +32,9 @@
 //!   live cluster under the one cell holding its centroid and is kept
 //!   current per update — a found, an absorb, a relocation or a dissolve
 //!   moves at most one entry;
-//! * the join needs *regions* ("which clusters' effective regions share a
-//!   cell?"). That is the [`ClusterGrid`] behind [`ClusterEngine::grid`].
+//! * the join needs *regions* ("which clusters' regions share a cell with
+//!   which clusters' effective regions?"). That is the [`ClusterGrid`]
+//!   behind [`ClusterEngine::grid`].
 //!   Nothing reads it during ingest, so ingest never touches it:
 //!   [`ClusterEngine::build_index`] rebuilds it from the store once per Δ,
 //!   right before the joining phase.
@@ -49,7 +50,7 @@ use scuba_motion::{EntityRef, LocationUpdate};
 use scuba_spatial::{Circle, GridSpec, Point, Rect, Time};
 
 use crate::cluster::{ClusterId, MovingCluster};
-use crate::grid::ClusterGrid;
+use crate::grid::{self, ClusterGrid};
 use crate::params::ScubaParams;
 use crate::store::{ClusterSlot, ClusterStore};
 use crate::tables::{EntityTable, ObjectsTable, QueriesTable};
@@ -202,15 +203,17 @@ impl ClusterEngine {
         &self.grid
     }
 
-    /// Rebuilds the region grid from the store: every live cluster is
-    /// listed in each cell of its current effective region's bounding box.
+    /// Rebuilds the region grid from the store: every live cluster with
+    /// objects is listed on the object side in each cell of its current
+    /// region's bounding box, and every one with queries on the query side
+    /// in each cell of its effective region's box.
     /// [`crate::engine::ScubaOperator`] calls this once per Δ, after the
     /// optional radius tightening and before the joining phase.
     pub fn build_index(&mut self) {
         self.grid.build(
             self.store
                 .iter()
-                .map(|(slot, cluster)| (slot, cluster.effective_region())),
+                .map(|(slot, cluster)| grid::roles(slot, cluster)),
         );
     }
 
@@ -663,6 +666,7 @@ impl ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Side;
     use crate::shedding::SheddingMode;
     use scuba_motion::{LocationUpdate, ObjectAttrs, ObjectId, QueryAttrs, QueryId, QuerySpec};
     use scuba_spatial::Point;
@@ -701,11 +705,13 @@ mod tests {
         )
     }
 
-    /// The linear cells the region grid lists `slot` in.
+    /// The linear cells the region grid lists `slot` in, on either side.
     fn cells_of(e: &ClusterEngine, slot: ClusterSlot) -> Vec<usize> {
-        (0..e.grid().spec().cell_count())
-            .filter(|&cell| e.grid().cell(cell).contains(&slot))
-            .collect()
+        let mut cells = e.grid().cells_of(slot, Side::Object);
+        cells.extend(e.grid().cells_of(slot, Side::Query));
+        cells.sort_unstable();
+        cells.dedup();
+        cells
     }
 
     #[test]
@@ -877,9 +883,7 @@ mod tests {
         let spec = *e.grid().spec();
         let centroid = e.store().get(slot).unwrap().centroid();
         assert!(
-            e.grid()
-                .cell(spec.linear(spec.cell_of(&centroid)))
-                .contains(&slot),
+            cells_of(&e, slot).contains(&spec.linear(spec.cell_of(&centroid))),
             "grid not updated after relocation"
         );
         assert_ne!(cells_of(&e, slot), before);
@@ -1051,7 +1055,7 @@ mod tests {
         let spec = e.grid().spec();
         let far_cell = spec.linear(spec.cell_of(&Point::new(575.0, 500.0)));
         assert!(
-            e.grid().cell(far_cell).contains(&slot),
+            cells_of(&e, slot).contains(&far_cell),
             "cluster not registered in a cell its region now covers"
         );
         e.check_invariants();
@@ -1191,8 +1195,7 @@ mod tests {
             .collect();
         assert_eq!(cells_of(&e, slot), expected);
         assert_eq!(e.grid().cluster_count(), 1, "the vacant slot is not listed");
-        let listed: usize = e.grid().iter_nonempty().map(|(_, s)| s.len()).sum();
-        assert_eq!(listed, expected.len());
+        assert_eq!(e.grid().listing().len(), expected.len());
         e.check_invariants();
     }
 

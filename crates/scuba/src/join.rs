@@ -3,17 +3,21 @@
 //! The phase runs as an explicit four-stage pipeline, each stage emitting
 //! a [`StageStats`] record:
 //!
-//! 1. **pair discovery** — the ClusterGrid cell walk, emitting every
-//!    cluster-slot pair that shares at least one cell exactly once, into a
-//!    reused pair buffer. The stage holds *no* cross-round state that
-//!    could accumulate pairs for dissolved clusters;
-//! 2. **join-between** (Algorithm 2) — the circle/circle overlap
-//!    pre-filter, reading each pair's two clusters from the
-//!    [`ClusterStore`] slab. Same-slot pairs survive only for mixed
-//!    clusters; cross pairs must hold an object on one side and a query on
-//!    the other, and their regions must overlap with the query side
-//!    inflated by its widest range. Pruned pairs are *guaranteed* not to
-//!    join individually (the cluster region covers all member positions);
+//! 1. **pair discovery** — the ClusterGrid cell walk by role
+//!    (`ClusterGrid::directed_pairs`): per cell, the clusters listed on
+//!    the query side meet the clusters listed on the object side, and each
+//!    *directed* pair `(O, Q)`, `O ≠ Q`, whose boxes share a cell is
+//!    emitted exactly once, into a reused pair buffer. A pass over the
+//!    store then adds the self pair `(m, m)` of every mixed cluster listed
+//!    on the query side (Algorithm 1, step 14). The stage holds *no*
+//!    cross-round state that could accumulate pairs for dissolved clusters;
+//! 2. **join-between** (Algorithm 2) — one directed circle/circle overlap
+//!    test per cross pair, reading both clusters from the
+//!    [`ClusterStore`] slab: `O` must hold objects and `Q` queries, and
+//!    `O`'s region must overlap `Q`'s region inflated by its widest range.
+//!    Self pairs pass for mixed clusters untested. Pruned pairs are
+//!    *guaranteed* not to join individually (the cluster region covers all
+//!    member positions);
 //! 3. **join-within** (Algorithm 3) — the exact object×query join over the
 //!    members of both clusters. Every surviving pair is computed from
 //!    scratch each Δ: the clusters it needs are materialised once into a
@@ -22,7 +26,8 @@
 //! 4. **result merge** — radix sort + dedup of the raw matches, which
 //!    puts the result set in its canonical `(query, object)` order,
 //!    independent of pair order. The dedup finds nothing to remove: each
-//!    entity lives in one cluster and each pair is joined once, so no
+//!    entity lives in one cluster, so a match `(q, o)` can only come from
+//!    the one directed pair `(home(o), home(q))`, which is joined once; no
 //!    match is produced twice (debug builds assert it).
 //!
 //! A stripe of the sharded executor ([`crate::shard`]) runs one more pass
@@ -42,16 +47,21 @@
 //! * Algorithm 3 joins the member *union* of both clusters, and Algorithm 1
 //!   additionally runs a same-cluster join-within for mixed clusters — with
 //!   the union semantics intra-cluster pairs would be compared once per
-//!   overlapping partner. We compare *cross* pairs in the pair join and
-//!   intra pairs exactly once in the same-cluster join, which produces the
-//!   identical result set with fewer comparisons.
+//!   overlapping partner. We compare *cross* pairs in the pair join — one
+//!   direction per pair, `O`'s objects against `Q`'s queries — and intra
+//!   pairs exactly once in the same-cluster join, which produces the
+//!   identical result set with fewer comparisons. Two mixed clusters form
+//!   two directed pairs, `(A, B)` and `(B, A)`, each with its own
+//!   join-between test, because `A`'s objects reaching `B`'s queries says
+//!   nothing about `B`'s objects reaching `A`'s queries.
 //! * Clusters sharing several grid cells would be joined once per shared
-//!   cell. Each cluster is listed in the cells of its bounding box, so two
-//!   clusters that share a cell share a rectangle of cells, and the pair
-//!   is emitted only in that rectangle's lowest cell: the cell whose
-//!   column and row are the larger of the two boxes' lowest ones (the
-//!   reference-point method of Dittrich & Seeger, ICDE 2000). Nothing is
-//!   emitted twice, so nothing needs a sort to deduplicate.
+//!   cell. Each cluster is listed in the cells of its bounding box on each
+//!   side, so an object-side box and a query-side box that share a cell
+//!   share a rectangle of cells, and the pair is emitted only in that
+//!   rectangle's lowest cell: the cell whose column and row are the larger
+//!   of the two boxes' lowest ones (the reference-point method of
+//!   Dittrich & Seeger, ICDE 2000). Nothing is emitted twice, so nothing
+//!   needs a sort to deduplicate.
 //!
 //! Load shedding (§5) surfaces here: members whose relative position was
 //! discarded are approximated **by their cluster centroid** — "individual
@@ -73,12 +83,13 @@ use scuba_spatial::{Circle, Point, Rect};
 use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
 use crate::cluster::MovingCluster;
-use crate::grid::ClusterGrid;
+use crate::grid::{ClusterGrid, Side};
 use crate::radix;
 use crate::store::{ClusterSlot, ClusterStore};
 use crate::tables::QueriesTable;
 
-/// Stage name: grid cell walk emitting each co-resident pair once.
+/// Stage name: grid cell walk emitting each directed object→query pair
+/// that shares a cell once.
 pub const STAGE_PAIR_DISCOVERY: &str = "pair-discovery";
 /// Stage name: cluster-pair overlap pre-filter (Algorithm 2).
 pub const STAGE_JOIN_BETWEEN: &str = "join-between";
@@ -128,9 +139,12 @@ pub struct JoinContext<'a> {
 /// per-cluster state across rounds.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
-    /// Stage-1 output: every co-resident slot pair, once, smaller slot
-    /// first.
+    /// Stage-1 output: every directed `(objects, queries)` slot pair that
+    /// shares a cell, once, and the self pair of each listed mixed cluster.
     pairs: Vec<(ClusterSlot, ClusterSlot)>,
+    /// Stage-1 scratch: one cell's object side, sorted by where each box
+    /// starts.
+    classed: Vec<ClusterSlot>,
     /// Radix scatter buffer of stage 4 (matches).
     merge_tmp: Vec<QueryMatch>,
     /// Stage-2 output, stage-3 input: pairs surviving join-between.
@@ -148,8 +162,8 @@ impl JoinScratch {
     }
 
     /// Bytes of heap currently reserved across every scratch buffer —
-    /// pair and task lists, the radix scatter buffer, the materialisation
-    /// arena and the join-within block.
+    /// pair, class and task lists, the radix scatter buffer, the
+    /// materialisation arena and the join-within block.
     ///
     /// The steady-state contract is that this value stops changing once
     /// the workload shape settles: an epoch clears lengths but never
@@ -172,6 +186,7 @@ impl JoinScratch {
         let within = self.within.results.capacity() * size_of::<QueryMatch>()
             + self.within.active.capacity() * size_of::<u32>();
         (self.pairs.capacity() + self.tasks.capacity()) * size_of::<(ClusterSlot, ClusterSlot)>()
+            + self.classed.capacity() * size_of::<ClusterSlot>()
             + self.merge_tmp.capacity() * size_of::<QueryMatch>()
             + arena_bytes
             + within
@@ -345,17 +360,14 @@ impl Replica {
     }
 }
 
-/// Algorithm 2's test of a cross pair: `None` when the kinds cannot join
-/// (step 18: no test is made), otherwise whether the two regions overlap
-/// with the query side inflated by its widest range, so a pruned pair
-/// really cannot produce results (see
-/// [`crate::MovingCluster::effective_region`]).
-fn between(l: &MovingCluster, r: &MovingCluster) -> Option<bool> {
-    let joinable = (l.object_count() > 0 && r.query_count() > 0)
-        || (l.query_count() > 0 && r.object_count() > 0);
-    joinable.then(|| {
-        l.region().overlaps(&r.effective_region()) || r.region().overlaps(&l.effective_region())
-    })
+/// Algorithm 2's test of a directed cross pair, `o`'s objects against
+/// `q`'s queries: `None` when `o` has no objects or `q` no queries (step
+/// 18: no test is made), otherwise whether `o`'s region overlaps `q`'s
+/// region inflated by its widest range, so a pruned pair really cannot
+/// produce results (see [`crate::MovingCluster::effective_region`]).
+fn between(o: &MovingCluster, q: &MovingCluster) -> Option<bool> {
+    (o.object_count() > 0 && q.query_count() > 0)
+        .then(|| o.region().overlaps(&q.effective_region()))
 }
 
 impl<'a> JoinContext<'a> {
@@ -369,7 +381,8 @@ impl<'a> JoinContext<'a> {
         let mut sw = Stopwatch::start();
 
         // Stage 1 — pair discovery: the cell walk, each pair once.
-        let (entries_walked, candidates) = self.discover_pairs(&mut scratch.pairs);
+        let (entries_walked, candidates) =
+            self.discover_pairs(&mut scratch.pairs, &mut scratch.classed);
         let discovered = scratch.pairs.len() as u64;
         out.stages.push(
             StageStats::join(STAGE_PAIR_DISCOVERY)
@@ -398,15 +411,15 @@ impl<'a> JoinContext<'a> {
             ..
         } = &mut *scratch;
         arena.clear(self.store.capacity());
-        for &(left, right) in tasks.iter() {
-            self.materialize_slot(left, arena);
-            if right != left {
-                self.materialize_slot(right, arena);
+        for &(o, q) in tasks.iter() {
+            self.materialize_slot(o, arena);
+            if q != o {
+                self.materialize_slot(q, arena);
             }
         }
         within.reset();
-        for &(left, right) in tasks.iter() {
-            self.join_pair(arena, left, right, within);
+        for &(o, q) in tasks.iter() {
+            self.join_pair(arena, o, q, within);
         }
         out.comparisons += within.comparisons;
         out.prefilter_tests += within.reach_tests;
@@ -432,34 +445,25 @@ impl<'a> JoinContext<'a> {
         out
     }
 
-    /// Stage 1: walks the grid cell by cell and fills `pairs` with every
-    /// co-resident slot pair (self-pairs included), each exactly once.
-    /// Returns `(entries_walked, candidates)`.
-    ///
-    /// A pair `(A, B)` is emitted only in its reference cell, the lowest
-    /// cell of the intersection of the two boxes:
-    /// `(max(lo_A.col, lo_B.col), max(lo_A.row, lo_B.row))`. Both boxes
-    /// cover every cell of that intersection and no cell outside it is
-    /// shared, so every pair that shares a cell meets its reference cell
-    /// exactly once. Cells list slots ascending, so `A ≤ B`.
-    fn discover_pairs(&self, pairs: &mut Vec<(ClusterSlot, ClusterSlot)>) -> (u64, u64) {
-        pairs.clear();
-        let mut entries_walked = 0u64;
-        let mut candidates = 0u64;
-        for (cell, slots) in self.grid.iter_nonempty() {
-            entries_walked += slots.len() as u64;
-            candidates += (slots.len() * (slots.len() + 1) / 2) as u64;
-            for (i, &left) in slots.iter().enumerate() {
-                let lo = self.grid.lowest_cell(left);
-                for &right in &slots[i..] {
-                    let other = self.grid.lowest_cell(right);
-                    if lo.col.max(other.col) == cell.col && lo.row.max(other.row) == cell.row {
-                        pairs.push((left, right));
-                    }
-                }
-            }
-        }
-        (entries_walked, candidates)
+    /// Stage 1: fills `pairs` with every directed pair `(O, Q)`, `O ≠ Q`,
+    /// whose object-side and query-side boxes share a cell, each exactly
+    /// once (`ClusterGrid::directed_pairs`), then with the self pair
+    /// `(m, m)` of every mixed cluster listed on the query side: one whose
+    /// effective box misses the area reaches no object in it, so it gets
+    /// no self join. Returns `(entries_walked, candidates)`.
+    fn discover_pairs(
+        &self,
+        pairs: &mut Vec<(ClusterSlot, ClusterSlot)>,
+        classed: &mut Vec<ClusterSlot>,
+    ) -> (u64, u64) {
+        let walked = self.grid.directed_pairs(pairs, classed);
+        pairs.extend(
+            self.store
+                .iter()
+                .filter(|&(slot, c)| c.is_mixed() && self.grid.lists(slot, Side::Query))
+                .map(|(slot, _)| (slot, slot)),
+        );
+        walked
     }
 
     /// Stage 2: filters the discovered pairs down to the pairs join-within
@@ -468,9 +472,10 @@ impl<'a> JoinContext<'a> {
     /// made.
     ///
     /// Same-slot pairs survive only for mixed clusters (Algorithm 1, step
-    /// 14). Cross pairs must pass the joinable-kind check (step 18) and
-    /// then the circle-overlap test, with the query side inflated by its
-    /// widest range so a pruned pair really cannot produce results (see
+    /// 14). A directed cross pair `(O, Q)` must pass the joinable-kind
+    /// check (step 18) and then the circle-overlap test of `O`'s region
+    /// against `Q`'s region inflated by its widest range, so a pruned pair
+    /// really cannot produce results (see
     /// [`crate::MovingCluster::effective_region`]). A vacant slot is
     /// skipped.
     fn join_between(
@@ -480,20 +485,20 @@ impl<'a> JoinContext<'a> {
     ) -> u64 {
         tasks.clear();
         let mut tests = 0u64;
-        for &(left, right) in pairs {
-            let (Some(l), Some(r)) = (self.store.get(left), self.store.get(right)) else {
+        for &(o, q) in pairs {
+            let (Some(objects), Some(queries)) = (self.store.get(o), self.store.get(q)) else {
                 continue;
             };
-            if left == right {
-                if l.is_mixed() {
-                    tasks.push((left, right));
+            if o == q {
+                if objects.is_mixed() {
+                    tasks.push((o, q));
                 }
                 continue;
             }
-            if let Some(overlap) = between(l, r) {
+            if let Some(overlap) = between(objects, queries) {
                 tests += 1;
                 if overlap {
-                    tasks.push((left, right));
+                    tasks.push((o, q));
                 }
             }
         }
@@ -502,12 +507,13 @@ impl<'a> JoinContext<'a> {
 
     /// The cross-stripe pass, run after [`JoinContext::run`] with the same
     /// scratch in the same epoch: joins every local cluster against every
-    /// received ghost. Ghosts are materialised into the same arena under
-    /// the keys past the store's slots, each pair is tested with
-    /// join-between's predicate, and a passing pair is joined by
-    /// [`JoinContext::join_pair`]. Appends the matches (unsorted) to
-    /// `out.results`, adds the work to `out`'s counters, and returns the
-    /// pairs joined.
+    /// received ghost, in both directions. Ghosts are materialised into
+    /// the same arena under the keys past the store's slots, each directed
+    /// pair — local objects against ghost queries, and ghost objects
+    /// against local queries — is tested with join-between's predicate,
+    /// and a passing pair is joined by [`JoinContext::join_pair`]. Appends
+    /// the matches (unsorted) to `out.results`, adds the work to `out`'s
+    /// counters, and returns the directed pairs joined.
     pub(crate) fn join_ghosts(
         &self,
         ghosts: &[Replica],
@@ -522,20 +528,26 @@ impl<'a> JoinContext<'a> {
         let mut pairs = 0u64;
         for (slot, local) in self.store.iter() {
             for (i, ghost) in ghosts.iter().enumerate() {
-                let Some(overlap) = between(local, &ghost.cluster) else {
-                    continue;
-                };
-                tests += 1;
-                if !overlap {
-                    continue;
-                }
                 let key = ClusterSlot((base + i) as u32);
-                self.materialize_slot(slot, arena);
-                if arena.entry(key).is_none() {
-                    materialize_into(key, &ghost.cluster, |qid| ghost.spec(qid), arena);
+                let directions = [
+                    (slot, local, key, &ghost.cluster),
+                    (key, &ghost.cluster, slot, local),
+                ];
+                for (o, objects, q, queries) in directions {
+                    let Some(overlap) = between(objects, queries) else {
+                        continue;
+                    };
+                    tests += 1;
+                    if !overlap {
+                        continue;
+                    }
+                    self.materialize_slot(slot, arena);
+                    if arena.entry(key).is_none() {
+                        materialize_into(key, &ghost.cluster, |qid| ghost.spec(qid), arena);
+                    }
+                    self.join_pair(arena, o, q, within);
+                    pairs += 1;
                 }
-                self.join_pair(arena, slot, key, within);
-                pairs += 1;
             }
         }
         out.comparisons += within.comparisons;
@@ -544,22 +556,11 @@ impl<'a> JoinContext<'a> {
         pairs
     }
 
-    /// Joins one surviving pair: the same-cluster join for `(c, c)`
-    /// tasks, otherwise L-objects × R-queries and R-objects × L-queries.
-    fn join_pair(
-        &self,
-        arena: &MatArena,
-        left: ClusterSlot,
-        right: ClusterSlot,
-        ws: &mut WithinScratch,
-    ) {
-        if let (Some(&m_l), Some(&m_r)) = (arena.entry(left), arena.entry(right)) {
-            if left == right {
-                self.join_members(arena, &m_l, &m_l, ws);
-            } else {
-                self.join_members(arena, &m_l, &m_r, ws);
-                self.join_members(arena, &m_r, &m_l, ws);
-            }
+    /// Joins one surviving directed pair, `o`'s objects against `q`'s
+    /// queries; for a `(m, m)` task that is the same-cluster join.
+    fn join_pair(&self, arena: &MatArena, o: ClusterSlot, q: ClusterSlot, ws: &mut WithinScratch) {
+        if let (Some(&m_o), Some(&m_q)) = (arena.entry(o), arena.entry(q)) {
+            self.join_members(arena, &m_o, &m_q, ws);
         }
     }
 
@@ -882,13 +883,13 @@ mod tests {
         MovingCluster::found(ClusterId(u.entity.raw()), u, false)
     }
 
-    /// Runs the join-between stage alone over every slot pair of `store`
-    /// (self-pairs included, smaller slot first); returns the surviving
-    /// pairs and the overlap tests made.
+    /// Runs the join-between stage alone over every directed slot pair of
+    /// `store` (self pairs included); returns the surviving pairs and the
+    /// overlap tests made.
     fn between_all(store: &ClusterStore) -> (Vec<(ClusterSlot, ClusterSlot)>, u64) {
         let n = store.capacity() as u32;
         let pairs: Vec<_> = (0..n)
-            .flat_map(|a| (a..n).map(move |b| (ClusterSlot(a), ClusterSlot(b))))
+            .flat_map(|a| (0..n).map(move |b| (ClusterSlot(a), ClusterSlot(b))))
             .collect();
         let grid = ClusterGrid::new(GridSpec::new(Rect::square(1000.0), 1));
         let queries = QueriesTable::new();
@@ -1252,8 +1253,11 @@ mod tests {
         hits.then(|| (spec.cell_of(&b.min), spec.cell_of(&b.max)))
     }
 
-    /// Pair discovery emits each pair of clamped boxes that share a cell
-    /// exactly once, and so every pair of overlapping listed circles.
+    /// Pair discovery emits each directed pair `(O, Q)`, `O ≠ Q`, whose
+    /// object-side and query-side clamped boxes share a cell exactly once,
+    /// and so every directed pair of overlapping listed circles. Clusters
+    /// are objects only, queries only or mixed; a mixed cluster's query
+    /// side is its object side inflated, or a region drawn on its own.
     #[test]
     fn pair_discovery_emits_each_box_sharing_pair_once() {
         check(
@@ -1275,22 +1279,35 @@ mod tests {
                     })
                     .collect();
                 let mut next = 0u32;
-                let regions: Vec<(ClusterSlot, Circle)> = (0..rng.gen_range(0..60usize))
+                let clusters: Vec<(ClusterSlot, Option<Circle>, Option<Circle>)> = (0..rng
+                    .gen_range(0..60usize))
                     .map(|_| {
                         next += rng.gen_range(1..4u32);
-                        (ClusterSlot(next), scatter_region(rng, area, &hotspots))
+                        let region = scatter_region(rng, area, &hotspots);
+                        let reach = if rng.gen_bool(0.5) {
+                            let extra = [0.0, 1.0, 4.0][rng.gen_range(0..3usize)];
+                            Circle::new(region.center, region.radius + extra)
+                        } else {
+                            scatter_region(rng, area, &hotspots)
+                        };
+                        let (objects, queries) = match rng.gen_range(0..3u32) {
+                            0 => (Some(region), None),
+                            1 => (None, Some(reach)),
+                            _ => (Some(region), Some(reach)),
+                        };
+                        (ClusterSlot(next), objects, queries)
                     })
                     .collect();
                 let mut grid = ClusterGrid::new(spec);
-                grid.build(regions.iter().copied());
+                grid.build(clusters.iter().copied());
                 let (store, queries) = (ClusterStore::new(), QueriesTable::new());
                 let ctx = JoinContext {
                     store: &store,
                     grid: &grid,
                     queries: &queries,
                 };
-                let mut pairs = Vec::new();
-                ctx.discover_pairs(&mut pairs);
+                let (mut pairs, mut classed) = (Vec::new(), Vec::new());
+                let (_, candidates) = ctx.discover_pairs(&mut pairs, &mut classed);
 
                 let mut distinct = pairs.clone();
                 distinct.sort_unstable();
@@ -1298,25 +1315,61 @@ mod tests {
                 assert_eq!(distinct.len(), pairs.len(), "a pair was emitted twice");
 
                 let mut expected = Vec::new();
-                for (i, &(a, ra)) in regions.iter().enumerate() {
-                    for &(b, rb) in &regions[i..] {
-                        let (Some((lo_a, hi_a)), Some((lo_b, hi_b))) =
-                            (cell_box(&spec, &ra), cell_box(&spec, &rb))
+                let mut sharing_cells = 0u64;
+                for &(o, objects, _) in &clusters {
+                    for &(q, _, reach) in &clusters {
+                        let (Some(region), Some(reach)) = (objects, reach) else {
+                            continue;
+                        };
+                        let (Some((lo_o, hi_o)), Some((lo_q, hi_q))) =
+                            (cell_box(&spec, &region), cell_box(&spec, &reach))
                         else {
                             continue;
                         };
-                        if lo_a.col.max(lo_b.col) <= hi_a.col.min(hi_b.col)
-                            && lo_a.row.max(lo_b.row) <= hi_a.row.min(hi_b.row)
-                        {
-                            expected.push((a, b));
-                        } else {
-                            assert!(!ra.overlaps(&rb), "{a:?}/{b:?} overlap, boxes apart");
+                        let cols = lo_o.col.max(lo_q.col)..=hi_o.col.min(hi_q.col);
+                        let rows = lo_o.row.max(lo_q.row)..=hi_o.row.min(hi_q.row);
+                        sharing_cells += (cols.clone().count() * rows.clone().count()) as u64;
+                        if cols.is_empty() || rows.is_empty() {
+                            assert!(
+                                !region.overlaps(&reach),
+                                "{o:?} → {q:?} overlap, boxes apart"
+                            );
+                        } else if o != q {
+                            expected.push((o, q));
                         }
                     }
                 }
                 expected.sort_unstable();
                 assert_eq!(distinct, expected);
+                assert_eq!(candidates, sharing_cells, "n_query × n_object per cell");
             },
         );
+    }
+
+    /// A mixed cluster self-joins (Algorithm 1, step 14) when its query
+    /// side is listed, even with its plain region off the area; one whose
+    /// effective region misses the area too gets no self pair.
+    #[test]
+    fn off_area_mixed_cluster_gets_no_self_join() {
+        let mut e = ClusterEngine::new(ScubaParams::default(), Rect::square(1000.0));
+        // Region x ∈ [−30, −25], effective region reaching x ≈ 3: listed on
+        // the query side only. The query's range [−45, −5] holds the object.
+        e.process_update(&obj(1, -30.0, 500.0, 30.0, CN_WEST));
+        e.process_update(&qry(1, -25.0, 500.0, 30.0, CN_WEST, 40.0));
+        // Both boxes far off the area: listed nowhere.
+        e.process_update(&obj(2, -300.0, 500.0, 30.0, CN_WEST));
+        e.process_update(&qry(2, -295.0, 500.0, 30.0, CN_WEST, 40.0));
+        assert_eq!(e.cluster_count(), 2);
+        assert!(e.store().values().all(MovingCluster::is_mixed));
+        e.build_index();
+        let home = |id| e.home().cluster_of(ObjectId(id).into()).unwrap();
+        let (near, far) = (home(1), home(2));
+        assert!(!e.grid().lists(near, Side::Object) && e.grid().lists(near, Side::Query));
+        assert!(!e.grid().lists(far, Side::Query));
+        let (mut pairs, mut classed) = (Vec::new(), Vec::new());
+        ctx(&e).discover_pairs(&mut pairs, &mut classed);
+        assert_eq!(pairs, [(near, near)]);
+        let out = run(&e);
+        assert_eq!(out.results, [QueryMatch::new(QueryId(1), ObjectId(1))]);
     }
 }

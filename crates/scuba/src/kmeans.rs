@@ -21,7 +21,7 @@ use scuba_spatial::{FxHashMap, GridSpec, Point, Rect};
 use scuba_stream::Stopwatch;
 
 use crate::cluster::{ClusterId, MovingCluster};
-use crate::grid::ClusterGrid;
+use crate::grid::{roles, ClusterGrid};
 use crate::join::{JoinContext, JoinOutput, JoinScratch};
 use crate::params::ScubaParams;
 use crate::store::ClusterStore;
@@ -158,11 +158,7 @@ pub fn kmeans_cluster(
         clusters.insert(cluster);
     }
     let mut grid = ClusterGrid::new(GridSpec::new(area, params.grid_cells));
-    grid.build(
-        clusters
-            .iter()
-            .map(|(slot, cluster)| (slot, cluster.effective_region())),
-    );
+    grid.build(clusters.iter().map(|(slot, cluster)| roles(slot, cluster)));
 
     KMeansOutcome {
         clusters,

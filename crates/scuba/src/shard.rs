@@ -177,8 +177,8 @@ impl EpochBarrier {
 pub const STAGE_SHARD_ROUTE: &str = "shard-route";
 /// Stage name: boundary-ghost exchange plus the owner-side cross-stripe
 /// join (join bucket). `items_in` = ghosts received, `items_out` =
-/// (local, ghost) cluster pairs that survived the circle pre-filter,
-/// `tests` = exact cross-join comparisons.
+/// directed (local, ghost) cluster pairs, either way round, that survived
+/// the circle pre-filter, `tests` = exact cross-join comparisons.
 pub const STAGE_SHARD_EXCHANGE: &str = "shard-exchange";
 /// Stage name: merging per-shard result sets into the canonical report
 /// (join bucket). `items_in` = concatenated matches, `items_out` =

@@ -99,7 +99,8 @@ struct Supervision {
     kill: Time,
     /// A draw placing the tear in the killed run's newest journal segment.
     wal_tear: Option<u64>,
-    /// A draw placing a tear strictly inside one tick of the trace.
+    /// A draw placing a tear in the trace, at the start of a tick or
+    /// strictly inside one.
     trace_tear: Option<u64>,
     /// Worker panics in both stages of the killed run (shards > 1).
     panics: Option<PanicPlan>,
@@ -620,17 +621,22 @@ fn run_supervision(s: &Schedule, sup: &Supervision, truth: &BTreeMap<Time, Vec<Q
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Where `draw` tears `trace`: a cut strictly inside one tick's record,
-/// and the number of whole ticks before it.
+/// Where `draw` tears `trace`: exactly at the start of one tick (the top
+/// bit set) or strictly inside one tick's record, and the number of whole
+/// ticks before the cut. The walk stops at the trailer, whose first word
+/// is `u32::MAX` where a tick's update count would be.
 fn tear(trace: &[u8], draw: u64) -> (usize, Time) {
     let mut starts = Vec::new();
     let mut pos = 8;
-    while pos < trace.len() {
+    while pos < trace.len() && trace[pos..pos + 4] != [0xFF; 4] {
         starts.push(pos);
         pos += 8 + u32::from_le_bytes(trace[pos + 4..pos + 8].try_into().unwrap()) as usize;
     }
     let tick = draw as usize % starts.len();
-    let end = starts.get(tick + 1).copied().unwrap_or(trace.len());
+    if draw >> 63 == 1 {
+        return (starts[tick], tick as Time);
+    }
+    let end = starts.get(tick + 1).copied().unwrap_or(pos);
     let cut = starts[tick] + 1 + (draw >> 32) as usize % (end - starts[tick] - 1);
     (cut, tick as Time)
 }

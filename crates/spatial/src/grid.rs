@@ -132,7 +132,7 @@ impl GridSpec {
 
     /// Inverse of [`GridSpec::linear`].
     #[inline]
-    pub fn from_linear(&self, linear: usize) -> CellIdx {
+    fn cell_at(&self, linear: usize) -> CellIdx {
         let n = self.cells_per_side as usize;
         CellIdx {
             col: (linear % n) as u32,
@@ -214,7 +214,7 @@ impl<T: Clone> SpatialGrid<T> {
             .iter()
             .enumerate()
             .filter(|(_, v)| !v.is_empty())
-            .map(move |(linear, v)| (self.spec.from_linear(linear), v.as_slice()))
+            .map(move |(linear, v)| (self.spec.cell_at(linear), v.as_slice()))
     }
 
     /// Total number of stored entries (counting one per overlapped cell).
@@ -281,7 +281,7 @@ mod tests {
     fn linear_roundtrip() {
         let s = spec(7);
         for linear in 0..s.cell_count() {
-            assert_eq!(s.linear(s.from_linear(linear)), linear);
+            assert_eq!(s.linear(s.cell_at(linear)), linear);
         }
     }
 

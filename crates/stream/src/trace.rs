@@ -11,15 +11,27 @@
 //!
 //! ```text
 //! magic  "SCTR" u32
-//! version u32 (=1)
+//! version u32 (=2)
 //! repeated ticks:
-//!   count    u32         # updates in this tick
+//!   count    u32         # updates in this tick (never 0xFFFF_FFFF)
 //!   byte_len u32         # size of the encoded block that follows
 //!   block    [u8; byte_len]  # count × scuba_motion::wire records
+//! trailer:
+//!   end      u32 (=0xFFFF_FFFF)
+//!   ticks    u64         # ticks written
 //! ```
 //!
-//! End of stream = end of ticks (no trailer). A stream that ends inside a
-//! tick is [`TraceError::Truncated`].
+//! The trailer, written by [`TraceWriter::finish`], is what tells a whole
+//! trace from one cut between two ticks: a version-2 stream that ends
+//! anywhere before the end of its trailer — inside a tick, between two
+//! ticks or inside the trailer — is [`TraceError::Truncated`]. A trailer
+//! that counts other than the ticks before it, or bytes after the
+//! trailer, are [`TraceError::Corrupt`].
+//!
+//! Version 1 (no trailer) still reads: its end of stream is the end of its
+//! ticks, so a version-1 trace cut exactly between two ticks reads as a
+//! whole, shorter trace — the reader cannot detect that cut. A version-1
+//! stream that ends inside a tick is [`TraceError::Truncated`].
 
 use std::io::{self, Read, Write};
 
@@ -28,7 +40,11 @@ use scuba_motion::{wire, LocationUpdate};
 use crate::executor::UpdateSource;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"SCTR");
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// The version without a trailer, still read.
+const VERSION_UNTERMINATED: u32 = 1;
+/// The trailer's first word, where a tick's update count would be.
+const END: u32 = u32::MAX;
 
 /// Writes a tick-structured trace.
 ///
@@ -76,11 +92,15 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends one tick's updates.
     pub fn write_tick(&mut self, updates: &[LocationUpdate]) -> io::Result<()> {
+        let count = u32::try_from(updates.len())
+            .ok()
+            .filter(|&n| n != END)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "tick too large"))?;
         self.ensure_header()?;
         // The 8-byte tick header is reserved up front and patched once the
         // block behind it is complete.
         let mut tick = Vec::with_capacity(8 + updates.len() * 64);
-        tick.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+        tick.extend_from_slice(&count.to_le_bytes());
         tick.extend_from_slice(&[0; 4]);
         for u in updates {
             wire::encode_into(u, &mut tick);
@@ -103,10 +123,13 @@ impl<W: Write> TraceWriter<W> {
         self.updates
     }
 
-    /// Writes the header if nothing was written yet, flushes, and returns
-    /// the sink.
+    /// Writes the header if nothing was written yet, then the trailer with
+    /// the tick count, flushes, and returns the sink. A trace without its
+    /// trailer reads as truncated.
     pub fn finish(mut self) -> io::Result<W> {
         self.ensure_header()?;
+        self.sink.write_all(&END.to_le_bytes())?;
+        self.sink.write_all(&self.ticks.to_le_bytes())?;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -119,9 +142,10 @@ pub enum TraceError {
     Io(io::Error),
     /// Missing or wrong magic/version header.
     BadHeader,
-    /// The trace ended inside a tick.
+    /// The trace ended inside a tick, or (version 2) anywhere before the
+    /// end of its trailer.
     Truncated {
-        /// Complete ticks before the cut one.
+        /// Complete ticks before the cut.
         tick: u64,
     },
     /// A record failed to decode.
@@ -159,7 +183,8 @@ impl From<io::Error> for TraceError {
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
-    header_checked: bool,
+    /// The header's version, once read.
+    version: Option<u32>,
     exhausted: bool,
     ticks_read: u64,
     error: Option<TraceError>,
@@ -170,7 +195,7 @@ impl<R: Read> TraceReader<R> {
     pub fn new(source: R) -> Self {
         TraceReader {
             source,
-            header_checked: false,
+            version: None,
             exhausted: false,
             ticks_read: 0,
             error: None,
@@ -182,19 +207,47 @@ impl<R: Read> TraceReader<R> {
         self.ticks_read
     }
 
-    fn check_header(&mut self) -> Result<(), TraceError> {
-        if self.header_checked {
-            return Ok(());
+    /// Reads and checks the header once; returns the trace's version.
+    fn check_header(&mut self) -> Result<u32, TraceError> {
+        if let Some(version) = self.version {
+            return Ok(version);
         }
         let mut header = [0u8; 8];
         self.source
             .read_exact(&mut header)
             .map_err(|_| TraceError::BadHeader)?;
         let mut buf = &header[..];
-        if wire::read_u32(&mut buf) != Ok(MAGIC) || wire::read_u32(&mut buf) != Ok(VERSION) {
-            return Err(TraceError::BadHeader);
+        let version = match (wire::read_u32(&mut buf), wire::read_u32(&mut buf)) {
+            (Ok(MAGIC), Ok(v @ (VERSION | VERSION_UNTERMINATED))) => v,
+            _ => return Err(TraceError::BadHeader),
+        };
+        self.version = Some(version);
+        Ok(version)
+    }
+
+    /// Reads the rest of a version-2 trailer after its `END` word: the
+    /// tick count must match the ticks read, and nothing may follow.
+    fn read_trailer(&mut self) -> Result<(), TraceError> {
+        let mut count = Vec::with_capacity(8);
+        self.source.by_ref().take(8).read_to_end(&mut count)?;
+        let Ok(written) = wire::read_u64(&mut &count[..]) else {
+            return Err(TraceError::Truncated {
+                tick: self.ticks_read,
+            });
+        };
+        if written != self.ticks_read {
+            return Err(TraceError::Corrupt(format!(
+                "trailer counts {written} ticks after {} whole ticks",
+                self.ticks_read
+            )));
         }
-        self.header_checked = true;
+        let mut rest = Vec::new();
+        self.source.by_ref().take(1).read_to_end(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(TraceError::Corrupt(format!(
+                "bytes after the trailer of {written} ticks"
+            )));
+        }
         Ok(())
     }
 
@@ -203,21 +256,32 @@ impl<R: Read> TraceReader<R> {
         if self.exhausted {
             return Ok(None);
         }
-        self.check_header()?;
+        let version = self.check_header()?;
 
-        // Up to the tick header: nothing at all is the clean end of the
-        // trace, anything shorter than the header is a torn tick.
-        let mut header = Vec::with_capacity(8);
-        self.source.by_ref().take(8).read_to_end(&mut header)?;
-        if header.is_empty() {
-            self.exhausted = true;
-            return Ok(None);
-        }
+        // Up to the tick header. Nothing at all is the clean end of a
+        // version-1 trace and a cut version-2 one; the trailer is the clean
+        // end of a version-2 trace; anything else shorter than the header
+        // is a torn tick.
         let truncated = TraceError::Truncated {
             tick: self.ticks_read,
         };
-        let mut buf = &header[..];
-        let (Ok(count), Ok(byte_len)) = (wire::read_u32(&mut buf), wire::read_u32(&mut buf)) else {
+        let mut header = Vec::with_capacity(8);
+        self.source.by_ref().take(4).read_to_end(&mut header)?;
+        if header.is_empty() && version == VERSION_UNTERMINATED {
+            self.exhausted = true;
+            return Ok(None);
+        }
+        let Ok(count) = wire::read_u32(&mut &header[..]) else {
+            return Err(truncated);
+        };
+        if count == END && version == VERSION {
+            self.read_trailer()?;
+            self.exhausted = true;
+            return Ok(None);
+        }
+        header.clear();
+        self.source.by_ref().take(4).read_to_end(&mut header)?;
+        let Ok(byte_len) = wire::read_u32(&mut &header[..]) else {
             return Err(truncated);
         };
         let mut block = Vec::new();
@@ -313,6 +377,23 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Bytes of the trailer [`TraceWriter::finish`] appends.
+    const TRAILER: usize = 12;
+
+    /// Where the tick after `ticks` starts in a trace that begins with
+    /// them: their recording without its trailer.
+    fn ticks_end(ticks: &[Vec<LocationUpdate>]) -> usize {
+        record(ticks).len() - TRAILER
+    }
+
+    /// The same ticks as a version-1 trace: version word 1, no trailer.
+    fn record_v1(ticks: &[Vec<LocationUpdate>]) -> Vec<u8> {
+        let mut bytes = record(ticks);
+        bytes.truncate(bytes.len() - TRAILER);
+        bytes[4..8].copy_from_slice(&VERSION_UNTERMINATED.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn roundtrip_multiple_ticks() {
         let ticks = vec![updates(1, 3), updates(2, 0), updates(3, 7)];
@@ -350,31 +431,72 @@ mod tests {
         assert!(matches!(r.read_tick(), Err(TraceError::BadHeader)));
     }
 
+    /// Every strict prefix past the header is truncated, naming the whole
+    /// ticks before the cut: inside a tick, exactly between two ticks, and
+    /// inside or just before the trailer.
     #[test]
     fn truncated_tick_detected() {
-        let bytes = record(&[updates(1, 2), updates(2, 3)]);
-        let second = record(&[updates(1, 2)]).len();
-        // Cut inside the first tick, then inside the second.
-        for (start, end, complete) in [(8, second, 0), (second, bytes.len(), 1)] {
-            for cut in start + 1..end {
-                let mut r = TraceReader::new(&bytes[..cut]);
-                for _ in 0..complete {
-                    assert!(r.read_tick().unwrap().is_some());
-                }
-                assert!(
-                    matches!(r.read_tick(), Err(TraceError::Truncated { tick }) if tick == complete),
-                    "{cut}-byte prefix"
-                );
-            }
-            let mut r = TraceReader::new(&bytes[..start]);
+        let ticks = [updates(1, 2), updates(2, 3)];
+        let bytes = record(&ticks);
+        let (second, trailer) = (ticks_end(&ticks[..1]), ticks_end(&ticks));
+        for cut in 8..bytes.len() {
+            let complete = match cut {
+                c if c < second => 0,
+                c if c < trailer => 1,
+                _ => 2,
+            };
+            let mut r = TraceReader::new(&bytes[..cut]);
             for _ in 0..complete {
                 assert!(r.read_tick().unwrap().is_some());
             }
             assert!(
-                r.read_tick().unwrap().is_none(),
-                "a cut between ticks is a clean end"
+                matches!(r.read_tick(), Err(TraceError::Truncated { tick }) if tick == complete),
+                "{cut}-byte prefix"
             );
         }
+    }
+
+    /// The trailer must count the ticks before it, and end the stream.
+    #[test]
+    fn trailer_mismatch_is_corrupt() {
+        let ticks = [updates(1, 2), updates(2, 3)];
+        let bytes = record(&ticks);
+        let mut short = record(&ticks[..1]);
+        short.truncate(short.len() - TRAILER);
+        short.extend_from_slice(&bytes[bytes.len() - TRAILER..]);
+        let mut long = bytes.clone();
+        long.push(0);
+        for (stream, whole) in [(&short, 1), (&long, 2)] {
+            let mut r = TraceReader::new(&stream[..]);
+            for _ in 0..whole {
+                assert!(r.read_tick().unwrap().is_some());
+            }
+            assert!(matches!(r.read_tick(), Err(TraceError::Corrupt(_))));
+        }
+    }
+
+    /// A version-1 trace still replays. It has no trailer, so a cut inside
+    /// a tick is truncated but a cut exactly between two ticks reads as a
+    /// whole, shorter trace: version 1 cannot detect it.
+    #[test]
+    fn version_1_reads_without_a_trailer() {
+        let ticks = [updates(1, 2), updates(2, 3)];
+        let bytes = record_v1(&ticks);
+        let mut r = TraceReader::new(&bytes[..]);
+        for t in &ticks {
+            assert_eq!(&r.read_tick().unwrap().unwrap(), t);
+        }
+        assert!(r.read_tick().unwrap().is_none());
+        let second = record_v1(&ticks[..1]).len();
+        let mut r = TraceReader::new(&bytes[..second]);
+        assert!(r.read_tick().unwrap().is_some());
+        assert!(r.read_tick().unwrap().is_none(), "undetectable in v1");
+        let mut r = TraceReader::new(&bytes[..second + 3]);
+        assert!(r.read_tick().unwrap().is_some());
+        assert!(matches!(
+            r.read_tick(),
+            Err(TraceError::Truncated { tick: 1 })
+        ));
     }
 
     #[test]
@@ -399,13 +521,14 @@ mod tests {
 
     #[test]
     fn update_source_keeps_the_first_error_and_stops() {
-        let bytes = record(&[updates(1, 2), updates(2, 3), updates(3, 4)]);
-        let second = record(&[updates(1, 2)]).len();
+        let ticks = [updates(1, 2), updates(2, 3), updates(3, 4)];
+        let bytes = record(&ticks);
+        let second = ticks_end(&ticks[..1]);
         // Tear the second tick: its header survives, its block does not.
         let mut torn = bytes[..second + 12].to_vec();
         // Append a whole third tick behind the tear; a reader that kept
         // going would resynchronise on garbage instead of stopping.
-        torn.extend_from_slice(&bytes[record(&[updates(1, 2), updates(2, 3)]).len()..]);
+        torn.extend_from_slice(&bytes[ticks_end(&ticks[..2])..]);
         let mut r = TraceReader::new(&torn[..]);
         assert_eq!(r.next_tick().len(), 2);
         assert!(r.error.as_ref().is_none());
@@ -470,7 +593,7 @@ mod tests {
 
         // Tear the third tick: the run ends at it, through `aborted`,
         // without ingesting or evaluating the empty tick the tear yields.
-        let torn = &bytes[..record(&live[..2]).len() + 12];
+        let torn = &bytes[..ticks_end(&live[..2]) + 12];
         let mut reader = TraceReader::new(torn);
         let mut op = Counter { seen: 0 };
         let run = Executor::new(ExecutorConfig {

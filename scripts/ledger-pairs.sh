@@ -1,0 +1,120 @@
+#!/usr/bin/env bash
+# Alternating parent/change ledger pairs, summarised.
+#
+# Builds the performance ledger twice — from <parent-rev> (a `git archive`
+# of it) and from the working tree, each into its own CARGO_TARGET_DIR —
+# then runs `scuba-ledger run --workload <workload> --seed <seed>` in
+# <pairs> pairs, alternating which side runs first, and prints for every
+# end-to-end metric (and, on a `--trace` run, every per-layer row) the
+# parent's median and interquartile range, the change's median, the
+# change's move in per cent and how many pairs the change won. A gain is
+# worth claiming only when the change wins at least 9 of 10 pairs and the
+# medians differ by more than the parent's IQR.
+#
+# Usage: scripts/ledger-pairs.sh <parent-rev> <workload> [pairs] [seed] [-- run flags…]
+#   pairs defaults to 10, seed to 20060326; the run flags default to
+#   `--seconds 20` (add `--trace` for the per-layer rows).
+# Work files go under $LEDGER_PAIRS_DIR (default: $TMPDIR/ledger-pairs):
+# the parent's source, both target directories, each run's result file.
+set -euo pipefail
+
+usage() {
+  sed -n '/^# Usage:/,/^# the parent/p' "$0" | sed 's/^# \{0,1\}//' >&2
+  exit 2
+}
+
+[ $# -ge 2 ] || usage
+rev=$1 workload=$2
+shift 2
+pairs=10 seed=20060326
+if [ $# -gt 0 ] && [ "$1" != "--" ]; then pairs=$1; shift; fi
+if [ $# -gt 0 ] && [ "$1" != "--" ]; then seed=$1; shift; fi
+if [ $# -gt 0 ] && [ "$1" = "--" ]; then shift; fi
+run_flags=("$@")
+[ ${#run_flags[@]} -gt 0 ] || run_flags=(--seconds 20)
+case $pairs in '' | *[!0-9]*) usage ;; esac
+case $seed in '' | *[!0-9]*) usage ;; esac
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+work=${LEDGER_PAIRS_DIR:-${TMPDIR:-/tmp}/ledger-pairs}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+
+# The benchmark's build: offline, through the ledger's stand-in overlay
+# while the tree still has one.
+build() { # <source dir> <target dir>
+  local flags=(--release --offline --quiet --manifest-path ledger/Cargo.toml)
+  [ -f "$1/ledger/offline/config.toml" ] && flags+=(--config ledger/offline/config.toml)
+  (cd "$1" && CARGO_TARGET_DIR=$2 cargo build "${flags[@]}")
+}
+
+rm -rf "$work/parent-src" "$work/runs"
+mkdir -p "$work/parent-src" "$work/runs"
+git -C "$repo" archive "$rev" | tar -x -C "$work/parent-src"
+echo "building parent ($(git -C "$repo" rev-parse --short "$rev")) and change ($repo)" >&2
+build "$work/parent-src" "$work/target-parent"
+build "$repo" "$work/target-change"
+
+for i in $(seq 1 "$pairs"); do
+  sides="parent change"
+  [ $((i % 2)) -eq 0 ] && sides="change parent"
+  for side in $sides; do
+    (cd "$work" && "$work/target-$side/release/scuba-ledger" run --workload "$workload" \
+      --seed "$seed" "${run_flags[@]}" --out-dir "$work/out-$side" \
+      --out "$work/runs/$side-$i.json" >/dev/null)
+  done
+  echo "pair $i of $pairs done ($sides)" >&2
+done
+
+# One `side pair section name better value` line per metric and run.
+for i in $(seq 1 "$pairs"); do
+  for side in parent change; do
+    jq -r --arg side "$side" --arg pair "$i" '
+      .workloads[0]
+      | (.end_to_end[] | [$side, $pair, "end-to-end", .name, .better, .values[0]]),
+        (.per_layer[]? | select(.values | length > 0)
+          | [$side, $pair, "per-layer", .name, .better, .values[0]])
+      | @tsv' "$work/runs/$side-$i.json"
+  done
+done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
+  function quantile(sorted, n, p,    h, lo) {
+    h = (n - 1) * p
+    lo = int(h)
+    return lo + 1 < n ? sorted[lo] + (h - lo) * (sorted[lo + 1] - sorted[lo]) : sorted[lo]
+  }
+  function sort_into(key, side, out,    k, n, j, t) {
+    split("", out)
+    n = 0
+    for (k = 1; k <= pairs; k++) if ((side, key, k) in value) out[n++] = value[side, key, k]
+    for (j = 1; j < n; j++) {
+      t = out[j]
+      for (k = j - 1; k >= 0 && out[k] > t; k--) out[k + 1] = out[k]
+      out[k + 1] = t
+    }
+    return n
+  }
+  {
+    key = $3 SUBSEP $4
+    if (!(key in better)) { order[++count] = key; better[key] = $5 }
+    value[$1, key, $2] = $6 + 0
+  }
+  END {
+    printf "%s, seed %s, %d alternating pairs\n", workload, seed, pairs
+    printf "%-11s %-40s %14s %12s %14s %8s %6s\n", "section", "metric", "parent p50", "parent IQR", "change p50", "move", "wins"
+    for (m = 1; m <= count; m++) {
+      key = order[m]
+      split(key, part, SUBSEP)
+      np = sort_into(key, "parent", ps)
+      nc = sort_into(key, "change", cs)
+      if (np == 0 || nc == 0) continue
+      pm = quantile(ps, np, 0.5); cm = quantile(cs, nc, 0.5)
+      iqr = quantile(ps, np, 0.75) - quantile(ps, np, 0.25)
+      wins = 0
+      for (k = 1; k <= pairs; k++) {
+        p = value["parent", key, k]; c = value["change", key, k]
+        if ((better[key] == "higher" && c > p) || (better[key] == "lower" && c < p)) wins++
+      }
+      move = pm != 0 ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "-"
+      printf "%-11s %-40s %14.6g %12.4g %14.6g %8s %3d/%d\n", part[1], part[2], pm, iqr, cm, move, wins, pairs
+    }
+  }'
