@@ -21,7 +21,7 @@
 //! churn the paper describes in prose: an entity whose new update no longer
 //! fits its current cluster leaves it (dissolving the cluster if it became
 //! empty) and is re-clustered from step 1; an entity that still fits simply
-//! refreshes its relative position.
+//! records its reported position.
 //!
 //! # Centroids per update, regions per Δ
 //!
@@ -619,7 +619,7 @@ impl ClusterEngine {
                     "entity row disagrees for {}",
                     member.entity
                 );
-                if let Some(pos) = cluster.member_position(member) {
+                if let Some(pos) = member.pos {
                     assert!(
                         pos.distance(&cluster.centroid()) <= cluster.radius() + 1e-6,
                         "member {} at {:?} outside radius {} of {:?}",

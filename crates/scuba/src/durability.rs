@@ -43,7 +43,7 @@ use scuba_stream::{
     UpdateSource, UpdateValidator, ValidationPolicy,
 };
 
-use crate::cluster::{ClusterId, MovingCluster};
+use crate::cluster::{ClusterId, Member, MovingCluster};
 use crate::engine::ScubaOperator;
 use crate::params::ScubaParams;
 use crate::registry::{ControlGauges, QueryRecord, QueryRegistry};
@@ -402,21 +402,22 @@ fn encode_snapshot(out: &mut Vec<u8>, s: &EngineSnapshot) {
         put_f64(out, c.ave_speed());
         put_u64(out, c.created_at());
         put_f64(out, c.max_query_radius());
-        put_vector(out, c.total_drift());
+        // The retired drift slot, like the params' retired ones: read only
+        // to migrate member tags 1 and 2.
+        put_vector(out, Vector::ZERO);
         put_u64(out, c.len() as u64);
         for m in c.members() {
             encode_entity(out, m.entity);
             put_f64(out, m.speed);
-            // Tag 0: shed. Tag 2: the offset. Tag 1 (polar) is read only.
-            match m.rel {
-                None => put_u8(out, 0),
-                Some(v) => {
-                    put_u8(out, 2);
-                    put_vector(out, v);
+            // Tag 3: the position. Tag 4: shed. Tags 0–2 are read only.
+            match m.pos {
+                Some(p) => {
+                    put_u8(out, 3);
+                    put_point(out, p);
                 }
+                None => put_u8(out, 4),
             }
             put_u64(out, m.last_seen);
-            put_vector(out, m.drift_mark());
         }
     }
     put_u64(out, s.objects.len() as u64);
@@ -456,36 +457,48 @@ fn decode_snapshot(r: &mut &[u8]) -> Result<EngineSnapshot, SnapshotError> {
         let created_at = read_u64(r)?;
         let max_query_radius = read_f64(r)?;
         let total_drift = read_vector(r)?;
-        let n_members = read_count(r, 9 + 8 + 1 + 8 + 16)?;
+        let n_members = read_count(r, 9 + 8 + 1 + 8)?;
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {
             let entity = decode_entity(r)?;
             let speed = read_f64(r)?;
-            let rel = match read_u8(r)? {
-                0 => None,
-                // `(r, θ)`, written while members were kept in polar form:
-                // the polar reader's exact expressions, so the member
-                // materialises at the same bits. Same 16-byte payload as
-                // tag 2, so the layout (and `FORMAT_VERSION`) is unchanged.
-                1 => {
-                    let (radius, theta) = (read_f64(r)?, read_f64(r)?);
-                    Some(Vector {
-                        dx: radius * theta.cos(),
-                        dy: radius * theta.sin(),
-                    })
+            let (pos, last_seen) = match read_u8(r)? {
+                3 => (Some(read_point(r)?), read_u64(r)?),
+                4 => (None, read_u64(r)?),
+                // Written while members were offsets from the centroid
+                // under a drift mark: tag 0 shed, tag 1 `(r, θ)` from the
+                // polar form before that, tag 2 the offset. They migrate
+                // through the expressions that materialised them then, so
+                // each member lands at the same bits.
+                tag @ 0..=2 => {
+                    let rel = match tag {
+                        0 => None,
+                        1 => {
+                            let (radius, theta) = (read_f64(r)?, read_f64(r)?);
+                            Some(Vector {
+                                dx: radius * theta.cos(),
+                                dy: radius * theta.sin(),
+                            })
+                        }
+                        _ => Some(read_vector(r)?),
+                    };
+                    let last_seen = read_u64(r)?;
+                    let drift_mark = read_vector(r)?;
+                    let pos = rel.map(|rel| centroid + rel - (total_drift - drift_mark));
+                    (pos, last_seen)
                 }
-                2 => Some(read_vector(r)?),
                 t => {
                     return Err(SnapshotError::Inconsistent(format!(
                         "bad member position tag {t}"
                     )))
                 }
             };
-            let last_seen = read_u64(r)?;
-            let drift_mark = read_vector(r)?;
-            members.push(MovingCluster::member_from_parts(
-                entity, speed, rel, last_seen, drift_mark,
-            ));
+            members.push(Member {
+                entity,
+                speed,
+                pos,
+                last_seen,
+            });
         }
         clusters.push(MovingCluster::from_parts(
             ClusterId(cid),
@@ -495,7 +508,6 @@ fn decode_snapshot(r: &mut &[u8]) -> Result<EngineSnapshot, SnapshotError> {
             ave_speed,
             created_at,
             max_query_radius,
-            total_drift,
             members,
         ));
     }
@@ -2086,88 +2098,187 @@ mod tests {
         assert_eq!(decoded, snapshot);
     }
 
-    /// The start of the one tag-2 record carrying offset `v` in `bytes`.
-    fn offset_record_at(bytes: &[u8], v: Vector) -> usize {
-        let mut record = vec![2];
-        put_vector(&mut record, v);
-        let at = bytes.windows(17).position(|w| w == record).unwrap();
-        let last = bytes.windows(17).rposition(|w| w == record);
-        assert_eq!(last, Some(at), "offset {v:?} is not a unique byte pattern");
-        at
+    /// [`golden_checkpoint`]'s bytes as written while members were stored
+    /// as offsets from the centroid under drift marks: every member record
+    /// is tag 0 (shed) or tag 2 (an offset).
+    const OFFSET_CHECKPOINT: &[u8] = include_bytes!("../tests/fixtures/checkpoint-offsets.ckpt");
+
+    /// Where each member of [`OFFSET_CHECKPOINT`] materialised in the
+    /// build that wrote it, as `(x, y)` bits, in cluster and member order.
+    const OFFSET_POSITIONS: [(EntityRef, Option<(u64, u64)>); 18] = [
+        (
+            EntityRef::Object(ObjectId(0)),
+            Some((0x406b57bd90bab210, 0x4068f56a40d5ba10)),
+        ),
+        (EntityRef::Object(ObjectId(1)), None),
+        (EntityRef::Query(QueryId(2)), None),
+        (EntityRef::Object(ObjectId(3)), None),
+        (EntityRef::Object(ObjectId(4)), None),
+        (
+            EntityRef::Query(QueryId(5)),
+            Some((0x40725bdec85d5908, 0x406fd56a40d5ba10)),
+        ),
+        (
+            EntityRef::Object(ObjectId(10)),
+            Some((0x407d4bdec85d5908, 0x4075dab5206add08)),
+        ),
+        (EntityRef::Object(ObjectId(11)), None),
+        (EntityRef::Query(QueryId(12)), None),
+        (EntityRef::Object(ObjectId(13)), None),
+        (EntityRef::Object(ObjectId(14)), None),
+        (
+            EntityRef::Query(QueryId(15)),
+            Some((0x4080fdef642eac84, 0x40794ab5206add08)),
+        ),
+        (
+            EntityRef::Object(ObjectId(20)),
+            Some((0x408675ef642eac84, 0x407f3ab5206add08)),
+        ),
+        (EntityRef::Object(ObjectId(21)), None),
+        (EntityRef::Query(QueryId(22)), None),
+        (EntityRef::Object(ObjectId(23)), None),
+        (EntityRef::Object(ObjectId(24)), None),
+        (
+            EntityRef::Query(QueryId(25)),
+            Some((0x4088cdef642eac84, 0x4081555a90356e84)),
+        ),
+    ];
+
+    /// Recomputes a checkpoint's CRC after a test patched its payload.
+    fn reseal(bytes: &mut [u8]) {
+        let crc = checksum(&[&bytes[8..24], &bytes[CKPT_HEADER..]]);
+        bytes[24..CKPT_HEADER].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The start of the one byte pattern `needle` in `bytes`.
+    fn unique_at(bytes: &[u8], needle: &[u8]) -> usize {
+        let at = bytes.windows(needle.len()).position(|w| w == needle);
+        let last = bytes.windows(needle.len()).rposition(|w| w == needle);
+        assert!(at.is_some() && at == last, "not a unique pattern");
+        at.unwrap()
+    }
+
+    /// The start of `m`'s record in `bytes`, found by its entity, speed
+    /// and position tag.
+    fn member_record_at(bytes: &[u8], m: &Member, tag: u8) -> usize {
+        let mut head = Vec::new();
+        encode_entity(&mut head, m.entity);
+        put_f64(&mut head, m.speed);
+        head.push(tag);
+        unique_at(bytes, &head)
+    }
+
+    #[test]
+    fn offset_checkpoint_restores_at_the_bits_it_was_written_with() {
+        let state = decode_checkpoint(OFFSET_CHECKPOINT).unwrap();
+        assert_eq!(state.tick, 6);
+        let positions: Vec<_> = state.stripes[0]
+            .clusters
+            .iter()
+            .flat_map(|c| c.members())
+            .map(|m| (m.entity, m.pos.map(|p| (p.x.to_bits(), p.y.to_bits()))))
+            .collect();
+        assert_eq!(positions, OFFSET_POSITIONS);
+        state.stripes[0].restore().unwrap().check_invariants();
+        assert!(matches!(
+            DurableOperator::restore(&state.stripes),
+            Ok(DurableOperator::Single(_))
+        ));
     }
 
     /// Checkpoints written while members were kept in polar form carry
-    /// tag-1 `(r, θ)` records. They decode to the offset the polar reader
-    /// computed, so each member materialises at the bits it did then.
+    /// tag-1 `(r, θ)` records. They migrate through the expressions the
+    /// polar reader and the drift transformation used, so each member
+    /// lands at the bits it materialised at then.
     #[test]
     fn legacy_polar_member_records_materialise_as_before() {
-        let snapshot = busy_snapshot();
-        let mut bytes = Vec::new();
-        encode_snapshot(&mut bytes, &snapshot);
-        let mut patched = Vec::new();
-        for m in snapshot.clusters.iter().flat_map(|c| c.members()) {
-            // Zero offsets (untouched founders) are not unique patterns;
-            // they stay tag 2, so the fleet mixes both tags.
-            let Some(v) = m.rel.filter(|v| *v != Vector::ZERO) else {
-                continue;
-            };
-            let at = offset_record_at(&bytes, v);
-            let r = v.norm();
-            let theta = (v.dx / r).acos().copysign(v.dy);
-            let mut record = vec![1];
-            put_f64(&mut record, r);
-            put_f64(&mut record, theta);
-            bytes[at..at + record.len()].copy_from_slice(&record);
-            patched.push((m.entity, r, theta));
+        let mut bytes = OFFSET_CHECKPOINT.to_vec();
+        let state = decode_checkpoint(&bytes).unwrap();
+        let mut expected = Vec::new();
+        for c in &state.stripes[0].clusters {
+            // The cluster record opens with its id and centroid; the
+            // retired drift slot follows radius, node, speed, creation
+            // time and query reach.
+            let mut head = Vec::new();
+            put_u64(&mut head, c.cid.0);
+            put_point(&mut head, c.centroid());
+            let drift_at = unique_at(&bytes, &head) + 24 + 8 + 16 + 8 + 8 + 8;
+            let drift = read_vector(&mut &bytes[drift_at..]).unwrap();
+            for m in c.members().iter().filter(|m| !m.is_shed()) {
+                let at = member_record_at(&bytes, m, 2);
+                let v = read_vector(&mut &bytes[at + 18..]).unwrap();
+                let mark = read_vector(&mut &bytes[at + 18 + 16 + 8..]).unwrap();
+                let r = v.norm();
+                let theta = (v.dx / r).acos().copysign(v.dy);
+                let mut record = vec![1];
+                put_f64(&mut record, r);
+                put_f64(&mut record, theta);
+                bytes[at + 17..at + 34].copy_from_slice(&record);
+                // What the polar reader materialised from that record.
+                let offset = Vector {
+                    dx: r * theta.cos(),
+                    dy: r * theta.sin(),
+                };
+                let then = c.centroid() + offset - (drift - mark);
+                expected.push((m.entity, then, m.pos.unwrap()));
+            }
         }
-        assert!(patched.len() > 20, "too few unshed members to patch");
+        assert_eq!(expected.len(), 6, "every unshed member is patched");
+        reseal(&mut bytes);
 
-        let original = snapshot.restore().unwrap();
-        let restored = decode_snapshot(&mut &bytes[..]).unwrap().restore().unwrap();
+        let migrated = decode_checkpoint(&bytes).unwrap();
+        let restored = migrated.stripes[0].restore().unwrap();
         restored.check_invariants();
-        for (entity, r, theta) in patched {
+        for (entity, then, was) in expected {
             let (slot, idx) = restored.home().entry_of(entity).unwrap();
-            let cluster = restored.store().get(slot).unwrap();
-            let member = &cluster.members()[idx as usize];
-            let now = cluster.member_position(member).unwrap();
-            // What the polar reader materialised from the same record.
-            let offset = Vector {
-                dx: r * theta.cos(),
-                dy: r * theta.sin(),
-            };
-            let then = cluster.centroid() + offset - (cluster.total_drift() - member.drift_mark());
+            let now = restored.store().get(slot).unwrap().members()[idx as usize]
+                .pos
+                .unwrap();
             assert_eq!(
                 (now.x.to_bits(), now.y.to_bits()),
                 (then.x.to_bits(), then.y.to_bits()),
                 "{entity}"
             );
             // Up to the polar round trip, that is where the member was.
-            let (slot, _) = original.home().entry_of(entity).unwrap();
-            let live = original.store().get(slot).unwrap();
-            let was = live.member_position(live.member(entity).unwrap()).unwrap();
             assert!(now.distance(&was) < 1e-9, "{entity}: {now:?} vs {was:?}");
         }
     }
 
     #[test]
     fn unknown_member_position_tag_is_refused() {
-        let snapshot = busy_snapshot();
-        let mut bytes = Vec::new();
-        encode_snapshot(&mut bytes, &snapshot);
-        let v = snapshot
+        let state = decode_checkpoint(OFFSET_CHECKPOINT).unwrap();
+        let m = state.stripes[0]
             .clusters
             .iter()
             .flat_map(|c| c.members())
-            .find_map(|m| m.rel.filter(|v| *v != Vector::ZERO))
+            .find(|m| !m.is_shed())
             .unwrap();
-        let at = offset_record_at(&bytes, v);
-        for tag in [3, 0xff] {
+        let at = member_record_at(OFFSET_CHECKPOINT, m, 2) + 17;
+        for tag in [5, 6, 0x80, 0xff] {
+            let mut bytes = OFFSET_CHECKPOINT.to_vec();
             bytes[at] = tag;
-            assert!(matches!(
-                decode_snapshot(&mut &bytes[..]),
-                Err(SnapshotError::Inconsistent(_))
-            ));
+            reseal(&mut bytes);
+            assert!(
+                matches!(
+                    decode_checkpoint(&bytes),
+                    Err(SnapshotError::Inconsistent(_))
+                ),
+                "tag {tag}"
+            );
         }
+    }
+
+    /// A CRC-valid checkpoint whose params validation refuses fails with
+    /// `Inconsistent`; it does not reach a constructor that panics on them.
+    #[test]
+    fn restore_refuses_params_that_validation_refuses() {
+        let mut snapshot = busy_snapshot();
+        snapshot.params.shards = 2;
+        snapshot.params.shedding = SheddingMode::Partial { eta: 0.5 };
+        assert!(matches!(
+            DurableOperator::restore(&[snapshot]),
+            Err(SnapshotError::Inconsistent(_))
+        ));
     }
 
     /// A small fixed engine whose checkpoint bytes are pinned: non-default
@@ -2263,11 +2374,11 @@ mod tests {
     /// The checkpoint bytes of [`golden_checkpoint`] are pinned: a change
     /// to how engine state is captured or encoded that moves one byte fails
     /// here, before it can strand a checkpoint directory written by an
-    /// earlier build.
+    /// earlier build. The earlier layout's bytes are [`OFFSET_CHECKPOINT`].
     #[test]
     fn checkpoint_bytes_are_pinned() {
         let bytes = golden_checkpoint();
-        assert_eq!((bytes.len(), crc32(&bytes)), (1896, 0x0343_E218));
+        assert_eq!((bytes.len(), crc32(&bytes)), (1608, 0xF6DE_684F));
     }
 
     #[test]

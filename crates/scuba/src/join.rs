@@ -63,7 +63,7 @@
 //!   Dittrich & Seeger, ICDE 2000). Nothing is emitted twice, so nothing
 //!   needs a sort to deduplicate.
 //!
-//! Load shedding (§5) surfaces here: members whose relative position was
+//! Load shedding (§5) surfaces here: members whose position was
 //! discarded are approximated **by their cluster centroid** — "individual
 //! locations of the members can be discarded if need be, yet would still be
 //! sufficiently approximated from the location of their cluster centroid"
@@ -697,10 +697,8 @@ impl<'a> JoinContext<'a> {
     }
 }
 
-/// Applies the lazy transformation to every member of `cluster` — "we
-/// refrain from constantly updating the relative positions of the cluster
-/// members, as this info is not needed, unless a join-within is to be
-/// performed" (§3.1) — writing flat SoA spans into the arena under `key`.
+/// Writes every member of `cluster` into the arena under `key` as flat SoA
+/// spans, each at the position it holds.
 /// Shed members materialise at the centroid; a query member `spec_of`
 /// does not know is skipped. Callers materialise a key once per epoch.
 fn materialize_into(
@@ -718,9 +716,8 @@ fn materialize_into(
     arena.group_counts.clear();
 
     for member in cluster.members() {
-        let pos = cluster.member_position(member);
         match member.entity {
-            EntityRef::Object(oid) => match pos {
+            EntityRef::Object(oid) => match member.pos {
                 Some(p) => {
                     arena.obj_ids.push(oid);
                     arena.obj_x.push(p.x);
@@ -732,7 +729,7 @@ fn materialize_into(
                 let Some(spec) = spec_of(qid) else {
                     continue; // query unknown to the table; skip
                 };
-                match pos {
+                match member.pos {
                     Some(p) => arena.queries.push(ExactQuery {
                         qid,
                         pos: p,

@@ -317,7 +317,7 @@ mod tests {
                 .map(|c| {
                     c.members()
                         .iter()
-                        .filter_map(|m| c.member_position(m))
+                        .filter_map(|m| m.pos)
                         .map(|p| p.distance_sq(&c.centroid()))
                         .sum::<f64>()
                 })

@@ -28,7 +28,7 @@
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
 //! | [`params`] | §3.1, §6.1 | Θ_D, Θ_S, Δ, grid granularity, shedding policy |
-//! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members as Cartesian offsets, velocity |
+//! | [`cluster`] | §3.1 | [`MovingCluster`]: centroid, radius, members at their reported points, velocity |
 //! | [`grid`] | §4.1 | `ClusterGrid`: the N×N cell array of cluster-region bounding boxes, rebuilt once per Δ |
 //! | [`store`] | §4.1 | [`ClusterStore`]: the slab of live clusters, the one copy of cluster state |
 //! | [`tables`] | §4.1 | `EntityTable`: ObjectsTable + QueriesTable rows, each carrying its cluster-home entry |

@@ -393,6 +393,11 @@ impl ShardedScubaOperator {
             found: 0,
             expected: 1,
         })?;
+        // A damaged checkpoint may hold params `new` would panic on.
+        first
+            .params
+            .validate()
+            .map_err(|e| SnapshotError::Inconsistent(e.to_string()))?;
         let mut op = ShardedScubaOperator::new(first.params, first.area);
         if stripes.len() != op.shards.len() {
             return Err(SnapshotError::ShardMismatch {

@@ -4,7 +4,7 @@
 //! cluster members near the centroid of the cluster. The size of the
 //! nucleus is determined by its radius threshold Θ_N where
 //! 0 ≤ Θ_N ≤ Θ_D. The larger the value of Θ_N, the more data is load
-//! shed." A member whose position falls inside the nucleus has its relative
+//! shed." A member whose position falls inside the nucleus has its
 //! position discarded; during join-within it is answered from the nucleus
 //! region instead of an exact point.
 //!
@@ -16,7 +16,7 @@ use std::time::Duration;
 /// How aggressively member positions are shed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SheddingMode {
-    /// No load shedding: every member's relative position is kept
+    /// No load shedding: every member's position is kept
     /// (Fig. 8a).
     #[default]
     None,

@@ -4,11 +4,10 @@
 //! A deployed continuous-query engine must survive restarts without
 //! re-learning its clusters from scratch (the incremental clusterer's state
 //! *is* the summary of everything it has seen). The snapshot holds the
-//! clusters themselves (members and their lazy-transformation drift marks
-//! included), the attribute tables and the id counter; the store's slots,
-//! the centroid index and the rows' cluster homes are derived state and
-//! are rebuilt on restore, and the region grid is rebuilt before every join
-//! anyway.
+//! clusters themselves (members and their positions included), the
+//! attribute tables and the id counter; the store's slots, the centroid
+//! index and the rows' cluster homes are derived state and are rebuilt on
+//! restore, and the region grid is rebuilt before every join anyway.
 //!
 //! The one on-disk form of a snapshot is the binary checkpoint of
 //! [`crate::durability`] (`encode_checkpoint` / `decode_checkpoint`),

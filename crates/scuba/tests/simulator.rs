@@ -235,10 +235,10 @@ fn stream(rng: &mut Xoshiro256, n_ticks: Time) -> Vec<Tick> {
         })
         .collect();
     // The border family: parked queries on a diagonal lattice with objects
-    // on their edges and corners and 5 units either side. Each entity heads
-    // for a destination of its own, so it is a cluster of one whose
-    // position materialises exactly, and `Rect::contains` counts a border
-    // as inside.
+    // on their edges and corners and 5 units either side. A spot's
+    // entities share one destination, so objects on a query's border sit
+    // in clusters with their query, and the join must answer each from the
+    // point it reported: `Rect::contains` counts a border as inside.
     let mut id = 100;
     for spot in 0..rng.gen_range(0..5u64) {
         let c = 125.0 + 250.0 * spot as f64;
@@ -266,7 +266,7 @@ fn stream(rng: &mut Xoshiro256, n_ticks: Time) -> Vec<Tick> {
                 id,
                 side: (k == 0).then_some(2.0 * half),
                 pos,
-                node: Point::new(id as f64, 0.0),
+                node: Point::new(spot as f64 + 0.5, 0.0),
                 speed: 0.0,
                 live: true,
             });

@@ -7,9 +7,11 @@
 # <pairs> pairs, alternating which side runs first, and prints for every
 # end-to-end metric (and, on a `--trace` run, every per-layer row) the
 # parent's median and interquartile range, the change's median, the
-# change's move in per cent and how many pairs the change won. A gain is
-# worth claiming only when the change wins at least 9 of 10 pairs and the
-# medians differ by more than the parent's IQR.
+# change's move in per cent and how many pairs the change won. Rows whose
+# unit is `count` print as integers, and on a `--trace` run the last line
+# names every count row that differs between the sides in any pair (or
+# says "all counts bit-equal"). A gain is worth claiming only when the change wins at least
+# 9 of 10 pairs and the medians differ by more than the parent's IQR.
 #
 # Usage: scripts/ledger-pairs.sh <parent-rev> <workload> [pairs] [seed] [-- run flags…]
 #   pairs defaults to 10, seed to 20060326; the run flags default to
@@ -66,14 +68,14 @@ for i in $(seq 1 "$pairs"); do
   echo "pair $i of $pairs done ($sides)" >&2
 done
 
-# One `side pair section name better value` line per metric and run.
+# One `side pair section name better value unit` line per metric and run.
 for i in $(seq 1 "$pairs"); do
   for side in parent change; do
     jq -r --arg side "$side" --arg pair "$i" '
       .workloads[0]
-      | (.end_to_end[] | [$side, $pair, "end-to-end", .name, .better, .values[0]]),
+      | (.end_to_end[] | [$side, $pair, "end-to-end", .name, .better, .values[0], .unit]),
         (.per_layer[]? | select(.values | length > 0)
-          | [$side, $pair, "per-layer", .name, .better, .values[0]])
+          | [$side, $pair, "per-layer", .name, .better, .values[0], .unit])
       | @tsv' "$work/runs/$side-$i.json"
   done
 done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
@@ -95,7 +97,7 @@ done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
   }
   {
     key = $3 SUBSEP $4
-    if (!(key in better)) { order[++count] = key; better[key] = $5 }
+    if (!(key in better)) { order[++count] = key; better[key] = $5; unit[key] = $7 }
     value[$1, key, $2] = $6 + 0
   }
   END {
@@ -115,6 +117,23 @@ done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
         if ((better[key] == "higher" && c > p) || (better[key] == "lower" && c < p)) wins++
       }
       move = pm != 0 ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "-"
-      printf "%-11s %-40s %14.6g %12.4g %14.6g %8s %3d/%d\n", part[1], part[2], pm, iqr, cm, move, wins, pairs
+      # Counts print whole: %g would show 17128245 and 17128246 alike.
+      fmt = unit[key] == "count" ? "%14.0f" : "%14.6g"
+      printf "%-11s %-40s " fmt " %12.4g " fmt " %8s %3d/%d\n", part[1], part[2], pm, iqr, cm, move, wins, pairs
+      if (unit[key] != "count") continue
+      counts++
+      differ = 0
+      for (k = 1; k <= pairs; k++) {
+        if (value["parent", key, k] != value["change", key, k]) {
+          if (!differ) first = k
+          differ++
+        }
+      }
+      if (differ) {
+        diffs = diffs sprintf("%s%s parent %.0f change %.0f (%d of %d pairs)", diffs == "" ? "" : "; ",
+          part[2], value["parent", key, first], value["change", key, first], differ, pairs)
+      }
     }
+    if (!counts) print "no count rows (they come with --trace)"
+    else print diffs == "" ? "all counts bit-equal" : "counts that differ: " diffs
   }'
