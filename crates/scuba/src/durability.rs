@@ -53,14 +53,15 @@ use crate::snapshot::{EngineSnapshot, SnapshotError};
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected) — hand-rolled so the durable format has no
-// dependency beyond the standard library. Slicing-by-8: eight tables fold
-// eight input bytes per step; the values are those of the byte-wise loop.
+// dependency beyond the standard library. Slicing-by-16: sixteen tables
+// fold sixteen input bytes per step; the values are those of the byte-wise
+// loop.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+const CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -78,7 +79,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     }
     // tables[t][i] is the CRC of byte `i` followed by `t` zero bytes.
     let mut t = 1;
-    while t < 8 {
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -104,17 +105,26 @@ impl Crc32 {
     /// Folds `data` in.
     pub fn update(&mut self, data: &[u8]) {
         let (t, mut c) = (&CRC_TABLES, self.0);
-        let mut chunks = data.chunks_exact(8);
+        let mut chunks = data.chunks_exact(16);
         for ch in &mut chunks {
-            let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-            c = t[7][(lo & 0xff) as usize]
-                ^ t[6][((lo >> 8) & 0xff) as usize]
-                ^ t[5][((lo >> 16) & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][ch[4] as usize]
-                ^ t[2][ch[5] as usize]
-                ^ t[1][ch[6] as usize]
-                ^ t[0][ch[7] as usize];
+            let ch: &[u8; 16] = ch.try_into().expect("a 16-byte chunk");
+            let lo = (c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]])).to_le_bytes();
+            c = t[15][lo[0] as usize]
+                ^ t[14][lo[1] as usize]
+                ^ t[13][lo[2] as usize]
+                ^ t[12][lo[3] as usize]
+                ^ t[11][ch[4] as usize]
+                ^ t[10][ch[5] as usize]
+                ^ t[9][ch[6] as usize]
+                ^ t[8][ch[7] as usize]
+                ^ t[7][ch[8] as usize]
+                ^ t[6][ch[9] as usize]
+                ^ t[5][ch[10] as usize]
+                ^ t[4][ch[11] as usize]
+                ^ t[3][ch[12] as usize]
+                ^ t[2][ch[13] as usize]
+                ^ t[1][ch[14] as usize]
+                ^ t[0][ch[15] as usize];
         }
         for &b in chunks.remainder() {
             c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);

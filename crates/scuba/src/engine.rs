@@ -624,6 +624,38 @@ mod tests {
         }
     }
 
+    /// `prefilter_tests` counts cluster-pair overlap tests, the
+    /// join-between row's, and join-within adds none: its row's tests are
+    /// the report's comparisons.
+    #[test]
+    fn prefilter_tests_are_the_join_between_tests() {
+        let mut op = ScubaOperator::new(ScubaParams::default(), Rect::square(1000.0));
+        let (mut tested, mut compared) = (0, 0);
+        for round in 0..4u64 {
+            for i in 0..60u64 {
+                let (x, y) = (
+                    (i * 7 % 30) as f64 * 3.0 + 400.0,
+                    (i % 5) as f64 * 9.0 + 500.0,
+                );
+                if i % 3 == 0 {
+                    op.process_update(&qry(i, x + round as f64, y, 40.0));
+                } else {
+                    op.process_update(&obj(i, x + round as f64, y));
+                }
+            }
+            let report = op.evaluate(round * 2 + 2);
+            let row = |name| report.phases.get(name).expect("stage row").tests;
+            assert_eq!(report.prefilter_tests, row(crate::join::STAGE_JOIN_BETWEEN));
+            assert_eq!(report.comparisons, row(crate::join::STAGE_JOIN_WITHIN));
+            tested += report.prefilter_tests;
+            compared += report.comparisons;
+        }
+        assert!(
+            tested > 0 && compared > 0,
+            "cross pairs were tested and joined"
+        );
+    }
+
     #[test]
     fn adaptive_budget_escalates_shedding() {
         use crate::SheddingMode;

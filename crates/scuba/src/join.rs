@@ -22,7 +22,9 @@
 //!    members of both clusters. Every surviving pair is computed from
 //!    scratch each Δ: the clusters it needs are materialised once into a
 //!    flat SoA arena and the exact join runs over them, one pair after
-//!    another;
+//!    another, as Algorithm 3's full nested loop with no member-level
+//!    filter: every exact object meets every exact query, and each
+//!    candidate match is written at a cursor that advances only on a hit;
 //! 4. **result merge** — radix sort + dedup of the raw matches, which
 //!    puts the result set in its canonical `(query, object)` order,
 //!    independent of pair order. The dedup finds nothing to remove: each
@@ -79,7 +81,7 @@
 //! consistent with the paper's own measurements; see DESIGN.md.)
 
 use scuba_motion::{EntityRef, ObjectId, QueryId, QuerySpec};
-use scuba_spatial::{Circle, Point, Rect};
+use scuba_spatial::{Point, Rect};
 use scuba_stream::{QueryMatch, StageStats, Stopwatch};
 
 use crate::cluster::MovingCluster;
@@ -105,9 +107,9 @@ pub struct JoinOutput {
     pub results: Vec<QueryMatch>,
     /// Exact object×query pair tests performed (join-within work).
     pub comparisons: u64,
-    /// Coarse filter tests performed: cluster-pair overlap tests
-    /// (join-between) plus member-vs-cluster reach tests inside
-    /// join-within.
+    /// Cluster-pair overlap tests performed: join-between's, plus, on a
+    /// stripe of the sharded executor, the tests of its cross-stripe pass
+    /// over received ghosts.
     pub prefilter_tests: u64,
     /// Per-stage cost accounting, in pipeline order (pair discovery,
     /// join-between, join-within, result merge).
@@ -183,13 +185,10 @@ impl JoinScratch {
             + arena.group_qids.capacity() * size_of::<QueryId>()
             + arena.pending_groups.capacity() * size_of::<(u32, QueryId)>()
             + arena.group_counts.capacity() * size_of::<u32>();
-        let within = self.within.results.capacity() * size_of::<QueryMatch>()
-            + self.within.active.capacity() * size_of::<u32>();
         (self.pairs.capacity() + self.tasks.capacity()) * size_of::<(ClusterSlot, ClusterSlot)>()
             + self.classed.capacity() * size_of::<ClusterSlot>()
-            + self.merge_tmp.capacity() * size_of::<QueryMatch>()
+            + (self.merge_tmp.capacity() + self.within.results.capacity()) * size_of::<QueryMatch>()
             + arena_bytes
-            + within
     }
 }
 
@@ -197,17 +196,12 @@ impl JoinScratch {
 #[derive(Debug, Clone, Copy)]
 struct ExactQuery {
     qid: QueryId,
-    pos: Point,
     region: Rect,
-    bounding_radius: f64,
 }
 
 /// Span-based view of one cluster materialised into the [`MatArena`].
 #[derive(Debug, Clone, Copy)]
 struct MatEntry {
-    /// The arena key: the store slot, or a key past the store's slots for
-    /// a ghost.
-    slot: ClusterSlot,
     /// Span into `obj_ids`/`obj_x`/`obj_y`.
     objs: (u32, u32),
     /// Span into `shed_obj_ids`.
@@ -218,21 +212,6 @@ struct MatEntry {
     groups: (u32, u32),
     /// The centroid (approximate position of every shed member).
     centroid: Point,
-    /// The cluster's (tight) circular region.
-    region: Circle,
-    /// `region` inflated by the widest member query's reach — anything an
-    /// object must touch to possibly match one of this cluster's queries.
-    reach: Circle,
-}
-
-impl MatEntry {
-    fn has_objects(&self) -> bool {
-        self.objs.0 != self.objs.1 || self.shed_objs.0 != self.shed_objs.1
-    }
-
-    fn has_queries(&self) -> bool {
-        self.queries.0 != self.queries.1 || self.groups.0 != self.groups.1
-    }
 }
 
 /// Flat SoA arena holding every materialised cluster of one epoch.
@@ -303,24 +282,51 @@ impl MatArena {
     }
 }
 
-/// Join-within working memory: raw matches and the active-query index
-/// buffer, plus work counters.
+/// Join-within working memory: the raw matches and the comparison count.
+///
+/// `results` keeps its high-water length across rounds and `len` marks
+/// its live prefix: the product loop writes every candidate at the cursor
+/// and advances it only on a hit, so each slot is a plain store and the
+/// buffer grows only when a pair's candidates could run past its end.
 #[derive(Debug, Default)]
 struct WithinScratch {
     results: Vec<QueryMatch>,
-    /// Indices into `MatArena::queries` of the partner queries that
-    /// survived the reach filter for the current object cluster.
-    active: Vec<u32>,
+    len: usize,
     comparisons: u64,
-    reach_tests: u64,
 }
 
 impl WithinScratch {
     fn reset(&mut self) {
-        self.results.clear();
-        self.active.clear();
+        self.len = 0;
         self.comparisons = 0;
-        self.reach_tests = 0;
+    }
+
+    /// The matches written since the last reset.
+    fn matches(&self) -> &[QueryMatch] {
+        &self.results[..self.len]
+    }
+
+    /// The `extra` slots past the cursor, growing the buffer to reach them.
+    fn room(&mut self, extra: usize) -> &mut [QueryMatch] {
+        let end = self.len + extra;
+        if self.results.len() < end {
+            self.results
+                .resize(end, QueryMatch::new(QueryId(0), ObjectId(0)));
+        }
+        &mut self.results[self.len..end]
+    }
+
+    /// Writes the match of every query in `qids` with every object in
+    /// `oids` at the cursor.
+    fn emit(&mut self, qids: &[QueryId], oids: &[ObjectId]) {
+        let n = oids.len();
+        let dst = self.room(qids.len() * n);
+        for (i, &qid) in qids.iter().enumerate() {
+            for (slot, &oid) in dst[i * n..(i + 1) * n].iter_mut().zip(oids) {
+                *slot = QueryMatch::new(qid, oid);
+            }
+        }
+        self.len += qids.len() * n;
     }
 }
 
@@ -422,14 +428,13 @@ impl<'a> JoinContext<'a> {
             self.join_pair(arena, o, q, within);
         }
         out.comparisons += within.comparisons;
-        out.prefilter_tests += within.reach_tests;
-        out.results.extend_from_slice(&within.results);
+        out.results.extend_from_slice(within.matches());
         let raw = out.results.len() as u64;
         out.stages.push(
             StageStats::join(STAGE_JOIN_WITHIN)
                 .with_wall(sw.lap())
                 .with_items(scratch.tasks.len() as u64, raw)
-                .with_tests(out.comparisons + (out.prefilter_tests - between_tests)),
+                .with_tests(out.comparisons),
         );
 
         // Stage 4 — result merge: radix sort + dedup into the canonical
@@ -551,8 +556,8 @@ impl<'a> JoinContext<'a> {
             }
         }
         out.comparisons += within.comparisons;
-        out.prefilter_tests += tests + within.reach_tests;
-        out.results.extend_from_slice(&within.results);
+        out.prefilter_tests += tests;
+        out.results.extend_from_slice(within.matches());
         pairs
     }
 
@@ -565,15 +570,13 @@ impl<'a> JoinContext<'a> {
     }
 
     /// Joins `objects_of`'s objects against `queries_of`'s queries, both
-    /// read from the arena.
+    /// read from the arena, as Algorithm 3's full nested loop.
     ///
-    /// For *cross*-cluster pairs a member-level pre-filter (not in the
-    /// paper's Algorithm 3, which does the full nested loop) skips objects
-    /// outside the partner's query reach and queries whose inflated region
-    /// cannot touch the partner's cluster circle. Both checks are sound:
-    /// they can only discard pairs the exact predicate would reject, since
-    /// every member — shed members sit at the centroid — lies within its
-    /// cluster circle.
+    /// Every exact object is tested against every exact query, with no
+    /// member-level filter: the clusters are small, so a filter's branches
+    /// cost more than the containment tests they would save. Each
+    /// candidate match is written at the cursor, which advances by
+    /// `hit as usize`, so the loop body has no branch on the answer.
     ///
     /// Shed members amortise: all shed objects of a cluster share the
     /// centroid position, so one region test answers the whole set, and
@@ -585,83 +588,51 @@ impl<'a> JoinContext<'a> {
         queries_of: &MatEntry,
         ws: &mut WithinScratch,
     ) {
-        if !objects_of.has_objects() || !queries_of.has_queries() {
-            return;
-        }
-        // The reach filters are no-ops within a single cluster: every
-        // member is inside its own region by construction.
-        let skip_filters = objects_of.slot == queries_of.slot;
+        let span = |(start, end): (u32, u32)| start as usize..end as usize;
+        let objs = span(objects_of.objs);
+        let (xs, ys, oids) = (
+            &arena.obj_x[objs.clone()],
+            &arena.obj_y[objs.clone()],
+            &arena.obj_ids[objs],
+        );
+        let queries = &arena.queries[span(queries_of.queries)];
+        let shed_objs = &arena.shed_obj_ids[span(objects_of.shed_objs)];
 
-        // Exact queries that can reach the object cluster at all.
-        ws.active.clear();
-        for qi in queries_of.queries.0..queries_of.queries.1 {
-            let q = &arena.queries[qi as usize];
-            if !skip_filters {
-                ws.reach_tests += 1;
-                let reach = Circle::new(
-                    objects_of.region.center,
-                    objects_of.region.radius + q.bounding_radius,
-                );
-                if !reach.contains(&q.pos) {
-                    continue;
-                }
-            }
-            ws.active.push(qi);
-        }
-
-        // 1. Exact objects × exact queries, streaming the SoA arrays.
-        if !ws.active.is_empty() {
-            for i in objects_of.objs.0 as usize..objects_of.objs.1 as usize {
-                let p = Point::new(arena.obj_x[i], arena.obj_y[i]);
-                if !skip_filters {
-                    ws.reach_tests += 1;
-                    if !queries_of.reach.contains(&p) {
-                        continue;
-                    }
-                }
-                let oid = arena.obj_ids[i];
-                for &qi in &ws.active {
-                    let q = &arena.queries[qi as usize];
-                    ws.comparisons += 1;
-                    if q.region.contains(&p) {
-                        ws.results.push(QueryMatch::new(q.qid, oid));
-                    }
-                }
+        // 1. Exact objects × exact queries: the product loop.
+        let candidates = oids.len() * queries.len();
+        let dst = ws.room(candidates);
+        let mut n = 0;
+        for ((&x, &y), &oid) in xs.iter().zip(ys).zip(oids) {
+            let p = Point::new(x, y);
+            for q in queries {
+                dst[n] = QueryMatch::new(q.qid, oid);
+                n += q.region.contains(&p) as usize;
             }
         }
-
-        let shed_objs =
-            &arena.shed_obj_ids[objects_of.shed_objs.0 as usize..objects_of.shed_objs.1 as usize];
+        ws.len += n;
+        ws.comparisons += candidates as u64;
 
         // 2. Shed objects (all at the centroid) × exact queries: one test
         //    per query answers every shed object.
         if !shed_objs.is_empty() {
-            for &qi in &ws.active {
-                let q = &arena.queries[qi as usize];
-                ws.comparisons += 1;
+            ws.comparisons += queries.len() as u64;
+            for q in queries {
                 if q.region.contains(&objects_of.centroid) {
-                    for &oid in shed_objs {
-                        ws.results.push(QueryMatch::new(q.qid, oid));
-                    }
+                    ws.emit(&[q.qid], shed_objs);
                 }
             }
         }
 
         // 3. Shed query groups (regions centred on the query cluster's
         //    centroid).
-        for g in queries_of.groups.0 as usize..queries_of.groups.1 as usize {
+        for g in span(queries_of.groups) {
             let region = &arena.group_regions[g];
-            let (qs, qe) = arena.group_qid_spans[g];
-            let qids = &arena.group_qids[qs as usize..qe as usize];
+            let qids = &arena.group_qids[span(arena.group_qid_spans[g])];
             // 3a. Exact objects.
-            for i in objects_of.objs.0 as usize..objects_of.objs.1 as usize {
-                let p = Point::new(arena.obj_x[i], arena.obj_y[i]);
-                ws.comparisons += 1;
-                if region.contains(&p) {
-                    let oid = arena.obj_ids[i];
-                    for &qid in qids {
-                        ws.results.push(QueryMatch::new(qid, oid));
-                    }
+            ws.comparisons += oids.len() as u64;
+            for ((&x, &y), &oid) in xs.iter().zip(ys).zip(oids) {
+                if region.contains(&Point::new(x, y)) {
+                    ws.emit(qids, &[oid]);
                 }
             }
             // 3b. Shed objects: a single centroid-in-region test answers
@@ -669,11 +640,7 @@ impl<'a> JoinContext<'a> {
             if !shed_objs.is_empty() {
                 ws.comparisons += 1;
                 if region.contains(&objects_of.centroid) {
-                    for &qid in qids {
-                        for &oid in shed_objs {
-                            ws.results.push(QueryMatch::new(qid, oid));
-                        }
-                    }
+                    ws.emit(qids, shed_objs);
                 }
             }
         }
@@ -732,9 +699,7 @@ fn materialize_into(
                 match member.pos {
                     Some(p) => arena.queries.push(ExactQuery {
                         qid,
-                        pos: p,
                         region: spec.region_at(p).expect("range spec always has a region"),
-                        bounding_radius: spec.bounding_radius(),
                     }),
                     None => {
                         let region = spec
@@ -785,31 +750,27 @@ fn materialize_into(
     }
     arena.pending_groups = pending;
 
-    let region = cluster.region();
     arena.stamp[key.index()] = arena.epoch;
     arena.slot_entry[key.index()] = arena.entries.len() as u32;
     arena.entries.push(MatEntry {
-        slot: key,
         objs: (objs_start, arena.obj_ids.len() as u32),
         shed_objs: (shed_start, arena.shed_obj_ids.len() as u32),
         queries: (queries_start, arena.queries.len() as u32),
         groups: (groups_start, arena.group_regions.len() as u32),
         centroid,
-        region,
-        reach: Circle::new(region.center, region.radius + cluster.max_query_radius()),
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterId, MovingCluster};
+    use crate::cluster::{ClusterId, Member, MovingCluster};
     use crate::clustering::ClusterEngine;
     use crate::params::ScubaParams;
     use crate::shedding::SheddingMode;
     use crate::store::ClusterStore;
-    use scuba_motion::{LocationUpdate, ObjectAttrs, QueryAttrs, QuerySpec};
-    use scuba_spatial::{CellIdx, GridSpec, Rect};
+    use scuba_motion::{LocationUpdate, ObjectAttrs, QueryAttrs};
+    use scuba_spatial::{CellIdx, Circle, GridSpec, Rect};
     use scuba_stream::PhaseKind;
     use scuba_testkit::{check, Xoshiro256};
 
@@ -993,10 +954,11 @@ mod tests {
         assert_eq!(e.cluster_count(), 2);
         e.build_index();
         let out = run(&e);
-        // One cluster-pair overlap test, passed, plus member-level reach
-        // tests.
-        assert!(out.prefilter_tests >= 1);
+        // One cluster-pair overlap test, passed; the member join runs
+        // unfiltered (two objects × one query).
+        assert_eq!(out.prefilter_tests, 1);
         assert_eq!(between_row(&out), (1, 1));
+        assert_eq!(out.comparisons, 2);
         // Both objects fall inside the 20-unit query range.
         assert_eq!(
             out.results,
@@ -1150,15 +1112,11 @@ mod tests {
         );
         assert!(out.stages.iter().all(|s| s.kind == PhaseKind::Join));
         // Data-flow bookkeeping: the merge stage's output is the final
-        // result set, and join-within's unit work matches the counters.
+        // result set, and each stage's unit work is its counter.
         let merge = &out.stages[3];
         assert_eq!(merge.items_out, out.results.len() as u64);
-        let within = &out.stages[2];
-        let between = &out.stages[1];
-        assert_eq!(
-            within.tests + between.tests,
-            out.comparisons + out.prefilter_tests
-        );
+        assert_eq!(out.stages[2].tests, out.comparisons);
+        assert_eq!(out.stages[1].tests, out.prefilter_tests);
     }
 
     /// The radix scatter buffer is scratch like the rest: counted by
@@ -1189,6 +1147,138 @@ mod tests {
             let out = ctx(&e).run(&mut scratch);
             assert_eq!(out.results, again.results);
             assert_eq!(scratch.capacity_bytes(), settled);
+        }
+    }
+
+    /// Every `(query, object)` match of `store` by brute force: each query
+    /// member's region (at its position, or its cluster's centroid when
+    /// shed) against each object member (likewise), through
+    /// `Rect::contains`. Sorted.
+    fn brute_force(store: &ClusterStore, queries: &QueriesTable) -> Vec<QueryMatch> {
+        let at = |c: &MovingCluster, m: &Member| m.pos.unwrap_or(c.centroid());
+        let mut out = Vec::new();
+        for cq in store.values() {
+            for mq in cq.members() {
+                let EntityRef::Query(qid) = mq.entity else {
+                    continue;
+                };
+                let region = queries
+                    .get(qid)
+                    .unwrap()
+                    .spec
+                    .region_at(at(cq, mq))
+                    .unwrap();
+                for co in store.values() {
+                    for mo in co.members() {
+                        if let EntityRef::Object(oid) = mo.entity {
+                            if region.contains(&at(co, mo)) {
+                                out.push(QueryMatch::new(qid, oid));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The join-within kernel at the edges of a query rectangle. Objects
+    /// sit on each edge and corner of an exact query's region, one ulp
+    /// outside each edge and at a NaN coordinate, next to a shed object
+    /// set; the query side holds the exact query and two shed query groups
+    /// (one with the same region, one wider). Joined as a self pair and as
+    /// a cross pair, `run` answers what brute-force `Rect::contains` does
+    /// for every (query, object).
+    #[test]
+    fn kernel_matches_brute_force_on_edges_ulps_and_nan() {
+        let (narrow, wide) = (QuerySpec::square_range(20.0), QuerySpec::square_range(40.0));
+        let centre = Point::new(500.0, 500.0);
+        let r = narrow.region_at(centre).unwrap();
+        // One ulp towards −∞ / +∞ (every coordinate here is positive).
+        let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let above = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let mut points = Vec::new();
+        for x in [r.min.x, centre.x, r.max.x] {
+            for y in [r.min.y, centre.y, r.max.y] {
+                points.push(Point::new(x, y));
+            }
+        }
+        points.extend([
+            Point::new(below(r.min.x), centre.y),
+            Point::new(above(r.max.x), centre.y),
+            Point::new(centre.x, below(r.min.y)),
+            Point::new(centre.x, above(r.max.y)),
+            Point::new(f64::NAN, centre.y),
+            Point::new(centre.x, f64::NAN),
+        ]);
+        let member = |entity: EntityRef, pos| Member {
+            entity,
+            speed: 10.0,
+            pos,
+            last_seen: 0,
+        };
+        let objects = points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| member(ObjectId(i as u64).into(), Some(p)))
+            .chain((100..103).map(|i| member(ObjectId(i).into(), None)));
+        let specs = [
+            (QueryId(0), Some(centre), narrow),
+            (QueryId(1), None, narrow),
+            (QueryId(2), None, narrow),
+            (QueryId(3), None, wide),
+        ];
+        let query_members = specs.iter().map(|&(qid, pos, _)| member(qid.into(), pos));
+        let mut queries = QueriesTable::new();
+        for (qid, _, spec) in specs {
+            queries.upsert(qid, QueryAttrs { spec });
+        }
+        let cluster = |cid, centroid, members: Vec<Member>| {
+            let reach = wide.bounding_radius();
+            MovingCluster::from_parts(
+                ClusterId(cid),
+                centroid,
+                20.0,
+                CN_EAST,
+                10.0,
+                0,
+                reach,
+                members,
+            )
+        };
+        // Self pair: one mixed cluster whose shed members sit at the
+        // query's position, so the narrow group's region is the query's.
+        // Cross pair: the objects' centroid, where their shed members sit,
+        // is one ulp outside the region's lower-right corner.
+        let cases = [
+            vec![cluster(
+                0,
+                centre,
+                objects.clone().chain(query_members.clone()).collect(),
+            )],
+            vec![
+                cluster(0, Point::new(above(r.max.x), r.min.y), objects.collect()),
+                cluster(1, centre, query_members.collect()),
+            ],
+        ];
+        for (case, clusters) in cases.into_iter().enumerate() {
+            let store = store_with(clusters);
+            let mut grid = ClusterGrid::new(GridSpec::new(Rect::square(1000.0), 10));
+            grid.build(store.iter().map(|(slot, c)| crate::grid::roles(slot, c)));
+            let ctx = JoinContext {
+                store: &store,
+                grid: &grid,
+                queries: &queries,
+            };
+            let out = ctx.run(&mut JoinScratch::new());
+            let expected = brute_force(&store, &queries);
+            let pairs = specs.len() * (points.len() + 3);
+            assert!(
+                (1..pairs).contains(&expected.len()),
+                "case {case}: some pairs match, some do not"
+            );
+            assert_eq!(out.results, expected, "case {case}");
         }
     }
 

@@ -83,10 +83,15 @@ impl Rect {
         self.min.midpoint(&self.max)
     }
 
-    /// Whether `p` lies inside or on the boundary.
+    /// Whether `p` lies inside or on the boundary (false when any
+    /// coordinate involved is NaN).
+    ///
+    /// The four comparisons are combined with `&`, not `&&`: the answer is
+    /// the same for every input, and the test compiles without a branch
+    /// per comparison, which keeps join-within's product loop flat.
     #[inline]
     pub fn contains(&self, p: &Point) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
+        (p.x >= self.min.x) & (p.x <= self.max.x) & (p.y >= self.min.y) & (p.y <= self.max.y)
     }
 
     /// The point of `self` closest to `p`.
@@ -145,6 +150,48 @@ mod tests {
         assert!(r.contains(&Point::new(10.0, 10.0)));
         assert!(r.contains(&Point::new(5.0, 5.0)));
         assert!(!r.contains(&Point::new(10.000001, 5.0)));
+    }
+
+    /// The non-short-circuit `contains` answers as the `&&` chain does, on
+    /// every combination of signed zeros, infinities, NaN and subnormals —
+    /// inverted rectangles included.
+    #[test]
+    fn contains_matches_the_short_circuit_form() {
+        let sub = f64::from_bits(1);
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -sub,
+            -0.0,
+            0.0,
+            sub,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &x0 in &values {
+            for &x1 in &values {
+                for &y0 in &values {
+                    for &y1 in &values {
+                        let r = Rect {
+                            min: Point::new(x0, y0),
+                            max: Point::new(x1, y1),
+                        };
+                        for &px in &values {
+                            for &py in &values {
+                                let short = px >= x0 && px <= x1 && py >= y0 && py <= y1;
+                                assert_eq!(
+                                    r.contains(&Point::new(px, py)),
+                                    short,
+                                    "{r:?} ∋ ({px}, {py})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,17 @@
 # end-to-end metric (and, on a `--trace` run, every per-layer row) the
 # parent's median and interquartile range, the change's median, the
 # change's move in per cent and how many pairs the change won. Rows whose
-# unit is `count` print as integers, and on a `--trace` run the last line
-# names every count row that differs between the sides in any pair (or
-# says "all counts bit-equal"). A gain is worth claiming only when the change wins at least
-# 9 of 10 pairs and the medians differ by more than the parent's IQR.
+# unit is `count` print as integers, and on a `--trace` run a line names
+# every count row that differs between the sides in any pair (or says "all
+# counts bit-equal"). A gain is worth claiming only when the change wins at
+# least 9 of 10 pairs and the medians differ by more than the parent's IQR.
+#
+# It also says whether the change would pass the benchmark's gate, which
+# refuses a change on either kind of failure: before the table, one line
+# per side gives the failed operations, the runs not `correct` and each
+# run's "resume: N of 7" count; the last line names every end-to-end metric
+# whose change median is worse than the parent's by more than the parent's
+# IQR, or says "no end-to-end metric worse".
 #
 # Usage: scripts/ledger-pairs.sh <parent-rev> <workload> [pairs] [seed] [-- run flags…]
 #   pairs defaults to 10, seed to 20060326; the run flags default to
@@ -68,6 +75,21 @@ for i in $(seq 1 "$pairs"); do
   echo "pair $i of $pairs done ($sides)" >&2
 done
 
+# Per side: failed operations, runs not `correct`, resume count per run.
+for side in parent change; do
+  for i in $(seq 1 "$pairs"); do
+    jq -r '.workloads[0].runs[0]
+      | [.failed, .correct,
+         (first(.notes[]? | capture("^resume: (?<n>[0-9]+) of 7").n) // "-")]
+      | @tsv' "$work/runs/$side-$i.json"
+  done | awk -F'\t' -v side="$side" -v pairs="$pairs" '
+    { failed += $1; if ($2 != "true") bad++; resume = resume " " $3 }
+    END {
+      printf "%-6s: %d failed operations, %d of %d runs not correct, resume (N of 7) per run:%s\n",
+        side, failed, bad, pairs, resume
+    }'
+done
+
 # One `side pair section name better value unit` line per metric and run.
 for i in $(seq 1 "$pairs"); do
   for side in parent change; do
@@ -117,6 +139,11 @@ done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
         if ((better[key] == "higher" && c > p) || (better[key] == "lower" && c < p)) wins++
       }
       move = pm != 0 ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "-"
+      if (part[1] == "end-to-end" &&
+          ((better[key] == "higher" && pm - cm > iqr) || (better[key] == "lower" && cm - pm > iqr))) {
+        worse = worse sprintf("%s%s %.6g → %.6g (parent IQR %.4g)", worse == "" ? "" : "; ",
+          part[2], pm, cm, iqr)
+      }
       # Counts print whole: %g would show 17128245 and 17128246 alike.
       fmt = unit[key] == "count" ? "%14.0f" : "%14.6g"
       printf "%-11s %-40s " fmt " %12.4g " fmt " %8s %3d/%d\n", part[1], part[2], pm, iqr, cm, move, wins, pairs
@@ -136,4 +163,5 @@ done | awk -F'\t' -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
     }
     if (!counts) print "no count rows (they come with --trace)"
     else print diffs == "" ? "all counts bit-equal" : "counts that differ: " diffs
+    print worse == "" ? "no end-to-end metric worse" : "end-to-end metrics worse by more than the parent IQR: " worse
   }'
